@@ -1,7 +1,8 @@
 # Tier-1 gate: `make check` is the bar every change must clear.
 # It chains vet, build, the full test suite under the race detector,
-# the engine-equivalence + parse-amortization guards, and a short
-# native-fuzz smoke over the hardened entry points.
+# the engine-equivalence + parse-amortization guards, the benchmark
+# module's self-test, and a short native-fuzz smoke over the hardened
+# entry points.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -10,12 +11,12 @@ BENCHCOUNT ?= 5
 BENCHJSON ?= BENCH_pr3.json
 PROFILEDIR ?= .profile
 
-.PHONY: all check fmt vet build test race soak equivalence goldens fuzz-smoke serve-smoke loadtest loadtest-smoke gauntlet gauntlet-smoke bench-compare bench-json bench-contended bench-contended-smoke bench-pieces bench-pieces-smoke profile clean
+.PHONY: all check fmt vet build test race soak equivalence goldens fuzz-smoke serve-smoke loadtest loadtest-smoke gauntlet gauntlet-smoke perfbench-selftest bench-compare bench-json profile clean
 
 all: check
 
 # check is the tier-1 gate.
-check: fmt vet build race soak equivalence serve-smoke loadtest-smoke gauntlet-smoke bench-contended-smoke bench-pieces-smoke fuzz-smoke
+check: fmt vet build race soak equivalence serve-smoke loadtest-smoke gauntlet-smoke perfbench-selftest fuzz-smoke
 
 # fmt fails (and lists the offenders) when any file is not gofmt-clean.
 fmt:
@@ -104,6 +105,16 @@ gauntlet-smoke:
 	$(GO) run ./cmd/gauntlet -n 6 -max-depth 2 -q -o .gauntlet_smoke.json
 	rm -f .gauntlet_smoke.json
 
+# perfbench-selftest builds and self-tests the benchmark module
+# (perfbench/, its own Go module, so `go test ./...` at the root does
+# not reach it): every workload on a handful of inputs, every metric
+# emitted with its unit, BENCHMARK.json in step with the metric
+# tables. It compiles against the engine's exported stats and server
+# config, so this is the gate that keeps the benchmark building. About
+# 15 s, offline. `bash perfbench/run.sh` runs the benchmark itself.
+perfbench-selftest:
+	cd perfbench && $(GO) test ./...
+
 # bench-compare measures the single-script engine benchmark and the
 # batch driver at 1/2/4 workers, writing bench.new. When a bench.old
 # baseline exists and benchstat is installed the two are compared;
@@ -124,35 +135,6 @@ bench-compare:
 # deltas) consumed by the perf acceptance criteria.
 bench-json:
 	$(GO) run ./cmd/benchjson -o $(BENCHJSON)
-
-# bench-contended measures the sharded cache tier under a
-# many-goroutine workload at simulated multi-core GOMAXPROCS:
-# single-mutex vs sharded parse cache, the duplicate-wave coalescing
-# guarantee, and an in-process kill/restart cycle through the
-# warm-restart snapshot. Writes BENCH_pr8.json. bench-contended-smoke
-# is the seconds-scale variant gating `make check` (and CI): same
-# scenarios, short measuring time, report discarded.
-bench-contended:
-	$(GO) run ./cmd/benchjson -contended -o BENCH_pr8.json
-
-bench-contended-smoke:
-	$(GO) run ./cmd/benchjson -contended -benchtime 30ms -o .bench_contended_smoke.json
-	rm -f .bench_contended_smoke.json
-
-# bench-pieces measures the batched-splice + parallel-piece recovery
-# fixpoint against the frozen PR 8 baseline: parses/run on the 3-layer
-# guard script, splice vs full-reparse counts over the 24-sample
-# corpus, pieces evaluated on the worker pool, and ns per workload pass
-# at 1 and >=4 simulated cores. Writes BENCH_pr9.json.
-# bench-pieces-smoke is the seconds-scale variant gating `make check`
-# (and CI): the mode itself exits non-zero when parses/run exceeds the
-# budget of 8 or the splice fallback rate reaches 20%.
-bench-pieces:
-	$(GO) run ./cmd/benchjson -pieces -o BENCH_pr9.json
-
-bench-pieces-smoke:
-	$(GO) run ./cmd/benchjson -pieces -benchtime 30ms -o .bench_pieces_smoke.json
-	rm -f .bench_pieces_smoke.json
 
 # profile runs the CLI over the deterministic 24-sample corpus with CPU
 # and allocation profiling enabled, leaving cpu.pprof / mem.pprof in

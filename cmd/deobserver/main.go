@@ -74,7 +74,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		maxBatch     = fs.Int("max-batch", 64, "scripts per /v1/batch request")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 		jobs         = fs.Int("jobs", 0, "per-batch engine workers (0 = GOMAXPROCS)")
-		pieceWorkers = fs.Int("piece-workers", 0, "piece-evaluation workers per script (0 = GOMAXPROCS, 1 = sequential); outputs are identical at any setting")
 		scriptTO     = fs.Duration("script-timeout", 0, "per-script deadline inside /v1/batch (0 = request deadline only)")
 		noEvalCache  = fs.Bool("no-eval-cache", false, "disable the shared evaluation cache")
 		quotaRate    = fs.Float64("quota-rps", 0, "per-tenant quota in requests/second, keyed by "+server.APIKeyHeader+" (0 = quotas off)")
@@ -105,7 +104,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		SnapshotInterval: *snapInterval,
 		Engine: core.Options{
 			Jobs:             *jobs,
-			PieceWorkers:     *pieceWorkers,
 			ScriptTimeout:    *scriptTO,
 			DisableEvalCache: *noEvalCache,
 		},

@@ -39,23 +39,22 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("invoke-deobfuscation", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		lang         = fs.String("lang", "", "language frontend: powershell, javascript, or an alias (empty = auto-detect per script)")
-		showStats    = fs.Bool("stats", false, "print deobfuscation statistics to stderr")
-		showLayers   = fs.Bool("layers", false, "print each intermediate layer")
-		showTrace    = fs.Bool("trace", false, "print the per-pass pipeline trace (time, bytes, reverts, parse- and eval-cache hits) to stderr")
-		noRename     = fs.Bool("no-rename", false, "disable identifier renaming")
-		noReformat   = fs.Bool("no-reformat", false, "disable reformatting")
-		noTrace      = fs.Bool("no-trace", false, "disable variable tracing (ablation)")
-		iterations   = fs.Int("max-iterations", 0, "fixpoint iteration cap (0 = default)")
-		iocs         = fs.Bool("iocs", false, "also print extracted IOCs to stderr")
-		timeout      = fs.Duration("timeout", 0, "wall-clock deadline for the whole run (0 = none), e.g. 30s")
-		maxOutput    = fs.Int("max-output", 0, "total output byte cap across unwrapped layers (0 = 64 MiB default)")
-		jobs         = fs.Int("jobs", 0, "worker-pool size for multi-file runs (0 = GOMAXPROCS)")
-		pieceWorkers = fs.Int("piece-workers", 0, "piece-evaluation workers per script (0 = GOMAXPROCS, 1 = sequential); outputs are identical at any setting")
-		noSplice     = fs.Bool("no-splice", false, "disable batched subtree splicing, forcing full reparses (ablation)")
-		noEvalCache  = fs.Bool("no-eval-cache", false, "disable piece-evaluation memoization (ablation)")
-		cpuProfile   = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile   = fs.String("memprofile", "", "write an allocation profile to this file at exit")
+		lang        = fs.String("lang", "", "language frontend: powershell, javascript, or an alias (empty = auto-detect per script)")
+		showStats   = fs.Bool("stats", false, "print deobfuscation statistics to stderr")
+		showLayers  = fs.Bool("layers", false, "print each intermediate layer")
+		showTrace   = fs.Bool("trace", false, "print the per-pass pipeline trace (time, self time, bytes, reverts, parse- and eval-cache hits) to stderr")
+		noRename    = fs.Bool("no-rename", false, "disable identifier renaming")
+		noReformat  = fs.Bool("no-reformat", false, "disable reformatting")
+		noTrace     = fs.Bool("no-trace", false, "disable variable tracing (ablation)")
+		iterations  = fs.Int("max-iterations", 0, "fixpoint iteration cap (0 = default)")
+		iocs        = fs.Bool("iocs", false, "also print extracted IOCs to stderr")
+		timeout     = fs.Duration("timeout", 0, "wall-clock deadline for the whole run (0 = none), e.g. 30s")
+		maxOutput   = fs.Int("max-output", 0, "total output byte cap across unwrapped layers (0 = 64 MiB default)")
+		jobs        = fs.Int("jobs", 0, "worker-pool size for multi-file runs (0 = GOMAXPROCS)")
+		noSplice    = fs.Bool("no-splice", false, "disable batched subtree splicing, forcing full reparses (ablation)")
+		noEvalCache = fs.Bool("no-eval-cache", false, "disable piece-evaluation memoization (ablation)")
+		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile  = fs.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -69,7 +68,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		MaxIterations:          *iterations,
 		MaxOutputBytes:         *maxOutput,
 		Jobs:                   *jobs,
-		PieceWorkers:           *pieceWorkers,
 		DisableSplice:          *noSplice,
 	}
 	if *cpuProfile != "" {
@@ -217,8 +215,8 @@ func emitNamed(stdout, stderr io.Writer, name string, res *invokedeob.Result, em
 	if emit.trace {
 		for _, p := range res.PassTrace {
 			fmt.Fprintf(stderr,
-				"%strace pass=%-8s runs=%d time=%s in=%dB out=%dB reverts=%d cache=%d/%d hits eval=%d/%d hits (%d skipped)\n",
-				prefix, p.Pass, p.Runs, p.Duration, p.BytesIn, p.BytesOut,
+				"%strace pass=%-8s runs=%d time=%s self=%s in=%dB out=%dB reverts=%d cache=%d/%d hits eval=%d/%d hits (%d skipped)\n",
+				prefix, p.Pass, p.Runs, p.Duration, p.SelfDuration, p.BytesIn, p.BytesOut,
 				p.Reverts, p.CacheHits, p.CacheHits+p.CacheMisses,
 				p.EvalHits, p.EvalHits+p.EvalMisses, p.EvalSkips)
 		}

@@ -167,8 +167,8 @@ func TestRunBatchPartialFailure(t *testing.T) {
 	}
 }
 
-// TestRunTrace asserts the -trace flag emits per-pass lines with cache
-// counters on stderr.
+// TestRunTrace asserts the -trace flag emits per-pass lines with self
+// time and cache counters on stderr.
 func TestRunTrace(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	in := strings.NewReader("IEX 'IEX ''write-host traced'''")
@@ -179,7 +179,7 @@ func TestRunTrace(t *testing.T) {
 		t.Errorf("stdout = %q", stdout.String())
 	}
 	es := stderr.String()
-	if !strings.Contains(es, "trace pass=") || !strings.Contains(es, "cache=") {
+	if !strings.Contains(es, "trace pass=") || !strings.Contains(es, "self=") || !strings.Contains(es, "cache=") {
 		t.Errorf("trace lines missing: %q", es)
 	}
 	if !strings.Contains(es, "ast") {

@@ -86,31 +86,6 @@ func (d *Deobfuscator) DeobfuscateBatchShared(ctx context.Context, inputs []Batc
 	if jobs > len(inputs) {
 		jobs = len(inputs)
 	}
-	// Clamp the per-script piece-worker pool so the batch never
-	// oversubscribes: jobs × piece-workers stays within GOMAXPROCS.
-	// Without this, the default (one piece worker per CPU, per script)
-	// would put jobs×CPUs goroutines behind GOMAXPROCS slots, and the
-	// context-switch churn erases both parallelism wins. Outputs do not
-	// depend on the worker count, so clamping is invisible to results.
-	run := d
-	if jobs > 1 {
-		pw := d.opts.PieceWorkers
-		maxProcs := runtime.GOMAXPROCS(0)
-		if pw <= 0 {
-			pw = maxProcs
-		}
-		if jobs*pw > maxProcs {
-			pw = maxProcs / jobs
-			if pw < 1 {
-				pw = 1
-			}
-		}
-		if pw != d.opts.PieceWorkers {
-			clamped := d.opts
-			clamped.PieceWorkers = pw
-			run = &Deobfuscator{opts: clamped}
-		}
-	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < jobs; w++ {
@@ -121,14 +96,14 @@ func (d *Deobfuscator) DeobfuscateBatchShared(ctx context.Context, inputs []Batc
 				in := inputs[i]
 				sctx := ctx
 				cancel := context.CancelFunc(func() {})
-				if run.opts.ScriptTimeout > 0 {
-					sctx, cancel = context.WithTimeout(ctx, run.opts.ScriptTimeout)
+				if d.opts.ScriptTimeout > 0 {
+					sctx, cancel = context.WithTimeout(ctx, d.opts.ScriptTimeout)
 				}
 				lang := in.Lang
 				if lang == "" {
-					lang = run.opts.Lang
+					lang = d.opts.Lang
 				}
-				res, err := run.deobfuscate(sctx, in.Script, lang, cache, evalCache)
+				res, err := d.deobfuscate(sctx, in.Script, lang, cache, evalCache)
 				cancel()
 				results[i] = BatchResult{Name: in.Name, Index: i, Result: res, Err: err}
 			}

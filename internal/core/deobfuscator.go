@@ -77,9 +77,6 @@ func New(opts Options) *Deobfuscator {
 	if opts.StepBudget == 0 {
 		opts.StepBudget = 500_000
 	}
-	if opts.MaxPieceLen == 0 {
-		opts.MaxPieceLen = 1 << 20
-	}
 	return &Deobfuscator{opts: opts}
 }
 

@@ -3,7 +3,6 @@ package frontend
 import (
 	"context"
 	"errors"
-	"sync"
 	"time"
 
 	"github.com/invoke-deobfuscation/invokedeob/internal/limits"
@@ -17,12 +16,10 @@ const defaultMaxOutputBytes = 64 << 20 // 64 MiB
 // the caller's context (deadline / cancelation) and the remaining
 // output byte budget shared by all unwrapped layers. An engine is
 // reusable across runs, so this state lives on the run, not on the
-// engine. The envelope is safe for concurrent use: piece workers
-// evaluating independent pieces in parallel share one budget.
+// engine. A run executes on one goroutine, so the envelope is not
+// synchronized.
 type Envelope struct {
-	ctx context.Context
-
-	mu              sync.Mutex
+	ctx             context.Context
 	outputRemaining int
 	// err latches the first envelope violation so later checks fail
 	// fast without re-deriving it.
@@ -55,8 +52,6 @@ func (e *Envelope) Check() error {
 	if e == nil {
 		return nil
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.err != nil {
 		return e.err
 	}
@@ -87,8 +82,6 @@ func (e *Envelope) ChargeOutput(n int) error {
 	if e == nil || n <= 0 {
 		return nil
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if n > e.outputRemaining {
 		e.outputRemaining = 0
 		if e.err == nil {

@@ -17,9 +17,6 @@ type Options struct {
 	// StepBudget bounds interpreter work per recoverable piece. Zero
 	// means 500k steps.
 	StepBudget int
-	// MaxPieceLen skips recoverable pieces larger than this many bytes.
-	// Zero means 1 MiB.
-	MaxPieceLen int
 	// Blocklist overrides the frontend's default irrelevant-command
 	// blocklist.
 	Blocklist map[string]bool
@@ -60,14 +57,6 @@ type Options struct {
 	// Jobs bounds DeobfuscateBatch worker-pool concurrency. Zero means
 	// GOMAXPROCS.
 	Jobs int
-	// PieceWorkers bounds the per-run worker pool that evaluates
-	// independent recoverable pieces concurrently inside one ast-phase
-	// walk. Zero means GOMAXPROCS; 1 forces the sequential order. Batch
-	// runs clamp jobs × piece-workers to GOMAXPROCS so a batch does not
-	// oversubscribe the machine. Outputs are byte-identical at any
-	// setting: pieces are partitioned into independence groups first and
-	// results are applied in capture order.
-	PieceWorkers int
 	// DisableSplice turns off batched subtree splicing with incremental
 	// reparse (ablation): every ast-phase replacement round re-renders
 	// the whole script and re-validates it with a full parse, the
@@ -123,9 +112,6 @@ type Stats struct {
 	// EvalCacheSkips counts piece evaluations that ran but were not
 	// cacheable (impure, failed, or holding uncopyable values).
 	EvalCacheSkips int64
-	// PiecesParallel counts recoverable pieces evaluated off the walk
-	// goroutine by the piece worker pool (0 when PieceWorkers is 1).
-	PiecesParallel int
 	// SplicesApplied counts ast-phase replacement batches applied as an
 	// incremental Document splice (statement-extent reparse only).
 	SplicesApplied int

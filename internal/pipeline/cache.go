@@ -1,7 +1,7 @@
 // Package pipeline provides the language-neutral pass-pipeline
 // architecture the deobfuscation engine is built on: a bounded,
-// content-hash-keyed parse cache shared by every phase of a run (and,
-// in batch mode, across scripts), a Document type that lazily memoizes
+// content-keyed parse cache shared by every phase of a run (and, in
+// batch mode, across scripts), a Document type that lazily memoizes
 // its token stream and AST through that cache, a Pass interface the
 // engine's phases implement, and a Runner/Trace pair that records
 // per-pass duration, bytes in/out, reverts and cache hit rates.
@@ -19,22 +19,18 @@
 // is tokenized and parsed at most once per run instead of once per
 // consumer.
 //
-// For serving workloads the cache is a striped tier: entries are
-// sharded by content hash across power-of-two independent shards
-// (each with its own lock and LRU list), so concurrent requests on a
-// many-core server contend on 1/N of the lock traffic instead of one
-// global mutex, and artifact computation is coalesced — concurrent
-// requests for the same (language, text) block on one computation
-// instead of racing duplicates through the parser.
+// For serving workloads one cache is shared by every request. It holds
+// one mutex, one map keyed by (language, text), one LRU list and global
+// entry/byte budgets. The lock guards only bookkeeping: tokenizing and
+// parsing run outside it, and concurrent requests for the same
+// (language, text) block on one computation instead of racing
+// duplicates through the parser.
 package pipeline
 
 import (
 	"container/list"
 	"errors"
-	"hash/maphash"
-	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // Lang is the minimal structural surface of a language frontend the
@@ -73,70 +69,12 @@ const (
 	maxCacheableText = 4 << 20
 )
 
-// Shard sizing. The shard count is a power of two scaled from
-// GOMAXPROCS (several stripes per core so two hot keys rarely share a
-// lock) and then scaled *down* until every shard keeps a useful
-// working set — a tiny cache degenerates to one shard, which behaves
-// exactly like the historical single-mutex cache.
-const (
-	// maxShards caps the stripe count regardless of core count.
-	maxShards = 256
-	// minShardEntries / minShardBytes are the smallest per-shard
-	// budgets worth striping; below them the shard count halves.
-	minShardEntries = 64
-	minShardBytes   = 64 << 10
-)
-
-// defaultShardCount returns the GOMAXPROCS-scaled power-of-two stripe
-// count before bound-scaling: 8 stripes per core, clamped to
-// [8, maxShards].
-func defaultShardCount() int {
-	n := 8
-	target := 8 * runtime.GOMAXPROCS(0)
-	for n < target && n < maxShards {
-		n <<= 1
-	}
-	return n
-}
-
-// shardCount resolves the effective stripe count for the given bounds:
-// requested (0 = default) rounded up to a power of two, capped at
-// maxShards, then halved until every shard holds at least
-// minShardEntries entries and minShardBytes bytes.
-func shardCount(requested, maxEntries int, maxBytes int64) int {
-	n := requested
-	if n <= 0 {
-		n = defaultShardCount()
-	} else {
-		p := 1
-		for p < n && p < maxShards {
-			p <<= 1
-		}
-		n = p
-	}
-	if n > maxShards {
-		n = maxShards
-	}
-	for n > 1 && (maxEntries/n < minShardEntries || maxBytes/int64(n) < minShardBytes) {
-		n >>= 1
-	}
-	return n
-}
-
-// hashSeed is the process-wide seed for content hashing. A fixed seed
-// per process is fine: buckets compare full text, so collisions cost
-// a chain walk, never a wrong answer.
-var hashSeed = maphash.MakeSeed()
-
-// hashKey hashes a (language, text) pair. The NUL separator keeps the
-// namespace unambiguous (language names never contain NUL).
-func hashKey(lang, text string) uint64 {
-	var h maphash.Hash
-	h.SetSeed(hashSeed)
-	h.WriteString(lang)
-	h.WriteByte(0)
-	h.WriteString(text)
-	return h.Sum64()
+// cacheKey identifies one cached text: the language namespace plus the
+// exact bytes. Both caches key their maps by it, so hash collisions are
+// the map's concern and can never serve a wrong answer.
+type cacheKey struct {
+	lang string
+	text string
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness.
@@ -151,8 +89,6 @@ type CacheStats struct {
 	Entries int
 	// Bytes is the current total of cached source-text bytes.
 	Bytes int64
-	// Shards is the number of independent lock stripes.
-	Shards int
 	// CoalescedWaits counts requests that blocked on another request's
 	// in-flight computation of the same artifact instead of computing a
 	// duplicate (the singleflight payoff).
@@ -165,8 +101,8 @@ type CacheStats struct {
 }
 
 // HitRate returns Hits / (Hits + Misses), or 0 with no traffic. Serving
-// frontends surface this per scrape; because Stats() snapshots each
-// shard's counters under its lock, the ratio is internally consistent
+// frontends surface this per scrape; because Stats() snapshots the
+// counters under the cache lock, the ratio is internally consistent
 // even while concurrent requests keep hitting the cache.
 func (s CacheStats) HitRate() float64 {
 	if total := s.Hits + s.Misses; total > 0 {
@@ -204,7 +140,8 @@ const (
 // requesters wait on done and are counted as coalesced. A leader that
 // panics resets the slot to empty before propagating, so waiters retry
 // the computation themselves instead of inheriting a poisoned cell —
-// each caller's own envelope classifies its own failure.
+// each caller's own envelope classifies its own failure. Slots are
+// guarded by the owning Cache's lock.
 type artifactSlot struct {
 	state int
 	done  chan struct{} // non-nil while state == slotComputing
@@ -220,69 +157,159 @@ type artifactSlot struct {
 // under concurrent workers; an entry evicted mid-flight stays valid
 // for the goroutines already holding it.
 type cacheEntry struct {
-	lang string
-	text string
-
-	mu  sync.Mutex
-	tok artifactSlot
-	ast artifactSlot
-
-	// elem is the entry's node in its shard's LRU list (guarded by the
-	// shard lock, not e.mu).
-	elem *list.Element
+	key  cacheKey
+	tok  artifactSlot
+	ast  artifactSlot
+	elem *list.Element // the entry's node in the LRU list
 }
 
-// artifact returns the slot's memoized value, computing it via the
-// singleflight protocol when absent. The hit result reports whether
-// the value came from memory; warm reports a hit on a
-// snapshot-preloaded artifact. onWait is invoked once each time this
-// caller blocks on another goroutine's in-flight computation.
-func (e *cacheEntry) artifact(slot *artifactSlot, compute func() (any, error), onWait func()) (val any, err error, hit, warm bool) {
+// Cache is a bounded, thread-safe memoization of tokenize/parse results
+// keyed by (language, text), so the same bytes cached for one language
+// are invisible to another. One Cache serves one deobfuscation run, or
+// — in batch and server mode — is shared by all workers so identical
+// layers across scripts parse once per language.
+//
+// One mutex guards the map, the LRU list, the byte total, the artifact
+// slots and every counter. Tokenizing and parsing happen outside it
+// (see artifact), so the lock is held only for bookkeeping. Eviction is
+// least-recently-used against global entry and byte budgets.
+type Cache struct {
+	mu         sync.Mutex
+	maxEntries int
+	maxBytes   int64
+	bytes      int64
+	entries    map[cacheKey]*cacheEntry
+	lru        *list.List // front = most recently used
+
+	hits, misses, evictions int64
+	coalescedWaits          int64
+	warmed, warmHits        int64
+	perLang                 map[string]*LangCacheStats
+}
+
+// NewCache returns a Cache bounded by maxEntries texts and maxBytes of
+// cached source. Non-positive arguments select the defaults.
+func NewCache(maxEntries int, maxBytes int64) *Cache {
+	if maxEntries <= 0 {
+		maxEntries = DefaultMaxEntries
+	}
+	if maxBytes <= 0 {
+		maxBytes = DefaultMaxBytes
+	}
+	return &Cache{
+		maxEntries: maxEntries,
+		maxBytes:   maxBytes,
+		entries:    make(map[cacheKey]*cacheEntry),
+		lru:        list.New(),
+		perLang:    make(map[string]*LangCacheStats),
+	}
+}
+
+// entryLocked returns the entry for key, creating (and bounding) it as
+// needed, and bumps it to most-recently-used. Callers hold c.mu and
+// have already rejected oversize texts.
+func (c *Cache) entryLocked(key cacheKey) *cacheEntry {
+	if e := c.entries[key]; e != nil {
+		c.lru.MoveToFront(e.elem)
+		return e
+	}
+	e := &cacheEntry{key: key}
+	c.entries[key] = e
+	e.elem = c.lru.PushFront(e)
+	c.bytes += int64(len(key.text))
+	for (c.lru.Len() > c.maxEntries || c.bytes > c.maxBytes) && c.lru.Len() > 1 {
+		victim := c.lru.Remove(c.lru.Back()).(*cacheEntry)
+		delete(c.entries, victim.key)
+		c.bytes -= int64(len(victim.key.text))
+		c.evictions++
+	}
+	return e
+}
+
+// recordLocked folds a hit/miss observation into the global and
+// per-language counters. Callers hold c.mu.
+func (c *Cache) recordLocked(lang string, hit bool) {
+	ls := c.perLang[lang]
+	if ls == nil {
+		ls = &LangCacheStats{}
+		c.perLang[lang] = ls
+	}
+	if hit {
+		c.hits++
+		ls.Hits++
+	} else {
+		c.misses++
+		ls.Misses++
+	}
+}
+
+// artifact returns one memoized artifact of src under language l —
+// the token slot or the AST slot, as picked — computing it through the
+// singleflight protocol when absent. hit reports whether the value came
+// from memory.
+func (c *Cache) artifact(l Lang, src string, pick func(*cacheEntry) *artifactSlot, compute func(string) (any, error)) (val any, err error, hit bool) {
+	lang := l.Name()
+	if len(src) > maxCacheableText {
+		val, err = compute(src)
+		c.mu.Lock()
+		c.recordLocked(lang, false)
+		c.mu.Unlock()
+		return val, err, false
+	}
+	c.mu.Lock()
+	slot := pick(c.entryLocked(cacheKey{lang, src}))
 	for {
-		e.mu.Lock()
 		switch slot.state {
 		case slotDone:
-			val, err, warm = slot.val, slot.err, slot.warm
-			e.mu.Unlock()
-			return val, err, true, warm
+			val, err = slot.val, slot.err
+			c.recordLocked(lang, true)
+			if slot.warm {
+				c.warmHits++
+			}
+			c.mu.Unlock()
+			return val, err, true
 		case slotEmpty:
-			slot.state = slotComputing
-			slot.done = make(chan struct{})
-			e.mu.Unlock()
-			val, err = e.lead(slot, compute)
-			return val, err, false, false
+			val, err = c.lead(slot, func() (any, error) { return compute(src) }, false)
+			c.mu.Lock()
+			c.recordLocked(lang, false)
+			c.mu.Unlock()
+			return val, err, false
 		default: // slotComputing
 			ch := slot.done
-			e.mu.Unlock()
-			if onWait != nil {
-				onWait()
-			}
+			c.coalescedWaits++
+			c.mu.Unlock()
 			<-ch
-			// Loop: the leader published a result (done), or aborted
-			// (empty again — this waiter retries as the new leader).
+			// The leader published a result (done), or aborted (empty
+			// again — this waiter retries as the new leader).
+			c.mu.Lock()
 		}
 	}
 }
 
-// lead runs the computation as the slot's leader and publishes the
-// result. If compute panics, the slot is reset to empty — never marked
-// done with a half-written value — and the panic propagates to the
-// leader alone: its own run's recover turns it into that run's
+// lead claims an empty slot, runs the computation outside the lock and
+// publishes the result. Callers hold c.mu; lead returns with it
+// released. If compute panics, the slot is reset to empty — never
+// marked done with a half-written value — and the panic propagates to
+// the leader alone: its own run's recover turns it into that run's
 // taxonomy error, while waiters retry rather than being poisoned by
-// someone else's envelope violation.
-func (e *cacheEntry) lead(slot *artifactSlot, compute func() (any, error)) (val any, err error) {
+// someone else's envelope violation. warm flags the published artifact
+// as snapshot-preloaded.
+func (c *Cache) lead(slot *artifactSlot, compute func() (any, error), warm bool) (val any, err error) {
+	slot.state = slotComputing
+	slot.done = make(chan struct{})
+	c.mu.Unlock()
 	completed := false
 	defer func() {
-		e.mu.Lock()
+		c.mu.Lock()
 		if completed {
 			slot.state = slotDone
-			slot.val, slot.err = val, err
+			slot.val, slot.err, slot.warm = val, err, warm
 		} else {
 			slot.state = slotEmpty
 		}
 		ch := slot.done
 		slot.done = nil
-		e.mu.Unlock()
+		c.mu.Unlock()
 		close(ch)
 	}()
 	val, err = compute()
@@ -290,217 +317,8 @@ func (e *cacheEntry) lead(slot *artifactSlot, compute func() (any, error)) (val 
 	return val, err
 }
 
-// publish installs an externally synthesized artifact into an empty
-// slot. It never overwrites a live or completed computation: splice
-// synthesis and a concurrent fresh parse of the same text must agree
-// (both describe the same bytes), so first-writer-wins is safe and
-// keeps the singleflight invariants — a slotComputing leader still owns
-// its done channel. Reports whether the value was installed.
-func (e *cacheEntry) publish(slot *artifactSlot, val any) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if slot.state != slotEmpty {
-		return false
-	}
-	slot.state = slotDone
-	slot.val, slot.err = val, nil
-	return true
-}
-
-// preload derives the slot's artifact eagerly (snapshot load path) and
-// marks it warm. It never overwrites a live computation: if another
-// goroutine is computing or has computed, preload leaves the slot
-// alone and reports false.
-func (e *cacheEntry) preload(slot *artifactSlot, compute func() (any, error)) bool {
-	e.mu.Lock()
-	if slot.state != slotEmpty {
-		e.mu.Unlock()
-		return false
-	}
-	slot.state = slotComputing
-	slot.done = make(chan struct{})
-	e.mu.Unlock()
-	var val any
-	var err error
-	completed := false
-	defer func() {
-		e.mu.Lock()
-		if completed {
-			slot.state = slotDone
-			slot.val, slot.err = val, err
-			slot.warm = true
-		} else {
-			slot.state = slotEmpty
-		}
-		ch := slot.done
-		slot.done = nil
-		e.mu.Unlock()
-		close(ch)
-	}()
-	val, err = compute()
-	completed = true
-	return true
-}
-
-// cacheShard is one independent stripe: its own lock, hash buckets,
-// LRU list, byte budget and counters. Entries never migrate between
-// shards (the content hash pins them), so every per-text invariant —
-// memoize-once, per-language stats, LRU recency — holds per shard.
-type cacheShard struct {
-	mu         sync.Mutex
-	maxEntries int
-	maxBytes   int64
-	bytes      int64
-	buckets    map[uint64][]*cacheEntry
-	lru        *list.List // front = most recently used
-
-	hits, misses, evictions int64
-	perLang                 map[string]*LangCacheStats
-}
-
-func newCacheShard(maxEntries int, maxBytes int64) *cacheShard {
-	return &cacheShard{
-		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
-		buckets:    make(map[uint64][]*cacheEntry),
-		lru:        list.New(),
-		perLang:    make(map[string]*LangCacheStats),
-	}
-}
-
-// Cache is a bounded, thread-safe memoization of tokenize/parse results
-// keyed by content hash over (language, text) — verified against both,
-// so hash collisions degrade to misses, never wrong answers, and the
-// same bytes cached for one language are invisible to another. One
-// Cache serves one deobfuscation run, or — in batch and server mode —
-// is shared by all workers so identical layers across scripts parse
-// once per language.
-//
-// Internally the cache is striped across power-of-two shards selected
-// by content hash, each with per-shard LRU eviction, and artifact
-// computation is singleflight-coalesced per entry; see the package
-// comment.
-type Cache struct {
-	shards    []*cacheShard
-	shardMask uint64
-
-	coalescedWaits atomic.Int64
-	warmed         atomic.Int64
-	warmHits       atomic.Int64
-}
-
-// NewCache returns a Cache bounded by maxEntries texts and maxBytes of
-// cached source, striped across the default GOMAXPROCS-scaled shard
-// count. Non-positive arguments select the defaults.
-func NewCache(maxEntries int, maxBytes int64) *Cache {
-	return NewCacheSharded(maxEntries, maxBytes, 0)
-}
-
-// NewCacheSharded is NewCache with an explicit shard count: rounded up
-// to a power of two, capped at 256, and scaled down until each shard's
-// slice of the entry/byte budget stays useful. shards <= 0 selects the
-// GOMAXPROCS-scaled default; shards == 1 reproduces the historical
-// single-mutex cache (the benchmark baseline).
-func NewCacheSharded(maxEntries int, maxBytes int64, shards int) *Cache {
-	if maxEntries <= 0 {
-		maxEntries = DefaultMaxEntries
-	}
-	if maxBytes <= 0 {
-		maxBytes = DefaultMaxBytes
-	}
-	n := shardCount(shards, maxEntries, maxBytes)
-	c := &Cache{
-		shards:    make([]*cacheShard, n),
-		shardMask: uint64(n - 1),
-	}
-	perEntries := maxEntries / n
-	if perEntries < 1 {
-		perEntries = 1
-	}
-	perBytes := maxBytes / int64(n)
-	if perBytes < 1 {
-		perBytes = 1
-	}
-	for i := range c.shards {
-		c.shards[i] = newCacheShard(perEntries, perBytes)
-	}
-	return c
-}
-
-// shard returns the stripe owning key.
-func (c *Cache) shard(key uint64) *cacheShard { return c.shards[key&c.shardMask] }
-
-// ShardCount reports the number of lock stripes.
-func (c *Cache) ShardCount() int { return len(c.shards) }
-
-// lookup returns the entry for (lang, text), creating (and bounding) it
-// as needed, and bumps it to most-recently-used. A nil return means the
-// text is too large to cache.
-func (c *Cache) lookup(lang, text string, key uint64) *cacheEntry {
-	if len(text) > maxCacheableText {
-		return nil
-	}
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, e := range sh.buckets[key] {
-		if e.lang == lang && e.text == text {
-			sh.lru.MoveToFront(e.elem)
-			return e
-		}
-	}
-	e := &cacheEntry{lang: lang, text: text}
-	sh.buckets[key] = append(sh.buckets[key], e)
-	e.elem = sh.lru.PushFront(e)
-	sh.bytes += int64(len(text))
-	for (sh.lru.Len() > sh.maxEntries || sh.bytes > sh.maxBytes) && sh.lru.Len() > 1 {
-		sh.evictOldestLocked()
-	}
-	return e
-}
-
-// evictOldestLocked drops the least-recently-used entry. Callers hold
-// sh.mu.
-func (sh *cacheShard) evictOldestLocked() {
-	back := sh.lru.Back()
-	if back == nil {
-		return
-	}
-	victim := sh.lru.Remove(back).(*cacheEntry)
-	key := hashKey(victim.lang, victim.text)
-	bucket := sh.buckets[key]
-	for i, e := range bucket {
-		if e == victim {
-			sh.buckets[key] = append(bucket[:i], bucket[i+1:]...)
-			break
-		}
-	}
-	if len(sh.buckets[key]) == 0 {
-		delete(sh.buckets, key)
-	}
-	sh.bytes -= int64(len(victim.text))
-	sh.evictions++
-}
-
-// record folds a hit/miss observation into the owning shard's global
-// and per-language counters.
-func (c *Cache) record(lang string, key uint64, hit bool) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	ls := sh.perLang[lang]
-	if ls == nil {
-		ls = &LangCacheStats{}
-		sh.perLang[lang] = ls
-	}
-	if hit {
-		sh.hits++
-		ls.Hits++
-	} else {
-		sh.misses++
-		ls.Misses++
-	}
-	sh.mu.Unlock()
-}
+func tokSlot(e *cacheEntry) *artifactSlot { return &e.tok }
+func astSlot(e *cacheEntry) *artifactSlot { return &e.ast }
 
 // Tokenize returns the (possibly memoized) token artifact of src under
 // language l. The returned artifact is shared: callers must not mutate
@@ -514,22 +332,7 @@ func (c *Cache) tokenize(l Lang, src string) (any, error, bool) {
 	if l == nil {
 		return nil, ErrNoLang, false
 	}
-	lang := l.Name()
-	key := hashKey(lang, src)
-	e := c.lookup(lang, src, key)
-	if e == nil {
-		toks, err := l.Tokenize(src)
-		c.record(lang, key, false)
-		return toks, err, false
-	}
-	toks, err, hit, warm := e.artifact(&e.tok,
-		func() (any, error) { return l.Tokenize(e.text) },
-		func() { c.coalescedWaits.Add(1) })
-	c.record(lang, key, hit)
-	if hit && warm {
-		c.warmHits.Add(1)
-	}
-	return toks, err, hit
+	return c.artifact(l, src, tokSlot, l.Tokenize)
 }
 
 // Parse returns the (possibly memoized) AST artifact of src under
@@ -546,22 +349,7 @@ func (c *Cache) parse(l Lang, src string) (any, error, bool) {
 	if l == nil {
 		return nil, ErrNoLang, false
 	}
-	lang := l.Name()
-	key := hashKey(lang, src)
-	e := c.lookup(lang, src, key)
-	if e == nil {
-		sb, err := l.Parse(src)
-		c.record(lang, key, false)
-		return sb, err, false
-	}
-	sb, err, hit, warm := e.artifact(&e.ast,
-		func() (any, error) { return l.Parse(e.text) },
-		func() { c.coalescedWaits.Add(1) })
-	c.record(lang, key, hit)
-	if hit && warm {
-		c.warmHits.Add(1)
-	}
-	return sb, err, hit
+	return c.artifact(l, src, astSlot, l.Parse)
 }
 
 // Valid reports whether src parses under language l, through the cache.
@@ -580,18 +368,30 @@ func (c *Cache) Preload(l Lang, text string) bool {
 	if l == nil || len(text) > maxCacheableText {
 		return false
 	}
-	lang := l.Name()
-	e := c.lookup(lang, text, hashKey(lang, text))
-	if e == nil {
+	key := cacheKey{l.Name(), text}
+	tok := c.preload(key, tokSlot, l.Tokenize)
+	ast := c.preload(key, astSlot, l.Parse)
+	if !tok && !ast {
 		return false
 	}
-	tok := e.preload(&e.tok, func() (any, error) { return l.Tokenize(e.text) })
-	ast := e.preload(&e.ast, func() (any, error) { return l.Parse(e.text) })
-	if tok || ast {
-		c.warmed.Add(1)
-		return true
+	c.mu.Lock()
+	c.warmed++
+	c.mu.Unlock()
+	return true
+}
+
+// preload derives one artifact of key eagerly and marks it warm. It
+// never overwrites a live or completed computation: if the slot is not
+// empty it is left alone and preload reports false.
+func (c *Cache) preload(key cacheKey, pick func(*cacheEntry) *artifactSlot, compute func(string) (any, error)) bool {
+	c.mu.Lock()
+	slot := pick(c.entryLocked(key))
+	if slot.state != slotEmpty {
+		c.mu.Unlock()
+		return false
 	}
-	return false
+	c.lead(slot, func() (any, error) { return compute(key.text) }, true)
+	return true
 }
 
 // Insert publishes synthesized artifacts for (l, text) without running
@@ -601,27 +401,33 @@ func (c *Cache) Preload(l Lang, text string) bool {
 // Artifacts must be exactly what Tokenize/Parse would produce for text;
 // the cache trusts the frontend on this (the splice fuzz suite checks
 // it against full-reparse ground truth). Either artifact may be nil to
-// skip that slot. Existing or in-flight artifacts are never overwritten,
-// and no hits or misses are recorded (synthesis is not traffic).
-// Reports whether at least one artifact was installed (false also for
-// oversize texts, which are never cached).
+// skip that slot. Existing or in-flight artifacts are never overwritten
+// — splice synthesis and a concurrent fresh parse of the same text
+// describe the same bytes, so first-writer-wins is safe — and no hits
+// or misses are recorded (synthesis is not traffic). Reports whether at
+// least one artifact was installed (false also for oversize texts,
+// which are never cached).
 func (c *Cache) Insert(l Lang, text string, tokens, ast any) bool {
-	if l == nil {
+	if l == nil || len(text) > maxCacheableText {
 		return false
 	}
-	lang := l.Name()
-	e := c.lookup(lang, text, hashKey(lang, text))
-	if e == nil {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.entryLocked(cacheKey{l.Name(), text})
+	installedTok := publishLocked(&e.tok, tokens)
+	installedAST := publishLocked(&e.ast, ast)
+	return installedTok || installedAST
+}
+
+// publishLocked installs a synthesized artifact into an empty slot;
+// a nil artifact is skipped. Callers hold the cache lock.
+func publishLocked(slot *artifactSlot, val any) bool {
+	if val == nil || slot.state != slotEmpty {
 		return false
 	}
-	installed := false
-	if tokens != nil && e.publish(&e.tok, tokens) {
-		installed = true
-	}
-	if ast != nil && e.publish(&e.ast, ast) {
-		installed = true
-	}
-	return installed
+	slot.state = slotDone
+	slot.val, slot.err = val, nil
+	return true
 }
 
 // SnapshotEntry is one cached source text in a warm-restart snapshot:
@@ -634,82 +440,51 @@ type SnapshotEntry struct {
 }
 
 // SnapshotTexts returns every cached (language, text) pair, oldest
-// first per shard, for warm-restart persistence. Re-inserting in the
-// returned order approximately reproduces the LRU recency order.
+// first, for warm-restart persistence. Re-inserting in the returned
+// order reproduces the LRU recency order.
 func (c *Cache) SnapshotTexts() []SnapshotEntry {
-	var out []SnapshotEntry
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for el := sh.lru.Back(); el != nil; el = el.Prev() {
-			e := el.Value.(*cacheEntry)
-			out = append(out, SnapshotEntry{Lang: e.lang, Text: e.text})
-		}
-		sh.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]SnapshotEntry, 0, c.lru.Len())
+	for el := c.lru.Back(); el != nil; el = el.Prev() {
+		e := el.Value.(*cacheEntry)
+		out = append(out, SnapshotEntry{Lang: e.key.lang, Text: e.key.text})
 	}
 	return out
 }
 
-// Stats snapshots the cache counters, summed across shards.
+// Stats snapshots the cache counters.
 func (c *Cache) Stats() CacheStats {
-	st := CacheStats{
-		Shards:         len(c.shards),
-		CoalescedWaits: c.coalescedWaits.Load(),
-		Warmed:         c.warmed.Load(),
-		WarmHits:       c.warmHits.Load(),
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return CacheStats{
+		Hits:           c.hits,
+		Misses:         c.misses,
+		Evictions:      c.evictions,
+		Entries:        c.lru.Len(),
+		Bytes:          c.bytes,
+		CoalescedWaits: c.coalescedWaits,
+		Warmed:         c.warmed,
+		WarmHits:       c.warmHits,
 	}
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		st.Hits += sh.hits
-		st.Misses += sh.misses
-		st.Evictions += sh.evictions
-		st.Entries += sh.lru.Len()
-		st.Bytes += sh.bytes
-		sh.mu.Unlock()
-	}
-	return st
 }
 
-// ShardOccupancy reports the current entry count of every shard, in
-// shard order — the /statsz surface for spotting skewed stripes.
-func (c *Cache) ShardOccupancy() []int {
-	out := make([]int, len(c.shards))
-	for i, sh := range c.shards {
-		sh.mu.Lock()
-		out[i] = sh.lru.Len()
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-// LangStats snapshots the per-language hit/miss counters, summed
-// across shards. Because every (language, text) key lives in exactly
-// one shard and each observation lands in that shard's counter, the
-// summed per-language hit rates are exactly the single-mutex
-// semantics.
+// LangStats snapshots the per-language hit/miss counters.
 func (c *Cache) LangStats() map[string]LangCacheStats {
-	out := make(map[string]LangCacheStats)
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for lang, ls := range sh.perLang {
-			agg := out[lang]
-			agg.Hits += ls.Hits
-			agg.Misses += ls.Misses
-			out[lang] = agg
-		}
-		sh.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make(map[string]LangCacheStats, len(c.perLang))
+	for lang, ls := range c.perLang {
+		out[lang] = *ls
 	}
 	return out
 }
 
 // Entries reports the number of distinct cached (language, text) pairs.
 func (c *Cache) Entries() int {
-	n := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		n += sh.lru.Len()
-		sh.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Len()
 }
 
 // View returns a per-run accounting view of the cache bound to one
@@ -732,12 +507,6 @@ type View struct {
 
 // Cache returns the underlying shared cache.
 func (v *View) Cache() *Cache { return v.c }
-
-// Fork returns a fresh view onto the same cache and language with
-// zeroed counters. Parallel piece workers each fork the run's view —
-// View counters are not concurrency-safe — and the caller merges the
-// forks' hits/misses back after the workers join.
-func (v *View) Fork() *View { return &View{c: v.c, lang: v.lang} }
 
 // Lang returns the language this view is bound to.
 func (v *View) Lang() Lang { return v.lang }

@@ -1,13 +1,12 @@
 package pipeline
 
-// Tests for the sharded, coalescing, warm-restart cache tier: shard
-// resolution, LRU recency, singleflight exactly-once and poison-safety,
-// eval-flight coalescing (including the canceled-leader retry rule),
-// snapshot encode/decode round trips, and corruption handling.
+// Tests for the shared cache tier: language namespacing, LRU recency,
+// global entry/byte budgets, singleflight exactly-once and
+// poison-safety, warm-restart preloading, snapshot encode/decode round
+// trips, and corruption handling.
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -17,46 +16,13 @@ import (
 	"time"
 )
 
-func TestShardCountResolution(t *testing.T) {
-	cases := []struct {
-		requested, maxEntries int
-		maxBytes              int64
-		wantMax               int // resolved count must be <= this and a power of two
-		wantExact             int // 0 = only check bounds/pow2
-	}{
-		// Tiny bounds collapse to one shard so exact-eviction semantics
-		// (and tests pinned to them) are preserved.
-		{0, 4, DefaultMaxBytes, 0, 1},
-		{0, DefaultMaxEntries, 64, 0, 1},
-		// Explicit counts round up to a power of two and cap at 256.
-		{3, DefaultMaxEntries, DefaultMaxBytes, 256, 4},
-		{1000, 1 << 20, 1 << 30, 256, 256},
-		// Default bounds allow striping.
-		{0, DefaultMaxEntries, DefaultMaxBytes, 256, 0},
-	}
-	for _, tc := range cases {
-		got := shardCount(tc.requested, tc.maxEntries, tc.maxBytes)
-		if got < 1 || got&(got-1) != 0 {
-			t.Errorf("shardCount(%d, %d, %d) = %d, not a positive power of two",
-				tc.requested, tc.maxEntries, tc.maxBytes, got)
-		}
-		if tc.wantExact != 0 && got != tc.wantExact {
-			t.Errorf("shardCount(%d, %d, %d) = %d, want %d",
-				tc.requested, tc.maxEntries, tc.maxBytes, got, tc.wantExact)
-		}
-		if tc.wantMax != 0 && got > tc.wantMax {
-			t.Errorf("shardCount(%d, %d, %d) = %d, want <= %d",
-				tc.requested, tc.maxEntries, tc.maxBytes, got, tc.wantMax)
-		}
-	}
-}
-
-// TestCacheShardedLangNamespacing is the sharding regression for the
-// cross-language invariant: identical bytes under two languages hash
-// to (possibly) different shards yet must stay two distinct entries
-// with per-language stats intact — exactly the single-mutex semantics.
+// TestCacheShardedLangNamespacing pins the cross-language invariant
+// under repeated traffic: identical bytes under two languages stay two
+// distinct entries, each parsed once, with per-language hit rates
+// intact. (The name predates the one-lock cache; the invariant does
+// not depend on how the cache is locked.)
 func TestCacheShardedLangNamespacing(t *testing.T) {
-	c := NewCacheSharded(0, 0, 64)
+	c := NewCache(0, 0)
 	ps := &fakeLang{name: "powershell"}
 	js := &fakeLang{name: "javascript"}
 	const src = "shared-bytes('x')"
@@ -88,22 +54,10 @@ func TestCacheShardedLangNamespacing(t *testing.T) {
 			t.Errorf("%s hit rate = %v, want 0.5", lang, ls.HitRate())
 		}
 	}
-	occ := c.ShardOccupancy()
-	if len(occ) != c.ShardCount() {
-		t.Fatalf("occupancy has %d slots, want %d", len(occ), c.ShardCount())
-	}
-	total := 0
-	for _, n := range occ {
-		total += n
-	}
-	if total != 2 {
-		t.Errorf("shard occupancy sums to %d, want 2", total)
-	}
 }
 
 func TestCacheLRUEvictionOrder(t *testing.T) {
-	// Single shard so the recency order is directly observable.
-	c := NewCacheSharded(3, 0, 1)
+	c := NewCache(3, 0)
 	l := newFakeLang()
 	for _, s := range []string{"a", "b", "c"} {
 		if _, err := c.Parse(l, s); err != nil {
@@ -157,17 +111,20 @@ func (l *slowLang) Parse(src string) (any, error) {
 }
 
 // TestCacheHotKeyCoalescedExactlyOnce hammers one hot key from many
-// goroutines while a churn stream floods distinct keys, asserting the
-// hot key is parsed exactly once per generation and memory stays
-// bounded. Run under -race this is also the data-race gate for the
-// shard/slot protocol.
+// goroutines and then floods distinct keys while the hot computation is
+// still blocked, asserting the hot key is parsed exactly once per
+// generation and memory stays bounded. A generation is the set of
+// requests that joined one leader's flight: churn starts only after all
+// followers are parked on it, so evicting the hot entry mid-flight must
+// neither disturb them nor let the leader's result be lost. Run under
+// -race this is also the data-race gate for the slot protocol.
 func TestCacheHotKeyCoalescedExactlyOnce(t *testing.T) {
 	const (
 		workers    = 16
 		churnKeys  = 512
 		maxEntries = 128
 	)
-	c := NewCacheSharded(maxEntries, 0, 8)
+	c := NewCache(maxEntries, 0)
 	hot := &slowLang{name: "hot", gate: make(chan struct{})}
 	churn := newFakeLang()
 
@@ -184,8 +141,18 @@ func TestCacheHotKeyCoalescedExactlyOnce(t *testing.T) {
 			hotResults[w] = ast
 		}(w)
 	}
-	// Churn concurrently with the blocked hot-key computation: evictions
-	// in other entries must not disturb the in-flight singleflight.
+	// Wait for the generation to form: one leader blocked in Parse, the
+	// other workers-1 requests parked on its flight.
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Stats().CoalescedWaits < workers-1 {
+		if time.Now().After(deadline) {
+			close(hot.gate)
+			t.Fatalf("only %d of %d followers joined the hot flight", c.Stats().CoalescedWaits, workers-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Churn while the hot computation is still blocked: the flood evicts
+	// the hot entry, which must not disturb the in-flight singleflight.
 	var churnWG sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		churnWG.Add(1)
@@ -214,9 +181,80 @@ func TestCacheHotKeyCoalescedExactlyOnce(t *testing.T) {
 	if st.Entries > maxEntries {
 		t.Errorf("entries = %d after churn, want <= %d", st.Entries, maxEntries)
 	}
-	if st.CoalescedWaits == 0 {
-		t.Error("no coalesced waits recorded despite concurrent requests on a blocked key")
+	if st.Evictions == 0 {
+		t.Error("churn evicted nothing; the hot entry was never evicted mid-flight")
 	}
+	if st.CoalescedWaits != workers-1 {
+		t.Errorf("coalesced waits = %d, want %d", st.CoalescedWaits, workers-1)
+	}
+}
+
+// TestCacheBudgetsAreGlobal pins that both caches enforce one entry
+// budget and one byte budget over all keys: entries whose total stays
+// under maxBytes are never evicted, whatever their content (and hence
+// whatever their hash). A few large texts — each bigger than a
+// sixteenth of the budget — plus many small ones stay resident.
+func TestCacheBudgetsAreGlobal(t *testing.T) {
+	t.Run("parse", func(t *testing.T) {
+		c := NewCache(0, 0)
+		l := newFakeLang()
+		var texts []string
+		var total int
+		for i := 0; i < 3; i++ { // 3 x 3 MiB: each under maxCacheableText
+			texts = append(texts, fmt.Sprintf("%d", i)+strings.Repeat("x", 3<<20))
+		}
+		for i := 0; i < 200; i++ {
+			texts = append(texts, fmt.Sprintf("small-%d-", i)+strings.Repeat("y", 4<<10))
+		}
+		for _, text := range texts {
+			total += len(text)
+			if _, err := c.Parse(l, text); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if total >= DefaultMaxBytes {
+			t.Fatalf("fixture totals %d bytes, must stay under %d", total, DefaultMaxBytes)
+		}
+		st := c.Stats()
+		if st.Evictions != 0 || st.Entries != len(texts) {
+			t.Errorf("stats = %+v, want %d entries and no evictions", st, len(texts))
+		}
+		parses := l.parses.Load()
+		for _, text := range texts {
+			c.Parse(l, text)
+		}
+		if l.parses.Load() != parses {
+			t.Errorf("re-parsing resident texts cost %d parses, want 0", l.parses.Load()-parses)
+		}
+	})
+	t.Run("eval", func(t *testing.T) {
+		c := NewEvalCache(0, 0)
+		v := c.View(testOps())
+		noVars := func(string) (string, bool) { return "", false }
+		var snippets []string
+		for i := 0; i < 6; i++ { // 6 x 900 KiB: each under maxCacheableSnippet
+			snippets = append(snippets, fmt.Sprintf("'%d", i)+strings.Repeat("x", 900<<10)+"'")
+		}
+		for i := 0; i < 200; i++ {
+			snippets = append(snippets, fmt.Sprintf("'small-%d-", i)+strings.Repeat("y", 4<<10)+"'")
+		}
+		for _, snippet := range snippets {
+			v.Insert(snippet, nil, []any{"v"})
+		}
+		st := c.Stats()
+		if st.Bytes >= DefaultEvalMaxBytes {
+			t.Fatalf("fixture retains %d bytes, must stay under %d", st.Bytes, DefaultEvalMaxBytes)
+		}
+		if st.Evictions != 0 || st.Entries != len(snippets) {
+			t.Errorf("stats = %+v, want %d entries and no evictions", st, len(snippets))
+		}
+		for _, snippet := range snippets {
+			if _, ok := v.Lookup(snippet, noVars); !ok {
+				t.Errorf("resident snippet of %d bytes missed", len(snippet))
+				break
+			}
+		}
+	})
 }
 
 // TestCacheLeaderPanicDoesNotPoison injects a parser panic into the
@@ -224,7 +262,7 @@ func TestCacheHotKeyCoalescedExactlyOnce(t *testing.T) {
 // leader alone and (b) the slot resets so a later request recomputes
 // instead of inheriting a poisoned artifact.
 func TestCacheLeaderPanicDoesNotPoison(t *testing.T) {
-	c := NewCacheSharded(0, 0, 1)
+	c := NewCache(0, 0)
 	l := &slowLang{name: "panicky"}
 	l.panicIn.Store(1)
 	func() {
@@ -274,146 +312,10 @@ func TestCachePreloadAndWarmHits(t *testing.T) {
 	}
 }
 
-func TestEvalAcquireCoalescesToOneEvaluation(t *testing.T) {
-	const workers = 12
-	c := NewEvalCache(0, 0)
-	ops := testOps()
-	noVars := func(string) (string, bool) { return "", false }
-
-	var evaluations atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v := c.View(ops)
-			out, hit, ticket := v.Acquire(context.Background(), "wave snippet", noVars)
-			if hit {
-				if len(out) != 1 || out[0] != "result" {
-					t.Errorf("coalesced hit = %v, want [result]", out)
-				}
-				return
-			}
-			evaluations.Add(1)
-			time.Sleep(2 * time.Millisecond) // widen the in-flight window
-			ticket.Insert(nil, []any{"result"})
-		}()
-	}
-	wg.Wait()
-	if n := evaluations.Load(); n != 1 {
-		t.Errorf("%d evaluations for one distinct snippet across %d goroutines, want 1", n, workers)
-	}
-	st := c.Stats()
-	if st.Hits != workers-1 || st.Misses != 1 {
-		t.Errorf("stats = %+v, want %d hits / 1 miss", st, workers-1)
-	}
-	if st.CoalescedWaits == 0 {
-		t.Error("no coalesced waits recorded")
-	}
-}
-
-// TestEvalAcquireSkipPromotesWaiters: when the leader's evaluation is
-// uncacheable (Skip), waiters must not inherit that outcome — each
-// retries as the next leader.
-func TestEvalAcquireSkipPromotesWaiters(t *testing.T) {
-	c := NewEvalCache(0, 0)
-	ops := testOps()
-	noVars := func(string) (string, bool) { return "", false }
-
-	v1 := c.View(ops)
-	_, hit, lead := v1.Acquire(context.Background(), "impure", noVars)
-	if hit || lead == nil {
-		t.Fatal("first Acquire should lead")
-	}
-	followerDone := make(chan *EvalTicket)
-	go func() {
-		v2 := c.View(ops)
-		_, hit, ticket := v2.Acquire(context.Background(), "impure", noVars)
-		if hit {
-			t.Error("follower hit after leader skip; skip must not publish a result")
-		}
-		followerDone <- ticket
-	}()
-	// Give the follower time to park on the flight, then skip.
-	time.Sleep(5 * time.Millisecond)
-	lead.Skip()
-	ticket := <-followerDone
-	if ticket == nil {
-		t.Fatal("follower was not promoted to leader after skip")
-	}
-	ticket.Insert(nil, []any{"second try"})
-	out, ok := c.View(ops).Lookup("impure", noVars)
-	if !ok || out[0] != "second try" {
-		t.Fatalf("promoted leader's insert not visible: %v ok=%t", out, ok)
-	}
-}
-
-// TestEvalAcquireCanceledWaiterComputesItself is the queued-request
-// bugfix: a waiter whose own context is done must stop waiting on the
-// (possibly canceled) leader and evaluate under its own envelope —
-// never inherit the leader's ErrCanceled.
-func TestEvalAcquireCanceledWaiterComputesItself(t *testing.T) {
-	c := NewEvalCache(0, 0)
-	ops := testOps()
-	noVars := func(string) (string, bool) { return "", false }
-
-	v1 := c.View(ops)
-	_, _, lead := v1.Acquire(context.Background(), "contested", noVars)
-	if lead == nil {
-		t.Fatal("first Acquire should lead")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // the waiter's admission context is already gone
-	v2 := c.View(ops)
-	done := make(chan *EvalTicket, 1)
-	go func() {
-		_, hit, ticket := v2.Acquire(ctx, "contested", noVars)
-		if hit {
-			t.Error("canceled waiter reported a hit")
-		}
-		done <- ticket
-	}()
-	var ticket *EvalTicket
-	select {
-	case ticket = <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("canceled waiter stayed blocked on the leader's flight")
-	}
-	if ticket == nil {
-		t.Fatal("canceled waiter got no ticket; it must be able to compute itself")
-	}
-	// The waiter evaluates itself; its insert must not tear down the
-	// leader's flight, and both resolutions must coexist.
-	ticket.Insert(nil, []any{"self-computed"})
-	lead.Insert(nil, []any{"leader"})
-	if out, ok := c.View(ops).Lookup("contested", noVars); !ok || len(out) != 1 {
-		t.Fatalf("lookup after both inserts: %v ok=%t", out, ok)
-	}
-}
-
-func TestEvalTicketResolutionIdempotent(t *testing.T) {
-	c := NewEvalCache(0, 0)
-	v := c.View(testOps())
-	noVars := func(string) (string, bool) { return "", false }
-	_, _, ticket := v.Acquire(context.Background(), "once", noVars)
-	ticket.Insert(nil, []any{"x"})
-	ticket.Skip()  // must be a no-op
-	ticket.Abort() // must be a no-op
-	if v.Misses != 1 || v.Skips != 0 {
-		t.Errorf("view = %d misses / %d skips after redundant resolutions, want 1 / 0", v.Misses, v.Skips)
-	}
-	// Nil tickets (disabled views) are safe everywhere.
-	var nilTicket *EvalTicket
-	nilTicket.Insert(nil, nil)
-	nilTicket.Skip()
-	nilTicket.Abort()
-	if nilTicket.Enabled() {
-		t.Error("nil ticket reports enabled")
-	}
-}
-
+// TestEvalCacheShardedLangNamespacing is the eval-cache sibling of
+// TestCacheShardedLangNamespacing (same naming history).
 func TestEvalCacheShardedLangNamespacing(t *testing.T) {
-	c := NewEvalCacheSharded(0, 0, 64)
+	c := NewEvalCache(0, 0)
 	ps := c.View(fakeOps{name: "powershell"})
 	js := c.View(fakeOps{name: "javascript"})
 	noVars := func(string) (string, bool) { return "", false }

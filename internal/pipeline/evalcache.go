@@ -2,9 +2,7 @@ package pipeline
 
 import (
 	"container/list"
-	"context"
 	"sync"
-	"sync/atomic"
 )
 
 // EvalOps is the value-handling surface of a language frontend the
@@ -70,8 +68,7 @@ type evalEntry struct {
 	// warm marks an entry preloaded from a warm-restart snapshot; hits
 	// on it are counted separately as WarmHits.
 	warm bool
-	// elem is the entry's node in its shard's LRU list (guarded by the
-	// shard lock).
+	// elem is the entry's node in the cache's LRU list.
 	elem *list.Element
 }
 
@@ -91,12 +88,6 @@ type EvalCacheStats struct {
 	Entries int
 	// Bytes is the current estimated retained size.
 	Bytes int64
-	// Shards is the number of independent lock stripes.
-	Shards int
-	// CoalescedWaits counts evaluations that blocked on another run's
-	// in-flight evaluation of the same snippet instead of racing a
-	// duplicate through the interpreter.
-	CoalescedWaits int64
 	// Warmed counts entries preloaded from a warm-restart snapshot.
 	Warmed int64
 	// WarmHits counts hits served by snapshot-preloaded entries.
@@ -127,59 +118,14 @@ func (s LangEvalStats) HitRate() float64 {
 	return 0
 }
 
-// evalShard is one independent stripe of the eval cache: its own lock,
-// buckets, LRU list, byte budget and counters.
-type evalShard struct {
-	mu         sync.Mutex
-	maxEntries int
-	maxBytes   int64
-	bytes      int64
-	buckets    map[uint64][]*evalEntry
-	lru        *list.List // front = most recently used
-
-	hits, misses, skips, evictions int64
-	perLang                        map[string]*LangEvalStats
-}
-
-func newEvalShard(maxEntries int, maxBytes int64) *evalShard {
-	return &evalShard{
-		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
-		buckets:    make(map[uint64][]*evalEntry),
-		lru:        list.New(),
-		perLang:    make(map[string]*LangEvalStats),
-	}
-}
-
-// evalFlightKey identifies one in-flight evaluation for coalescing.
-// Coalescing is keyed on (language, snippet) alone — the environment
-// fingerprint is only discovered *during* evaluation (the read-set is
-// an output, not an input), so followers wait for the leader and then
-// re-check the cache under their own visible bindings; a binding
-// mismatch simply promotes the follower to the next leader.
-type evalFlightKey struct {
-	lang    string
-	snippet string
-}
-
-// evalFlight is one in-flight evaluation; done is closed when the
-// leader resolves (insert, skip or abort), after which followers
-// re-lookup.
-type evalFlight struct {
-	done chan struct{}
-}
-
 // EvalCache memoizes the output values of pure, deterministic snippet
 // evaluations, keyed by language plus exact snippet text plus the
 // environment fingerprint (the sorted set of preloaded variables the
 // run read and their values). It is the evaluation-phase sibling of
-// the parse Cache: bounded (per-shard LRU over both an entry count and
-// a byte budget), safe for concurrent batch workers, and observed
-// through per-run EvalViews so trace attribution stays exact. Like the
-// parse cache it is striped by content hash across power-of-two
-// shards, and Acquire coalesces concurrent evaluations of the same
-// (language, snippet) so a wave of identical scripts costs one
-// interpreter run.
+// the parse Cache: one mutex, one map from (language, snippet) to the
+// snippet's binding-set chain, one LRU list, and global entry and byte
+// budgets. It is safe for concurrent batch workers and observed
+// through per-run EvalViews so trace attribution stays exact.
 //
 // The cache itself is value-agnostic: each view carries its
 // frontend's EvalOps (deep copier + sizer) so the pipeline package
@@ -189,88 +135,49 @@ type evalFlight struct {
 // on every hit, so a splice that later mutates a returned slice can
 // never corrupt the cache or another run.
 type EvalCache struct {
-	shards    []*evalShard
-	shardMask uint64
+	mu         sync.Mutex
+	maxEntries int
+	maxBytes   int64
+	bytes      int64
+	chains     map[cacheKey][]*evalEntry
+	lru        *list.List // front = most recently used
 
-	flightMu sync.Mutex
-	flights  map[evalFlightKey]*evalFlight
-
-	coalescedWaits atomic.Int64
-	warmed         atomic.Int64
-	warmHits       atomic.Int64
+	hits, misses, skips, evictions int64
+	warmed, warmHits               int64
+	perLang                        map[string]*LangEvalStats
 }
 
 // NewEvalCache returns an EvalCache bounded by maxEntries results and
-// maxBytes of retained data, striped across the default
-// GOMAXPROCS-scaled shard count. Non-positive bounds select the
-// defaults. Value copying and sizing are supplied per view
-// (EvalCache.View), so one shared cache can serve several language
-// frontends.
+// maxBytes of retained data. Non-positive bounds select the defaults.
+// Value copying and sizing are supplied per view (EvalCache.View), so
+// one shared cache can serve several language frontends.
 func NewEvalCache(maxEntries int, maxBytes int64) *EvalCache {
-	return NewEvalCacheSharded(maxEntries, maxBytes, 0)
-}
-
-// NewEvalCacheSharded is NewEvalCache with an explicit shard count
-// (same resolution rules as NewCacheSharded; 1 reproduces the
-// historical single-mutex cache).
-func NewEvalCacheSharded(maxEntries int, maxBytes int64, shards int) *EvalCache {
 	if maxEntries <= 0 {
 		maxEntries = DefaultEvalMaxEntries
 	}
 	if maxBytes <= 0 {
 		maxBytes = DefaultEvalMaxBytes
 	}
-	n := shardCount(shards, maxEntries, maxBytes)
-	c := &EvalCache{
-		shards:    make([]*evalShard, n),
-		shardMask: uint64(n - 1),
-		flights:   make(map[evalFlightKey]*evalFlight),
+	return &EvalCache{
+		maxEntries: maxEntries,
+		maxBytes:   maxBytes,
+		chains:     make(map[cacheKey][]*evalEntry),
+		lru:        list.New(),
+		perLang:    make(map[string]*LangEvalStats),
 	}
-	perEntries := maxEntries / n
-	if perEntries < 1 {
-		perEntries = 1
-	}
-	perBytes := maxBytes / int64(n)
-	if perBytes < 1 {
-		perBytes = 1
-	}
-	for i := range c.shards {
-		c.shards[i] = newEvalShard(perEntries, perBytes)
-	}
-	return c
 }
-
-// shard returns the stripe owning key.
-func (c *EvalCache) shard(key uint64) *evalShard { return c.shards[key&c.shardMask] }
-
-// statsShard returns the stripe that accumulates a language's
-// view-level hit/miss/skip observations (stable per language; Stats
-// and LangStats sum across shards, so placement is an implementation
-// detail).
-func (c *EvalCache) statsShard(lang string) *evalShard {
-	return c.shards[hashKey(lang, "")&c.shardMask]
-}
-
-// ShardCount reports the number of lock stripes.
-func (c *EvalCache) ShardCount() int { return len(c.shards) }
 
 // lookup finds a cached result for (lang, snippet) whose recorded
 // bindings all match the currently visible values, returning deep
-// copies of the cached output values. warm reports a hit on a
-// snapshot-preloaded entry.
-func (c *EvalCache) lookup(ops EvalOps, snippet string, visible func(name string) (fp string, ok bool)) (out []any, warm, ok bool) {
+// copies of the cached output values, and counts the hit.
+func (c *EvalCache) lookup(ops EvalOps, snippet string, visible func(name string) (fp string, ok bool)) ([]any, bool) {
 	if len(snippet) > maxCacheableSnippet {
-		return nil, false, false
+		return nil, false
 	}
 	lang := ops.Name()
-	key := hashKey(lang, snippet)
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, e := range sh.buckets[key] {
-		if e.lang != lang || e.snippet != snippet {
-			continue
-		}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range c.chains[cacheKey{lang, snippet}] {
 		if !bindingsMatch(e.bindings, visible) {
 			continue
 		}
@@ -280,10 +187,15 @@ func (c *EvalCache) lookup(ops EvalOps, snippet string, visible func(name string
 			// degrade to a miss rather than trust it.
 			continue
 		}
-		sh.lru.MoveToFront(e.elem)
-		return out, e.warm, true
+		c.lru.MoveToFront(e.elem)
+		c.hits++
+		c.langStatsLocked(lang).Hits++
+		if e.warm {
+			c.warmHits++
+		}
+		return out, true
 	}
-	return nil, false, false
+	return nil, false
 }
 
 // bindingsMatch reports whether every recorded (name, fingerprint)
@@ -322,11 +234,7 @@ func copyValues(ops EvalOps, values []any) ([]any, bool) {
 // insert stores a pure evaluation result. The values are deep-copied
 // before retention; values the copier refuses make the whole result
 // uncacheable (recorded as a skip).
-func (c *EvalCache) insert(ops EvalOps, snippet string, bindings []Binding, values []any) bool {
-	return c.insertEntry(ops, snippet, bindings, values, false)
-}
-
-func (c *EvalCache) insertEntry(ops EvalOps, snippet string, bindings []Binding, values []any, warm bool) bool {
+func (c *EvalCache) insert(ops EvalOps, snippet string, bindings []Binding, values []any, warm bool) bool {
 	lang := ops.Name()
 	if len(snippet) > maxCacheableSnippet {
 		c.recordSkip(lang)
@@ -352,33 +260,28 @@ func (c *EvalCache) insertEntry(ops EvalOps, snippet string, bindings []Binding,
 			size += int64(ops.ValueSize(v))
 		}
 	}
-	key := hashKey(lang, snippet)
-	e := &evalEntry{lang: lang, snippet: snippet, bindings: bindings, values: stored, bytes: size, warm: warm}
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	key := cacheKey{lang, snippet}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	// Dedup: a concurrent worker may have inserted the same result
 	// already; cap per-snippet chains so one text cannot monopolize.
-	same := 0
-	for _, old := range sh.buckets[key] {
-		if old.lang != lang || old.snippet != snippet {
-			continue
-		}
-		same++
+	chain := c.chains[key]
+	for _, old := range chain {
 		if equalBindings(old.bindings, bindings) {
 			return true // already cached
 		}
 	}
-	if same >= maxEntriesPerSnippet {
-		sh.skips++
-		sh.langStatsLocked(lang).Skips++
+	if len(chain) >= maxEntriesPerSnippet {
+		c.skips++
+		c.langStatsLocked(lang).Skips++
 		return false
 	}
-	sh.buckets[key] = append(sh.buckets[key], e)
-	e.elem = sh.lru.PushFront(e)
-	sh.bytes += size
-	for (sh.lru.Len() > sh.maxEntries || sh.bytes > sh.maxBytes) && sh.lru.Len() > 1 {
-		sh.evictOldestLocked()
+	e := &evalEntry{lang: lang, snippet: snippet, bindings: bindings, values: stored, bytes: size, warm: warm}
+	c.chains[key] = append(chain, e)
+	e.elem = c.lru.PushFront(e)
+	c.bytes += size
+	for (c.lru.Len() > c.maxEntries || c.bytes > c.maxBytes) && c.lru.Len() > 1 {
+		c.evictOldestLocked()
 	}
 	return true
 }
@@ -396,45 +299,49 @@ func equalBindings(a, b []Binding) bool {
 }
 
 // evictOldestLocked drops the least-recently-used entry. Callers hold
-// sh.mu.
-func (sh *evalShard) evictOldestLocked() {
-	back := sh.lru.Back()
-	if back == nil {
-		return
-	}
-	victim := sh.lru.Remove(back).(*evalEntry)
-	key := hashKey(victim.lang, victim.snippet)
-	bucket := sh.buckets[key]
-	for i, e := range bucket {
+// c.mu.
+func (c *EvalCache) evictOldestLocked() {
+	victim := c.lru.Remove(c.lru.Back()).(*evalEntry)
+	key := cacheKey{victim.lang, victim.snippet}
+	chain := c.chains[key]
+	for i, e := range chain {
 		if e == victim {
-			sh.buckets[key] = append(bucket[:i], bucket[i+1:]...)
+			chain = append(chain[:i], chain[i+1:]...)
 			break
 		}
 	}
-	if len(sh.buckets[key]) == 0 {
-		delete(sh.buckets, key)
+	if len(chain) == 0 {
+		delete(c.chains, key)
+	} else {
+		c.chains[key] = chain
 	}
-	sh.bytes -= victim.bytes
-	sh.evictions++
+	c.bytes -= victim.bytes
+	c.evictions++
 }
 
 // langStatsLocked returns the per-language counter, creating it as
-// needed. Callers hold sh.mu.
-func (sh *evalShard) langStatsLocked(lang string) *LangEvalStats {
-	ls := sh.perLang[lang]
+// needed. Callers hold c.mu.
+func (c *EvalCache) langStatsLocked(lang string) *LangEvalStats {
+	ls := c.perLang[lang]
 	if ls == nil {
 		ls = &LangEvalStats{}
-		sh.perLang[lang] = ls
+		c.perLang[lang] = ls
 	}
 	return ls
 }
 
 func (c *EvalCache) recordSkip(lang string) {
-	sh := c.statsShard(lang)
-	sh.mu.Lock()
-	sh.skips++
-	sh.langStatsLocked(lang).Skips++
-	sh.mu.Unlock()
+	c.mu.Lock()
+	c.skips++
+	c.langStatsLocked(lang).Skips++
+	c.mu.Unlock()
+}
+
+func (c *EvalCache) recordMiss(lang string) {
+	c.mu.Lock()
+	c.misses++
+	c.langStatsLocked(lang).Misses++
+	c.mu.Unlock()
 }
 
 // PreloadEval inserts a snapshot-derived zero-binding result, flagged
@@ -446,78 +353,55 @@ func (c *EvalCache) PreloadEval(ops EvalOps, snippet string, values []any) bool 
 	if c == nil || ops == nil {
 		return false
 	}
-	if !c.insertEntry(ops, snippet, nil, values, true) {
+	if !c.insert(ops, snippet, nil, values, true) {
 		return false
 	}
-	c.warmed.Add(1)
+	c.mu.Lock()
+	c.warmed++
+	c.mu.Unlock()
 	return true
 }
 
 // SnapshotSnippets returns the (language, snippet) pairs of every
-// cached zero-binding result, oldest first per shard, for warm-restart
+// cached zero-binding result, oldest first, for warm-restart
 // persistence. Entries with binding fingerprints are excluded: their
 // replay depends on an environment the snapshot does not carry.
 func (c *EvalCache) SnapshotSnippets() []SnapshotEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	var out []SnapshotEntry
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for el := sh.lru.Back(); el != nil; el = el.Prev() {
-			e := el.Value.(*evalEntry)
-			if len(e.bindings) == 0 {
-				out = append(out, SnapshotEntry{Lang: e.lang, Text: e.snippet})
-			}
+	for el := c.lru.Back(); el != nil; el = el.Prev() {
+		e := el.Value.(*evalEntry)
+		if len(e.bindings) == 0 {
+			out = append(out, SnapshotEntry{Lang: e.lang, Text: e.snippet})
 		}
-		sh.mu.Unlock()
 	}
 	return out
 }
 
-// Stats snapshots the eval-cache counters, summed across shards.
+// Stats snapshots the eval-cache counters.
 func (c *EvalCache) Stats() EvalCacheStats {
-	st := EvalCacheStats{
-		Shards:         len(c.shards),
-		CoalescedWaits: c.coalescedWaits.Load(),
-		Warmed:         c.warmed.Load(),
-		WarmHits:       c.warmHits.Load(),
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return EvalCacheStats{
+		Hits:      c.hits,
+		Misses:    c.misses,
+		Skips:     c.skips,
+		Evictions: c.evictions,
+		Entries:   c.lru.Len(),
+		Bytes:     c.bytes,
+		Warmed:    c.warmed,
+		WarmHits:  c.warmHits,
 	}
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		st.Hits += sh.hits
-		st.Misses += sh.misses
-		st.Skips += sh.skips
-		st.Evictions += sh.evictions
-		st.Entries += sh.lru.Len()
-		st.Bytes += sh.bytes
-		sh.mu.Unlock()
-	}
-	return st
 }
 
-// ShardOccupancy reports the current entry count of every shard.
-func (c *EvalCache) ShardOccupancy() []int {
-	out := make([]int, len(c.shards))
-	for i, sh := range c.shards {
-		sh.mu.Lock()
-		out[i] = sh.lru.Len()
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-// LangStats snapshots the per-language hit/miss/skip counters, summed
-// across shards.
+// LangStats snapshots the per-language hit/miss/skip counters.
 func (c *EvalCache) LangStats() map[string]LangEvalStats {
-	out := make(map[string]LangEvalStats)
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for lang, ls := range sh.perLang {
-			agg := out[lang]
-			agg.Hits += ls.Hits
-			agg.Misses += ls.Misses
-			agg.Skips += ls.Skips
-			out[lang] = agg
-		}
-		sh.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make(map[string]LangEvalStats, len(c.perLang))
+	for lang, ls := range c.perLang {
+		out[lang] = *ls
 	}
 	return out
 }
@@ -554,31 +438,6 @@ func (v *EvalView) Cache() *EvalCache {
 	return v.c
 }
 
-// Fork returns a fresh view onto the same cache and ops with zeroed
-// counters (nil for a nil receiver, preserving "caching disabled").
-// Parallel piece workers each fork the run's view — EvalView counters
-// are not concurrency-safe — and the caller merges the forks'
-// hits/misses/skips back after the workers join.
-func (v *EvalView) Fork() *EvalView {
-	if v == nil {
-		return nil
-	}
-	return &EvalView{c: v.c, ops: v.ops}
-}
-
-func (v *EvalView) recordHit(warm bool) {
-	v.Hits++
-	lang := v.ops.Name()
-	sh := v.c.statsShard(lang)
-	sh.mu.Lock()
-	sh.hits++
-	sh.langStatsLocked(lang).Hits++
-	sh.mu.Unlock()
-	if warm {
-		v.c.warmHits.Add(1)
-	}
-}
-
 // Lookup searches for a cached result of snippet under the currently
 // visible bindings. visible maps a normalized variable name to its
 // value fingerprint. On a hit the returned values are fresh deep
@@ -589,65 +448,11 @@ func (v *EvalView) Lookup(snippet string, visible func(name string) (fp string, 
 	if !v.Enabled() {
 		return nil, false
 	}
-	out, warm, ok := v.c.lookup(v.ops, snippet, visible)
+	out, ok := v.c.lookup(v.ops, snippet, visible)
 	if ok {
-		v.recordHit(warm)
+		v.Hits++
 	}
 	return out, ok
-}
-
-// Acquire is Lookup plus singleflight coalescing: on a miss it either
-// claims leadership of the (language, snippet) evaluation — returning
-// a non-nil ticket the caller MUST resolve via Insert, Skip or Abort —
-// or blocks until the current leader resolves and re-checks the cache.
-//
-// Followers never inherit the leader's outcome. When a leader aborts,
-// skips, or is canceled by its own envelope, its flight resolves
-// without publishing and each waiter re-looks-up: a binding mismatch
-// or absent entry simply promotes the next waiter to leader, so one
-// request's deadline/cancel/panic can never surface as another
-// request's taxonomy error. If ctx is done while waiting, Acquire
-// stops waiting and returns a non-coalescing ticket (flight-less):
-// the caller evaluates under its own envelope and any cancellation
-// error is attributed to itself — a queued request that wins admission
-// after its leader was canceled retries the work, it does not inherit
-// ErrCanceled.
-//
-// On a disabled view Acquire returns (nil, false, nil); the nil ticket
-// is safe to resolve.
-func (v *EvalView) Acquire(ctx context.Context, snippet string, visible func(name string) (fp string, ok bool)) ([]any, bool, *EvalTicket) {
-	if !v.Enabled() {
-		return nil, false, nil
-	}
-	if len(snippet) > maxCacheableSnippet {
-		// Oversize snippets are never cached, so coalescing would hold
-		// a flight nothing can resolve into a hit; evaluate directly.
-		return nil, false, &EvalTicket{v: v, snippet: snippet}
-	}
-	key := evalFlightKey{lang: v.ops.Name(), snippet: snippet}
-	for {
-		if out, warm, ok := v.c.lookup(v.ops, snippet, visible); ok {
-			v.recordHit(warm)
-			return out, true, nil
-		}
-		v.c.flightMu.Lock()
-		f := v.c.flights[key]
-		if f == nil {
-			f = &evalFlight{done: make(chan struct{})}
-			v.c.flights[key] = f
-			v.c.flightMu.Unlock()
-			return nil, false, &EvalTicket{v: v, snippet: snippet, key: key, flight: f}
-		}
-		v.c.flightMu.Unlock()
-		v.c.coalescedWaits.Add(1)
-		select {
-		case <-f.done:
-			// Leader resolved; loop to re-check the cache (or claim the
-			// next leadership on a mismatch).
-		case <-ctx.Done():
-			return nil, false, &EvalTicket{v: v, snippet: snippet}
-		}
-	}
 }
 
 // Insert stores a pure evaluation result under (snippet, bindings) and
@@ -658,13 +463,8 @@ func (v *EvalView) Insert(snippet string, bindings []Binding, values []any) {
 		return
 	}
 	v.Misses++
-	lang := v.ops.Name()
-	sh := v.c.statsShard(lang)
-	sh.mu.Lock()
-	sh.misses++
-	sh.langStatsLocked(lang).Misses++
-	sh.mu.Unlock()
-	v.c.insert(v.ops, snippet, bindings, values)
+	v.c.recordMiss(v.ops.Name())
+	v.c.insert(v.ops, snippet, bindings, values, false)
 }
 
 // Skip records an evaluation whose result must not be cached (impure,
@@ -674,71 +474,5 @@ func (v *EvalView) Skip() {
 		return
 	}
 	v.Skips++
-	lang := v.ops.Name()
-	sh := v.c.statsShard(lang)
-	sh.mu.Lock()
-	sh.skips++
-	sh.langStatsLocked(lang).Skips++
-	sh.mu.Unlock()
+	v.c.recordSkip(v.ops.Name())
 }
-
-// EvalTicket is the resolution handle Acquire hands a leader (or a
-// flight-less self-evaluator). Exactly one of Insert, Skip or Abort
-// must eventually be called; all three are idempotent and nil-safe,
-// so `defer t.Abort()` is a correct backstop after explicit
-// resolution. Insert publishes to the cache BEFORE releasing waiters,
-// so a follower's re-lookup after the flight resolves observes the
-// new entry.
-type EvalTicket struct {
-	v       *EvalView
-	snippet string
-	key     evalFlightKey
-	flight  *evalFlight
-	done    bool
-}
-
-// Enabled reports whether a live view backs this ticket.
-func (t *EvalTicket) Enabled() bool { return t != nil && t.v.Enabled() }
-
-// resolve closes the ticket's flight (if any), releasing waiters.
-func (t *EvalTicket) resolve() {
-	if t == nil || t.done {
-		return
-	}
-	t.done = true
-	if t.flight == nil {
-		return
-	}
-	t.v.c.flightMu.Lock()
-	if t.v.c.flights[t.key] == t.flight {
-		delete(t.v.c.flights, t.key)
-	}
-	t.v.c.flightMu.Unlock()
-	close(t.flight.done)
-}
-
-// Insert stores the evaluation result (counted as a miss) and releases
-// any coalesced waiters, who will re-lookup and hit.
-func (t *EvalTicket) Insert(bindings []Binding, values []any) {
-	if t == nil || t.done {
-		return
-	}
-	t.v.Insert(t.snippet, bindings, values)
-	t.resolve()
-}
-
-// Skip records an uncacheable evaluation and releases any coalesced
-// waiters, who will retry as new leaders.
-func (t *EvalTicket) Skip() {
-	if t == nil || t.done {
-		return
-	}
-	t.v.Skip()
-	t.resolve()
-}
-
-// Abort releases waiters without recording anything — the path for a
-// leader whose evaluation never completed (panic unwinding, early
-// return). Waiters retry as new leaders rather than inheriting the
-// aborted run's failure.
-func (t *EvalTicket) Abort() { t.resolve() }

@@ -1,11 +1,9 @@
 package psfront
 
 import (
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"github.com/invoke-deobfuscation/invokedeob/internal/frontend"
 	"github.com/invoke-deobfuscation/invokedeob/internal/pipeline"
@@ -64,27 +62,12 @@ type astState struct {
 	// only a handful of nodes are rewritten, so this prunes almost the
 	// entire post-order splice.
 	replMin, replMax int
-	// workers is the resolved piece-worker count; above 1, tryRecover
-	// captures pieceJobs instead of evaluating inline, and the jobs are
-	// evaluated in parallel independence rounds (see resolveAllJobs).
-	workers int
-	// jobs holds the captured recoverable-piece evaluations in capture
-	// (post-order) order; pending counts the not-yet-resolved ones.
-	jobs    []*pieceJob
-	pending int
 }
 
-// pieceJob is one deferred recoverable-piece evaluation. The binding
-// snapshot freezes the symbol-table state the sequential order would
-// have evaluated under, so resolving the job later — or on another
-// goroutine — produces byte-identical results: a pure evaluation is a
-// function of (snippet text, read bindings) only.
-type pieceJob struct {
-	n     psast.Node
-	ext   psast.Extent
-	binds map[string]any
-	done  bool
-}
+// maxPieceLen bounds recoverable pieces, in bytes: larger pieces are
+// not evaluated, and recovered literals larger than this are not
+// spliced in.
+const maxPieceLen = 1 << 20
 
 // setRepl records a replacement for n and widens the replacement
 // extent bounds used by textOf's fast path.
@@ -123,9 +106,7 @@ func (r *run) astPhase(pc *pipeline.PassContext, doc *pipeline.Document, depth i
 		s.collectPureFunctions(root)
 		s.buildPrelude()
 	}
-	s.workers = r.pieceWorkers()
 	s.visit(root, visitCtx{scope: []int{0}})
-	s.resolveAllJobs()
 	if len(s.repl) == 0 {
 		return
 	}
@@ -144,19 +125,6 @@ func (r *run) astPhase(pc *pipeline.PassContext, doc *pipeline.Document, depth i
 	}
 	out := s.textOf(root)
 	doc.SetText(pc.ValidOrRevert(s.view, out, s.src))
-}
-
-// pieceWorkers resolves Options.PieceWorkers: zero means one worker per
-// available CPU, anything else is taken as given (minimum one).
-func (r *run) pieceWorkers() int {
-	w := r.Opts.PieceWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // enterScope derives a child scope path.
@@ -473,49 +441,26 @@ func (s *astState) evaluateStatementValue(n psast.Node, ctx visitCtx) (any, bool
 }
 
 // tryRecover evaluates a recoverable node and replaces it in place when
-// the result is a string or number (paper §III-B2). With more than one
-// piece worker the evaluation is deferred: the node is captured as a
-// pieceJob together with a snapshot of its visible bindings, and
-// resolveAllJobs later evaluates independence groups of captured jobs
-// concurrently. With one worker the classic inline path runs unchanged.
+// the result is a string or number (paper §III-B2). The safety check
+// runs first: it is a pure AST walk, while materializing the piece's
+// text and the triviality probe cost a splice and a parse.
 func (s *astState) tryRecover(n psast.Node, ctx visitCtx) {
-	if s.workers > 1 {
-		if !s.isSafePiece(n, ctx) {
-			return
-		}
-		s.jobs = append(s.jobs, &pieceJob{n: n, ext: n.Extent(), binds: s.bindingsForNode(n, ctx)})
-		s.pending++
-		return
-	}
-	text := s.textOf(n)
-	if len(text) > s.r.Opts.MaxPieceLen {
-		return
-	}
-	if s.isTrivialPiece(n, text) {
-		return
-	}
 	if !s.isSafePiece(n, ctx) {
 		return
 	}
+	text := s.textOf(n)
+	if len(text) > maxPieceLen || s.isTrivialPiece(n, text) {
+		return
+	}
 	s.r.Stats.PiecesAttempted++
-	out, err := s.evalNode(n, ctx)
-	s.applyRecovery(n, text, out, err)
-}
-
-// applyRecovery turns one piece-evaluation outcome into a replacement
-// record (or a classified failure). Shared by the inline path and the
-// deferred-job paths so both produce byte-identical results.
-func (s *astState) applyRecovery(n psast.Node, text string, out []any, err error) {
+	out, err := s.evalPiece(s.snippetFor(text), s.bindingsForNode(n, ctx))
 	if err != nil {
 		frontend.ClassifyEvalFailure(s.r.Stats, err)
 		return
 	}
 	value := psinterp.Unwrap(out)
 	lit, ok := renderLiteral(value)
-	if !ok || lit == text {
-		return
-	}
-	if len(lit) > s.r.Opts.MaxPieceLen {
+	if !ok || lit == text || len(lit) > maxPieceLen {
 		return
 	}
 	s.setRepl(n, lit)
@@ -523,9 +468,7 @@ func (s *astState) applyRecovery(n psast.Node, text string, out []any, err error
 }
 
 // bindingsFor snapshots the traced variables visible from ctx — exactly
-// the set evalText would preload. Captured jobs carry the snapshot so a
-// later (possibly concurrent) evaluation sees the symbol table as it
-// stood at the job's place in the sequential order.
+// the set evalText preloads.
 func (s *astState) bindingsFor(ctx visitCtx) map[string]any {
 	if ctx.inFunc || s.r.Opts.DisableVariableTracing || len(s.vars) == 0 {
 		return nil
@@ -592,194 +535,6 @@ func (s *astState) bindingsForNode(n psast.Node, ctx visitCtx) map[string]any {
 	return binds
 }
 
-// resolveJob resolves one captured job inline (walk-goroutine path used
-// by the flush sites). Jobs nested inside it must already be resolved.
-func (s *astState) resolveJob(j *pieceJob) {
-	if j.done {
-		return
-	}
-	j.done = true
-	s.pending--
-	if s.r.Env.Violated() {
-		return
-	}
-	text := s.textOf(j.n)
-	if len(text) > s.r.Opts.MaxPieceLen {
-		return
-	}
-	if s.isTrivialPiece(j.n, text) {
-		return
-	}
-	s.r.Stats.PiecesAttempted++
-	out, err := s.evalPiece(s.snippetFor(text), j.binds, s.view, s.pc.Eval)
-	s.applyRecovery(j.n, text, out, err)
-}
-
-// flushIntersecting resolves, in capture order, every pending job whose
-// extent intersects ext — plus pending jobs nested inside those — so a
-// caller about to materialize or probe text within ext observes exactly
-// the replacements the sequential evaluation order would have produced.
-func (s *astState) flushIntersecting(ext psast.Extent) {
-	if s.pending == 0 {
-		return
-	}
-	flush := make([]bool, len(s.jobs))
-	marked := false
-	// Post-order capture means containers follow their contents, so a
-	// reverse scan marks intersecting containers first and then any
-	// still-pending jobs nested inside a marked container.
-	for i := len(s.jobs) - 1; i >= 0; i-- {
-		j := s.jobs[i]
-		if j.done {
-			continue
-		}
-		hit := j.ext.Start < ext.End && ext.Start < j.ext.End
-		if !hit {
-			for k := i + 1; k < len(s.jobs); k++ {
-				if flush[k] && j.ext.Start >= s.jobs[k].ext.Start && j.ext.End <= s.jobs[k].ext.End {
-					hit = true
-					break
-				}
-			}
-		}
-		if hit {
-			flush[i] = true
-			marked = true
-		}
-	}
-	if !marked {
-		return
-	}
-	for i, f := range flush {
-		if f {
-			s.resolveJob(s.jobs[i])
-		}
-	}
-}
-
-// flushAllJobs drains every pending job in capture order. Called before
-// nested-layer recursion and envelope output accounting so those see
-// the same state sequential evaluation would have produced.
-func (s *astState) flushAllJobs() {
-	if s.pending == 0 {
-		return
-	}
-	for _, j := range s.jobs {
-		if !j.done {
-			s.resolveJob(j)
-		}
-	}
-}
-
-// resolveAllJobs drains the captured jobs in independence rounds. A job
-// is ready when no pending earlier-captured job lies inside its extent
-// (post-order capture puts children before parents, so readiness means
-// every nested recovery the job's text depends on is already applied).
-// Ready jobs of one round have pairwise disjoint extents and frozen
-// binding snapshots: their evaluations share no mutable state, so the
-// round evaluates them concurrently on the piece-worker pool, then
-// applies the results sequentially in capture order.
-func (s *astState) resolveAllJobs() {
-	for s.pending > 0 {
-		var ready []*pieceJob
-		for i, j := range s.jobs {
-			if j.done {
-				continue
-			}
-			blocked := false
-			for k := 0; k < i; k++ {
-				inner := s.jobs[k]
-				if !inner.done && inner.ext.Start >= j.ext.Start && inner.ext.End <= j.ext.End {
-					blocked = true
-					break
-				}
-			}
-			if !blocked {
-				ready = append(ready, j)
-			}
-		}
-		if len(ready) == 0 {
-			return // unreachable: the earliest pending job is never blocked
-		}
-		// Stage 1 (sequential): materialize texts and run the cheap
-		// screens. Contained jobs are resolved, so textOf is final.
-		type pieceEval struct {
-			j             *pieceJob
-			text, snippet string
-			out           []any
-			err           error
-		}
-		var evals []*pieceEval
-		for _, j := range ready {
-			j.done = true
-			s.pending--
-			if s.r.Env.Violated() {
-				continue
-			}
-			text := s.textOf(j.n)
-			if len(text) > s.r.Opts.MaxPieceLen {
-				continue
-			}
-			if s.isTrivialPiece(j.n, text) {
-				continue
-			}
-			s.r.Stats.PiecesAttempted++
-			evals = append(evals, &pieceEval{j: j, text: text, snippet: s.snippetFor(text)})
-		}
-		if len(evals) == 0 {
-			continue
-		}
-		// Stage 2: evaluate. Each worker forks the run's cache views
-		// (per-view counters are not concurrency-safe); the envelope and
-		// the caches themselves are shared and synchronized.
-		if s.workers > 1 && len(evals) > 1 {
-			nw := s.workers
-			if nw > len(evals) {
-				nw = len(evals)
-			}
-			views := make([]*pipeline.View, nw)
-			evviews := make([]*pipeline.EvalView, nw)
-			idx := make(chan int)
-			var wg sync.WaitGroup
-			for w := 0; w < nw; w++ {
-				views[w] = s.view.Fork()
-				evviews[w] = s.pc.Eval.Fork()
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := range idx {
-						it := evals[i]
-						it.out, it.err = s.evalPiece(it.snippet, it.j.binds, views[w], evviews[w])
-					}
-				}(w)
-			}
-			for i := range evals {
-				idx <- i
-			}
-			close(idx)
-			wg.Wait()
-			for w := 0; w < nw; w++ {
-				s.view.Hits += views[w].Hits
-				s.view.Misses += views[w].Misses
-				if s.pc.Eval != nil && evviews[w] != nil {
-					s.pc.Eval.Hits += evviews[w].Hits
-					s.pc.Eval.Misses += evviews[w].Misses
-					s.pc.Eval.Skips += evviews[w].Skips
-				}
-			}
-			s.r.Stats.PiecesParallel += len(evals)
-		} else {
-			for _, it := range evals {
-				it.out, it.err = s.evalPiece(it.snippet, it.j.binds, s.view, s.pc.Eval)
-			}
-		}
-		// Stage 3 (sequential): apply in capture order.
-		for _, it := range evals {
-			s.applyRecovery(it.j.n, it.text, it.out, it.err)
-		}
-	}
-}
-
 // buildPrelude memoizes the safe-function definition prelude. Sorted
 // by function name so the snippet text — and therefore both the parse
 // cache and the evaluation cache keys — is deterministic regardless of
@@ -839,19 +594,15 @@ func valueFP(v any) (string, bool) {
 // consulted under the key (snippet text, fingerprints of the visible
 // bindings a previous pure run read). On a hit the memoized output is
 // replayed — deep-copied, so splices can never alias cached state — and
-// no interpreter is constructed at all. On a miss, Acquire coalesces
-// with any concurrent evaluation of the same snippet (a near-clone
-// wave across server requests costs one interpreter run) and this run
-// either waits for that leader's published result or becomes the
-// leader itself, holding a ticket it must resolve. If the interpreter's
-// purity report confirms the run was deterministic and side-effect-free,
-// the result is inserted keyed by the exact variables it read. Impure,
-// failed or budget-violating runs are never cached — their tickets
-// resolve as skips, releasing any coalesced waiters to retry under
-// their own envelopes. The piece's parse still comes from the run's
-// parse cache, so even uncacheable evaluations skip re-parsing.
+// no interpreter is constructed at all. On a miss the piece is
+// interpreted; if the interpreter's purity report confirms the run was
+// deterministic and side-effect-free, the result is inserted keyed by
+// the exact variables it read. Impure, failed or budget-violating runs
+// are never cached — they are recorded as skips. The piece's parse
+// still comes from the run's parse cache, so even uncacheable
+// evaluations skip re-parsing.
 func (s *astState) evalText(text string, ctx visitCtx) ([]any, error) {
-	return s.evalPiece(s.snippetFor(text), s.bindingsFor(ctx), s.view, s.pc.Eval)
+	return s.evalPiece(s.snippetFor(text), s.bindingsFor(ctx))
 }
 
 // evalNode is evalText with node-aware restricted bindings: the piece's
@@ -859,7 +610,7 @@ func (s *astState) evalText(text string, ctx visitCtx) ([]any, error) {
 // evaluation binds (and fingerprints) only those instead of the whole
 // visible snapshot.
 func (s *astState) evalNode(n psast.Node, ctx visitCtx) ([]any, error) {
-	return s.evalPiece(s.snippetFor(s.textOf(n)), s.bindingsForNode(n, ctx), s.view, s.pc.Eval)
+	return s.evalPiece(s.snippetFor(s.textOf(n)), s.bindingsForNode(n, ctx))
 }
 
 // snippetFor prepends the memoized safe-function prelude to a piece.
@@ -870,19 +621,17 @@ func (s *astState) snippetFor(text string) string {
 	return s.prelude + text
 }
 
-// evalPiece is the reentrant core of piece evaluation: everything it
-// touches beyond its arguments is either immutable for the duration of
-// the pass (options, blocklist, prelude) or internally synchronized
-// (the envelope, both shared caches). Parallel piece workers call it
-// with forked views; the walk goroutine calls it with the run's own.
-// The interpreter itself is drawn from a pool and reset per piece, so
-// a hostile corpus's thousands of evaluations recycle a handful of
-// interpreter shells instead of allocating one each.
-func (s *astState) evalPiece(snippet string, binds map[string]any, view *pipeline.View, eval *pipeline.EvalView) ([]any, error) {
+// evalPiece evaluates one snippet under the given bindings, through
+// the run's evaluation cache. The interpreter is drawn from a pool and
+// reset per piece, so a hostile corpus's thousands of evaluations
+// recycle a handful of interpreter shells instead of allocating one
+// each.
+func (s *astState) evalPiece(snippet string, binds map[string]any) ([]any, error) {
 	if err := s.r.Env.Check(); err != nil {
 		return nil, err
 	}
-	values, ok, ticket := eval.Acquire(s.r.Env.Context(), snippet, func(name string) (string, bool) {
+	eval := s.pc.Eval
+	values, ok := eval.Lookup(snippet, func(name string) (string, bool) {
 		v, ok := binds[name]
 		if !ok {
 			return "", false
@@ -892,10 +641,6 @@ func (s *astState) evalPiece(snippet string, binds map[string]any, view *pipelin
 	if ok {
 		return values, nil
 	}
-	// Backstop: if the evaluation below panics or returns early, the
-	// flight is released (idempotently) so coalesced waiters never hang
-	// on — or inherit — this run's failure.
-	defer ticket.Abort()
 	opts := psinterp.Options{
 		MaxSteps:      s.r.Opts.StepBudget,
 		StrictVars:    true,
@@ -908,32 +653,33 @@ func (s *astState) evalPiece(snippet string, binds map[string]any, view *pipelin
 	for name, v := range binds {
 		in.SetVar(name, v)
 	}
-	sb, err := viewParse(view, snippet)
+	sb, err := viewParse(s.view, snippet)
 	if err != nil {
-		ticket.Skip()
+		eval.Skip()
 		return nil, err
 	}
 	out, err := in.EvalScript(sb)
 	if err != nil {
 		// Failed runs are never cached: the purity report of an aborted
 		// evaluation is incomplete by construction.
-		ticket.Skip()
+		eval.Skip()
 		return out, err
 	}
-	s.memoizeEval(ticket, binds, in, out)
+	s.memoizeEval(snippet, binds, in, out)
 	return out, nil
 }
 
 // memoizeEval inserts a completed evaluation into the cache when the
-// purity report allows it, resolving the run's coalescing ticket and
-// attributing the outcome (miss vs skip) to the given EvalView.
-func (s *astState) memoizeEval(ticket *pipeline.EvalTicket, binds map[string]any, in *psinterp.Interp, out []any) {
-	if !ticket.Enabled() {
+// purity report allows it, attributing the outcome (miss vs skip) to
+// the run's EvalView.
+func (s *astState) memoizeEval(snippet string, binds map[string]any, in *psinterp.Interp, out []any) {
+	eval := s.pc.Eval
+	if !eval.Enabled() {
 		return
 	}
 	p := in.Purity()
 	if !p.Pure {
-		ticket.Skip()
+		eval.Skip()
 		return
 	}
 	bindings := make([]pipeline.Binding, 0, len(p.ReadVars))
@@ -944,17 +690,17 @@ func (s *astState) memoizeEval(ticket *pipeline.EvalTicket, binds map[string]any
 			// reads are tracked only for preloaded names, which all come
 			// from the binding snapshot). Refuse to cache rather than
 			// risk it.
-			ticket.Skip()
+			eval.Skip()
 			return
 		}
 		fp, ok := valueFP(v)
 		if !ok {
-			ticket.Skip()
+			eval.Skip()
 			return
 		}
 		bindings = append(bindings, pipeline.Binding{Name: name, FP: fp})
 	}
-	ticket.Insert(bindings, out)
+	eval.Insert(snippet, bindings, out)
 }
 
 // collectPureFunctions records user functions whose bodies are pure:
@@ -1379,10 +1125,8 @@ func constantOf(n psast.Node) (any, bool) {
 // denotes a single string/number literal. Where the answer is provable
 // from the AST and the replacement records it is returned without any
 // parse; only genuinely ambiguous shapes fall back to the probe parse
-// literalValue performs. Pending piece jobs intersecting the node are
-// flushed first so the probe sees the sequential-order state.
+// literalValue performs.
 func (s *astState) literalOfNode(n psast.Node) (any, bool) {
-	s.flushIntersecting(n.Extent())
 	if v, isLit, certain := s.staticLiteral(n); certain {
 		return v, isLit
 	}

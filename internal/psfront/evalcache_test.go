@@ -16,7 +16,7 @@ import (
 // directly and observe exactly when the interpreter runs.
 func newEvalState(t *testing.T, src string, view *pipeline.EvalView) *astState {
 	t.Helper()
-	opts := &frontend.Options{MaxIterations: 10, StepBudget: 500_000, MaxPieceLen: 1 << 20}
+	opts := &frontend.Options{MaxIterations: 10, StepBudget: 500_000}
 	r := &run{&frontend.Run{
 		Opts:      opts,
 		Blocklist: psnames.DefaultBlocklist(),

@@ -199,10 +199,6 @@ func (s *astState) deobPayload(code string) (string, int, bool) {
 	if trimmed == "" {
 		return "", 0, false
 	}
-	// Any pending deferred piece evaluations are drained first: they may
-	// charge the shared envelope, and the sequential order charges them
-	// before the payload's bytes.
-	s.flushAllJobs()
 	if s.r.Env.Violated() || s.r.Env.ChargeOutput(len(trimmed)) != nil {
 		return "", 0, false
 	}

@@ -114,7 +114,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"invokedeob_tokens_normalized_total", "Tokens normalized by the token phase.", float64(a.TokensNormalized)},
 		{"invokedeob_pieces_attempted_total", "Recoverable pieces whose evaluation was attempted.", float64(a.PiecesAttempted)},
 		{"invokedeob_pieces_recovered_total", "Recoverable pieces replaced by their literal value.", float64(a.PiecesRecovered)},
-		{"invokedeob_pieces_parallel_total", "Pieces evaluated off the walk goroutine by the piece worker pool.", float64(a.PiecesParallel)},
 		{"invokedeob_splices_applied_total", "Replacement batches applied as incremental document splices.", float64(a.SplicesApplied)},
 		{"invokedeob_splice_fallbacks_total", "Replacement batches that fell back to a full re-render and reparse.", float64(a.SpliceFallbacks)},
 		{"invokedeob_variables_traced_total", "Variable assignments recorded by tracing.", float64(a.VariablesTraced)},
@@ -169,19 +168,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			m.val(name, `cache="eval"`, eval)
 		}
 	}
-	var eh, em, ev, ecw float64
+	var eh, em, ev float64
 	var een, eby float64
 	hasEval := s.evalCache != nil
 	if hasEval {
 		ec := s.evalCache.Stats()
-		eh, em, ev, ecw = float64(ec.Hits), float64(ec.Misses), float64(ec.Evictions), float64(ec.CoalescedWaits)
+		eh, em, ev = float64(ec.Hits), float64(ec.Misses), float64(ec.Evictions)
 		een, eby = float64(ec.Entries), float64(ec.Bytes)
 	}
 	cacheCounter("invokedeob_cache_hits_total", "Shared cache hits.", float64(pc.Hits), eh, hasEval)
 	cacheCounter("invokedeob_cache_misses_total", "Shared cache misses.", float64(pc.Misses), em, hasEval)
 	cacheCounter("invokedeob_cache_evictions_total", "Shared cache evictions.", float64(pc.Evictions), ev, hasEval)
 	cacheCounter("invokedeob_cache_coalesced_waits_total",
-		"Requests that waited on an identical in-flight computation.", float64(pc.CoalescedWaits), ecw, hasEval)
+		"Requests that waited on an identical in-flight parse.", float64(pc.CoalescedWaits), 0, false)
 	m.header("invokedeob_cache_entries", "Shared cache entries.", "gauge")
 	m.val("invokedeob_cache_entries", `cache="parse"`, float64(pc.Entries))
 	if hasEval {

@@ -174,7 +174,6 @@ func (st *serverStats) observeRun(res *core.Result) {
 	a.EvalCacheHits += s.EvalCacheHits
 	a.EvalCacheMisses += s.EvalCacheMisses
 	a.EvalCacheSkips += s.EvalCacheSkips
-	a.PiecesParallel += s.PiecesParallel
 	a.SplicesApplied += s.SplicesApplied
 	a.SpliceFallbacks += s.SpliceFallbacks
 	for _, p := range res.PassTrace {
@@ -212,13 +211,10 @@ type cacheStatsBody struct {
 	Entries   int     `json:"entries"`
 	Bytes     int64   `json:"bytes"`
 	HitRate   float64 `json:"hit_rate"`
-	// Shards is the lock-stripe count; ShardOccupancy the per-shard
-	// entry counts in shard order (skew here means a hot hash range).
-	Shards         int   `json:"shards"`
-	ShardOccupancy []int `json:"shard_occupancy"`
 	// CoalescedWaits counts requests that blocked on another request's
-	// identical in-flight computation instead of duplicating it.
-	CoalescedWaits int64 `json:"coalesced_waits"`
+	// identical in-flight parse instead of duplicating it (parse cache
+	// only).
+	CoalescedWaits int64 `json:"coalesced_waits,omitempty"`
 	// Warmed / WarmHits are the warm-restart payoff: entries preloaded
 	// from the snapshot, and hits served by them.
 	Warmed   int64 `json:"warmed,omitempty"`
@@ -345,7 +341,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	body.ParseCache = cacheStatsBody{
 		Hits: pc.Hits, Misses: pc.Misses, Evictions: pc.Evictions,
 		Entries: pc.Entries, Bytes: pc.Bytes, HitRate: pc.HitRate(),
-		Shards: pc.Shards, ShardOccupancy: s.cache.ShardOccupancy(),
 		CoalescedWaits: pc.CoalescedWaits,
 		Warmed:         pc.Warmed, WarmHits: pc.WarmHits,
 	}
@@ -363,9 +358,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			Hits: ec.Hits, Misses: ec.Misses, Skips: ec.Skips,
 			Evictions: ec.Evictions, Entries: ec.Entries, Bytes: ec.Bytes,
 			HitRate: ec.HitRate(),
-			Shards:  ec.Shards, ShardOccupancy: s.evalCache.ShardOccupancy(),
-			CoalescedWaits: ec.CoalescedWaits,
-			Warmed:         ec.Warmed, WarmHits: ec.WarmHits,
+			Warmed:  ec.Warmed, WarmHits: ec.WarmHits,
 		}
 		if byLang := s.evalCache.LangStats(); len(byLang) > 0 {
 			body.EvalCache.ByLang = make(map[string]langCacheStatsBody, len(byLang))

@@ -27,7 +27,6 @@ package invokedeob
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"github.com/invoke-deobfuscation/invokedeob/internal/core"
 	"github.com/invoke-deobfuscation/invokedeob/internal/frontend"
@@ -42,180 +41,23 @@ import (
 
 // Options configures deobfuscation. The zero value (or nil) selects the
 // paper's defaults: all phases on, ten fixpoint iterations, the
-// built-in command blocklist.
-type Options struct {
-	// Lang names the language frontend ("powershell", "javascript", or
-	// an alias like "ps1"/"js"). Empty auto-detects per script; unknown
-	// names fail with ErrBadLang.
-	Lang string
-	// MaxIterations bounds the multi-layer fixpoint loop (default 10).
-	MaxIterations int
-	// StepBudget bounds interpreter work per recoverable piece
-	// (default 500k).
-	StepBudget int
-	// DisableTokenPhase turns off phase 1.
-	DisableTokenPhase bool
-	// DisableASTPhase turns off phase 2.
-	DisableASTPhase bool
-	// DisableVariableTracing turns off the symbol table, reducing
-	// recovery to context-free direct execution.
-	DisableVariableTracing bool
-	// DisableRename turns off identifier renaming.
-	DisableRename bool
-	// DisableReformat turns off whitespace normalization.
-	DisableReformat bool
-	// Blocklist overrides the irrelevant-command blocklist (lower-cased
-	// command names).
-	Blocklist map[string]bool
-	// FunctionTracing enables the extension beyond the paper (§V-C
-	// future work): recovery through pure user-defined decoder
-	// functions. Off by default.
-	FunctionTracing bool
-	// MaxAllocBytes bounds the memory one recoverable piece may
-	// allocate in the embedded interpreter (default 64 MiB).
-	MaxAllocBytes int64
-	// MaxOutputBytes bounds the total bytes produced across all
-	// unwrapped layers in one run (default 64 MiB).
-	MaxOutputBytes int
-	// DisableEvalCache turns off evaluation memoization: every
-	// recoverable piece is interpreted from scratch even when an
-	// identical (text, visible-bindings) pair was evaluated before.
-	// The cache is semantically gated — only pure, deterministic
-	// evaluations are memoized — so this switch affects performance
-	// only; outputs are byte-identical either way.
-	DisableEvalCache bool
-	// Jobs bounds DeobfuscateBatch worker-pool concurrency (default
-	// GOMAXPROCS). Ignored outside batch runs.
-	Jobs int
-	// PieceWorkers bounds the per-run worker pool that evaluates
-	// independent recoverable pieces concurrently inside the AST phase
-	// (default GOMAXPROCS; 1 disables the pool). Outputs do not depend
-	// on the worker count. In batch runs the effective value is clamped
-	// so jobs × piece-workers stays within GOMAXPROCS.
-	PieceWorkers int
-	// DisableSplice turns off batched subtree splicing with incremental
-	// reparse, falling back to a full re-render and reparse per
-	// replacement batch. Performance-only; outputs are byte-identical
-	// either way.
-	DisableSplice bool
-	// ScriptTimeout, when positive, gives each script in a
-	// DeobfuscateBatch its own wall-clock deadline, so one pathological
-	// script cannot starve its siblings. Ignored outside batch runs.
-	ScriptTimeout time.Duration
-}
-
-func (o *Options) toCore() core.Options {
-	if o == nil {
-		return core.Options{}
-	}
-	return core.Options{
-		Lang:                   o.Lang,
-		MaxIterations:          o.MaxIterations,
-		StepBudget:             o.StepBudget,
-		DisableTokenPhase:      o.DisableTokenPhase,
-		DisableASTPhase:        o.DisableASTPhase,
-		DisableVariableTracing: o.DisableVariableTracing,
-		DisableRename:          o.DisableRename,
-		DisableReformat:        o.DisableReformat,
-		Blocklist:              o.Blocklist,
-		FunctionTracing:        o.FunctionTracing,
-		MaxAllocBytes:          o.MaxAllocBytes,
-		MaxOutputBytes:         o.MaxOutputBytes,
-		DisableEvalCache:       o.DisableEvalCache,
-		Jobs:                   o.Jobs,
-		PieceWorkers:           o.PieceWorkers,
-		DisableSplice:          o.DisableSplice,
-		ScriptTimeout:          o.ScriptTimeout,
-	}
-}
+// frontend's built-in command blocklist, language auto-detection. It
+// is the engine's own option type, so every engine option is
+// available here under the same name.
+type Options = core.Options
 
 // Stats describes the work one deobfuscation performed.
-type Stats struct {
-	TokensNormalized   int
-	PiecesAttempted    int
-	PiecesRecovered    int
-	VariablesTraced    int
-	VariablesInlined   int
-	LayersUnwrapped    int
-	IdentifiersRenamed int
-	Iterations         int
-	Duration           time.Duration
-	// PiecesTimedOut counts pieces cut off by the deadline or
-	// cancelation.
-	PiecesTimedOut int
-	// PiecesPanicked counts pieces whose evaluation hit an internal
-	// panic converted to an error at an isolation barrier.
-	PiecesPanicked int
-	// PiecesOverBudget counts pieces that exhausted the interpreter
-	// memory budget.
-	PiecesOverBudget int
-	// TimedOut reports that the run was interrupted by the envelope and
-	// the Result holds partial progress.
-	TimedOut bool
-	// EvalCacheHits counts piece evaluations answered from the
-	// evaluation cache (interpreter runs skipped entirely).
-	EvalCacheHits int64
-	// EvalCacheMisses counts piece evaluations that ran the interpreter
-	// and whose pure result was cached for future lookups.
-	EvalCacheMisses int64
-	// EvalCacheSkips counts piece evaluations that ran but were not
-	// cacheable (impure, failed, or holding uncopyable values).
-	EvalCacheSkips int64
-	// PiecesParallel counts pieces evaluated off the walk goroutine by
-	// the piece worker pool (0 when PieceWorkers is 1).
-	PiecesParallel int
-	// SplicesApplied counts replacement batches applied as incremental
-	// document splices; SpliceFallbacks counts batches that fell back
-	// to a full re-render and reparse.
-	SplicesApplied  int
-	SpliceFallbacks int
-}
+type Stats = core.Stats
 
 // PassStat is the aggregated trace of one pipeline pass across a
 // deobfuscation run (a fixpoint pass runs once per iteration; its
-// stats accumulate).
-type PassStat struct {
-	// Pass is the pass name: "token", "ast", "rename" or "reformat".
-	Pass string
-	// Runs is how many times the pass executed.
-	Runs int
-	// Duration is total wall-clock time inside the pass, including
-	// nested payload layers unwrapped from within it.
-	Duration time.Duration
-	// BytesIn is the script size when the pass first ran; BytesOut the
-	// size after its latest run.
-	BytesIn  int
-	BytesOut int
-	// Reverts counts candidate rewrites that failed the per-splice
-	// syntax check and were rolled back inside this pass.
-	Reverts int
-	// CacheHits / CacheMisses are the pass's parse-cache requests: a
-	// miss is a real tokenize/parse, a hit was answered from memory.
-	CacheHits   int64
-	CacheMisses int64
-	// EvalHits / EvalMisses / EvalSkips are the pass's evaluation-cache
-	// outcomes: a hit replayed a memoized pure evaluation without
-	// constructing an interpreter, a miss evaluated and cached, a skip
-	// evaluated but was uncacheable (impure piece or failed run).
-	EvalHits   int64
-	EvalMisses int64
-	EvalSkips  int64
-}
+// stats accumulate), including its self time net of nested layers.
+type PassStat = pipeline.PassStat
 
-// Result is the outcome of a deobfuscation.
-type Result struct {
-	// Script is the deobfuscated script.
-	Script string
-	// Lang is the canonical name of the language frontend that handled
-	// the run (the explicit Options.Lang, or the auto-detected guess).
-	Lang string
-	// Layers holds the intermediate script after each fixpoint round.
-	Layers []string
-	// Stats summarizes the work performed.
-	Stats Stats
-	// PassTrace is the per-pass execution trace in first-run order.
-	PassTrace []PassStat
-}
+// Result is the outcome of a deobfuscation: the script, the language
+// that handled it, the intermediate layers, the Stats and the per-pass
+// trace in first-run order.
+type Result = core.Result
 
 // ErrInvalidSyntax reports that the input does not parse under the
 // selected language frontend.
@@ -269,85 +111,25 @@ func Deobfuscate(script string, opts *Options) (*Result, error) {
 // violation it returns the partial result (Stats.TimedOut set) together
 // with the taxonomy error — both return values are non-nil.
 func DeobfuscateContext(ctx context.Context, script string, opts *Options) (*Result, error) {
-	res, err := core.New(opts.toCore()).DeobfuscateContext(ctx, script)
-	return toResult(res), err
+	return core.New(optionsOrDefault(opts)).DeobfuscateContext(ctx, script)
 }
 
-// toResult converts a core result to the public shape. Nil in, nil out.
-func toResult(res *core.Result) *Result {
-	if res == nil {
-		return nil
+// optionsOrDefault maps a nil *Options to the zero value.
+func optionsOrDefault(opts *Options) Options {
+	if opts == nil {
+		return Options{}
 	}
-	trace := make([]PassStat, len(res.PassTrace))
-	for i, p := range res.PassTrace {
-		trace[i] = PassStat{
-			Pass:        p.Pass,
-			Runs:        p.Runs,
-			Duration:    p.Duration,
-			BytesIn:     p.BytesIn,
-			BytesOut:    p.BytesOut,
-			Reverts:     p.Reverts,
-			CacheHits:   p.CacheHits,
-			CacheMisses: p.CacheMisses,
-			EvalHits:    p.EvalHits,
-			EvalMisses:  p.EvalMisses,
-			EvalSkips:   p.EvalSkips,
-		}
-	}
-	return &Result{
-		Script:    res.Script,
-		Lang:      res.Lang,
-		Layers:    append([]string(nil), res.Layers...),
-		PassTrace: trace,
-		Stats: Stats{
-			TokensNormalized:   res.Stats.TokensNormalized,
-			PiecesAttempted:    res.Stats.PiecesAttempted,
-			PiecesRecovered:    res.Stats.PiecesRecovered,
-			VariablesTraced:    res.Stats.VariablesTraced,
-			VariablesInlined:   res.Stats.VariablesInlined,
-			LayersUnwrapped:    res.Stats.LayersUnwrapped,
-			IdentifiersRenamed: res.Stats.IdentifiersRenamed,
-			Iterations:         res.Stats.Iterations,
-			Duration:           res.Stats.Duration,
-			PiecesTimedOut:     res.Stats.PiecesTimedOut,
-			PiecesPanicked:     res.Stats.PiecesPanicked,
-			PiecesOverBudget:   res.Stats.PiecesOverBudget,
-			TimedOut:           res.Stats.TimedOut,
-			EvalCacheHits:      res.Stats.EvalCacheHits,
-			EvalCacheMisses:    res.Stats.EvalCacheMisses,
-			EvalCacheSkips:     res.Stats.EvalCacheSkips,
-			PiecesParallel:     res.Stats.PiecesParallel,
-			SplicesApplied:     res.Stats.SplicesApplied,
-			SpliceFallbacks:    res.Stats.SpliceFallbacks,
-		},
-	}
+	return *opts
 }
 
-// BatchInput is one script submitted to DeobfuscateBatch.
-type BatchInput struct {
-	// Name labels the script in results (file path, sample ID, ...).
-	Name string
-	// Script is the source text.
-	Script string
-	// Lang selects this script's language frontend, overriding
-	// Options.Lang; empty falls back to Options.Lang, then to
-	// auto-detection. A batch can mix languages freely.
-	Lang string
-}
+// BatchInput is one script submitted to DeobfuscateBatch: a name for
+// results, the source, and an optional per-script language.
+type BatchInput = core.BatchInput
 
-// BatchResult is the outcome of one script in a batch run.
-type BatchResult struct {
-	// Name echoes the input's name; Index is its position in the input
-	// slice (results come back in input order).
-	Name  string
-	Index int
-	// Result is the per-script outcome; like DeobfuscateContext it is
-	// non-nil alongside Err when an envelope violation salvaged partial
-	// progress.
-	Result *Result
-	// Err is the per-script error; classify with errors.Is / ErrorName.
-	Err error
-}
+// BatchResult is the outcome of one script in a batch run, in input
+// order. Like DeobfuscateContext, Result is non-nil alongside Err when
+// an envelope violation salvaged partial progress.
+type BatchResult = core.BatchResult
 
 // DeobfuscateBatch deobfuscates many scripts concurrently on a bounded
 // worker pool (opts.Jobs workers, default GOMAXPROCS). Each script runs
@@ -358,16 +140,7 @@ type BatchResult struct {
 // order. Canceling ctx stops the pool promptly; unstarted scripts
 // report ErrCanceled.
 func DeobfuscateBatch(ctx context.Context, inputs []BatchInput, opts *Options) []BatchResult {
-	coreIn := make([]core.BatchInput, len(inputs))
-	for i, in := range inputs {
-		coreIn[i] = core.BatchInput{Name: in.Name, Script: in.Script, Lang: in.Lang}
-	}
-	coreOut := core.New(opts.toCore()).DeobfuscateBatch(ctx, coreIn)
-	out := make([]BatchResult, len(coreOut))
-	for i, r := range coreOut {
-		out[i] = BatchResult{Name: r.Name, Index: r.Index, Result: toResult(r.Result), Err: r.Err}
-	}
-	return out
+	return core.New(optionsOrDefault(opts)).DeobfuscateBatch(ctx, inputs)
 }
 
 // ValidSyntax reports whether the script parses as PowerShell. The

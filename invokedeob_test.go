@@ -164,3 +164,32 @@ func TestOptionsAblation(t *testing.T) {
 		t.Errorf("tracing disabled but inlined: %q", noTrace.Script)
 	}
 }
+
+// TestPassTraceSelfDuration pins that library callers see per-pass
+// self time: every pass reports SelfDuration within [0, Duration], and
+// on a script with a nested layer the ast pass, which re-enters that
+// layer, reports strictly less self time than cumulative time.
+func TestPassTraceSelfDuration(t *testing.T) {
+	res, err := invokedeob.Deobfuscate("IEX 'IEX ''Write-Host nested'''", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.LayersUnwrapped == 0 {
+		t.Fatalf("fixture unwrapped no layer: %+v", res.Stats)
+	}
+	var ast *invokedeob.PassStat
+	for i, p := range res.PassTrace {
+		if p.SelfDuration < 0 || p.SelfDuration > p.Duration {
+			t.Errorf("pass %s: self %v outside [0, %v]", p.Pass, p.SelfDuration, p.Duration)
+		}
+		if p.Pass == "ast" {
+			ast = &res.PassTrace[i]
+		}
+	}
+	if ast == nil {
+		t.Fatalf("trace has no ast pass: %+v", res.PassTrace)
+	}
+	if ast.SelfDuration <= 0 || ast.SelfDuration >= ast.Duration {
+		t.Errorf("ast pass: self %v, cumulative %v; want 0 < self < cumulative", ast.SelfDuration, ast.Duration)
+	}
+}
