@@ -8,10 +8,9 @@ GO ?= go
 FUZZTIME ?= 10s
 BENCHCOUNT ?= 5
 
-BENCHJSON ?= BENCH_pr3.json
 PROFILEDIR ?= .profile
 
-.PHONY: all check fmt vet build test race soak equivalence goldens fuzz-smoke serve-smoke loadtest loadtest-smoke gauntlet gauntlet-smoke perfbench-selftest bench-compare bench-json profile clean
+.PHONY: all check fmt vet build test race soak equivalence goldens fuzz-smoke serve-smoke loadtest loadtest-smoke gauntlet gauntlet-smoke perfbench-selftest bench-compare profile clean
 
 all: check
 
@@ -130,21 +129,16 @@ bench-compare:
 		echo "no baseline; run: cp bench.new bench.old"; \
 	fi
 
-# bench-json writes the machine-readable performance report (ns/op,
-# allocs/op, parses/run, eval-cache hit rates and the PR 2 baseline
-# deltas) consumed by the perf acceptance criteria.
-bench-json:
-	$(GO) run ./cmd/benchjson -o $(BENCHJSON)
-
-# profile runs the CLI over the deterministic 24-sample corpus with CPU
-# and allocation profiling enabled, leaving cpu.pprof / mem.pprof in
+# profile runs the jobs=1 batch benchmark (the 16-sample generated
+# corpus through the library) with CPU and allocation profiling,
+# leaving cpu.pprof, mem.pprof and the test binary they refer to in
 # $(PROFILEDIR) for `go tool pprof`.
 profile:
 	rm -rf $(PROFILEDIR)
-	$(GO) run ./cmd/benchjson -emit-corpus $(PROFILEDIR)/corpus
-	$(GO) run ./cmd/invoke-deobfuscation \
-		-cpuprofile $(PROFILEDIR)/cpu.pprof -memprofile $(PROFILEDIR)/mem.pprof \
-		$(PROFILEDIR)/corpus/*.ps1 > /dev/null
+	mkdir -p $(PROFILEDIR)
+	$(GO) test -run '^$$' -bench 'BenchmarkDeobfuscateBatch$$/jobs=1' \
+		-o $(PROFILEDIR)/invokedeob.test -outputdir $(PROFILEDIR) \
+		-cpuprofile cpu.pprof -memprofile mem.pprof .
 	@echo "profiles: $(PROFILEDIR)/cpu.pprof $(PROFILEDIR)/mem.pprof"
 
 clean:

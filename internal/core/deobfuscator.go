@@ -112,22 +112,19 @@ func NewEvalCache(maxEntries int, maxBytes int64) *pipeline.EvalCache {
 	return pipeline.NewEvalCache(maxEntries, maxBytes)
 }
 
-// DeobfuscateShared is DeobfuscateContext drawing from caller-owned
+// DeobfuscateSharedLang is DeobfuscateContext drawing from caller-owned
 // caches instead of per-run ones, for long-lived embedders (the HTTP
-// server) that amortize parse and evaluation work across request
-// boundaries the way DeobfuscateBatch amortizes across a batch. Both
-// caches are bounded and safe for concurrent runs; a nil cache gets a
-// fresh per-run one (and a nil evalCache follows Options.DisableEvalCache,
-// exactly like DeobfuscateContext).
-func (d *Deobfuscator) DeobfuscateShared(ctx context.Context, src string, cache *pipeline.Cache, evalCache *pipeline.EvalCache) (*Result, error) {
-	return d.deobfuscate(ctx, src, d.opts.Lang, cache, evalCache)
-}
-
-// DeobfuscateSharedLang is DeobfuscateShared with a per-call language
-// override, mirroring BatchInput.Lang: an empty lang falls back to
-// Options.Lang, and an empty result of that falls back to per-script
-// auto-detection. Serving frontends use it to honor a request-level
-// language field without building one engine per language.
+// server, the gauntlet) that amortize parse and evaluation work across
+// request boundaries the way DeobfuscateBatch amortizes across a batch.
+// Both caches are bounded and safe for concurrent runs; a nil cache
+// gets a fresh per-run one (and a nil evalCache follows
+// Options.DisableEvalCache, exactly like DeobfuscateContext).
+//
+// lang overrides the language per call, mirroring BatchInput.Lang: an
+// empty lang falls back to Options.Lang, and an empty result of that
+// falls back to per-script auto-detection. Serving frontends use it to
+// honor a request-level language field without building one engine per
+// language.
 func (d *Deobfuscator) DeobfuscateSharedLang(ctx context.Context, src, lang string, cache *pipeline.Cache, evalCache *pipeline.EvalCache) (*Result, error) {
 	if lang == "" {
 		lang = d.opts.Lang
@@ -170,7 +167,7 @@ func (d *Deobfuscator) deobfuscate(ctx context.Context, src, lang string, cache 
 	}
 	doc := pipeline.NewDocument(src, cache.View(fe))
 	pc := &pipeline.PassContext{Doc: doc, Eval: evalCache.View(fe)}
-	runner := pipeline.NewRunner(nil)
+	trace := pipeline.NewTrace()
 	bl := d.opts.Blocklist
 	if bl == nil {
 		bl = fe.DefaultBlocklist()
@@ -192,9 +189,7 @@ func (d *Deobfuscator) deobfuscate(ctx context.Context, src, lang string, cache 
 		res.Stats.Iterations = iter + 1
 		prev := doc.Text()
 		for _, p := range layers {
-			if rerr := runner.Run(p, pc); rerr != nil {
-				break
-			}
+			trace.Run(p, pc)
 		}
 		next := doc.Text()
 		if next == prev {
@@ -213,9 +208,7 @@ func (d *Deobfuscator) deobfuscate(ctx context.Context, src, lang string, cache 
 	}
 	if !env.Violated() {
 		for _, p := range fe.FinalPasses(r) {
-			if rerr := runner.Run(p, pc); rerr != nil {
-				break
-			}
+			trace.Run(p, pc)
 		}
 	}
 	cur := doc.Text()
@@ -230,7 +223,7 @@ func (d *Deobfuscator) deobfuscate(ctx context.Context, src, lang string, cache 
 		}
 	}
 	res.Script = cur
-	res.PassTrace = runner.Trace().Stats()
+	res.PassTrace = trace.Stats()
 	if pc.Eval != nil {
 		res.Stats.EvalCacheHits = pc.Eval.Hits
 		res.Stats.EvalCacheMisses = pc.Eval.Misses

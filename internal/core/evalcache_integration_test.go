@@ -80,7 +80,7 @@ func TestSharedEvalCacheConcurrentRuns(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, src := range srcs {
-				res, err := d.DeobfuscateShared(context.Background(), src, nil, shared)
+				res, err := d.DeobfuscateSharedLang(context.Background(), src, "", nil, shared)
 				if err != nil {
 					errs <- fmt.Errorf("script %d: %v", i, err)
 					continue

@@ -20,13 +20,6 @@ import (
 	"github.com/invoke-deobfuscation/invokedeob/internal/pipeline"
 )
 
-// NewParseCache returns a parse cache suitable for sharing across
-// requests, the sibling of NewEvalCache. Non-positive bounds select
-// the pipeline defaults.
-func NewParseCache(maxEntries int, maxBytes int64) *pipeline.Cache {
-	return pipeline.NewCache(maxEntries, maxBytes)
-}
-
 // snapshotEvalTimeout bounds the re-evaluation of one snapshot snippet
 // at load time, so one pathological entry cannot stall startup.
 const snapshotEvalTimeout = 500 * time.Millisecond
@@ -139,10 +132,7 @@ func LoadCacheSnapshot(ctx context.Context, path string, cache *pipeline.Cache, 
 			return stats, ctx.Err()
 		}
 		fe := resolve(e.Lang)
-		if fe == nil || !fe.Capabilities().Evaluate {
-			continue
-		}
-		if evalCache == nil {
+		if fe == nil || evalCache == nil {
 			continue
 		}
 		if loadEvalRecord(ctx, evalCache, fe, e.Text) {
@@ -155,7 +145,8 @@ func LoadCacheSnapshot(ctx context.Context, path string, cache *pipeline.Cache, 
 // loadEvalRecord re-evaluates one snapshot snippet and preloads the
 // result when it is still safe to replay: the evaluation must succeed,
 // report purity, and read no environment variables (the snapshot
-// carries no binding environment to fingerprint against).
+// carries no binding environment to fingerprint against). A frontend
+// without an evaluator fails with ErrUnsupported, dropping the record.
 func loadEvalRecord(ctx context.Context, evalCache *pipeline.EvalCache, fe frontend.Frontend, snippet string) (loaded bool) {
 	// A panicking frontend must not kill the warm-up; drop the record.
 	defer func() {

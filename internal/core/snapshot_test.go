@@ -24,7 +24,7 @@ func TestCacheSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cache := NewParseCache(0, 0)
+	cache := pipeline.NewCache(0, 0)
 	evalCache := NewEvalCache(0, 0)
 	parseTexts := []struct {
 		fe  frontend.Frontend
@@ -58,7 +58,7 @@ func TestCacheSnapshotRoundTrip(t *testing.T) {
 		t.Errorf("save stats report %d bytes", saved.Bytes)
 	}
 
-	freshCache := NewParseCache(0, 0)
+	freshCache := pipeline.NewCache(0, 0)
 	freshEval := NewEvalCache(0, 0)
 	loaded, err := LoadCacheSnapshot(context.Background(), path, freshCache, freshEval)
 	if err != nil {
@@ -88,7 +88,7 @@ func TestCacheSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestLoadCacheSnapshotMissingFile(t *testing.T) {
-	cache := NewParseCache(0, 0)
+	cache := pipeline.NewCache(0, 0)
 	_, err := LoadCacheSnapshot(context.Background(), filepath.Join(t.TempDir(), "nope.snap"), cache, nil)
 	if !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("missing file: err = %v, want os.ErrNotExist", err)
@@ -115,7 +115,7 @@ func TestLoadCacheSnapshotCorruptFile(t *testing.T) {
 	}
 	truncated := filepath.Join(dir, "truncated.snap")
 	valid := filepath.Join(dir, "valid.snap")
-	cache := NewParseCache(0, 0)
+	cache := pipeline.NewCache(0, 0)
 	if _, err := cache.Parse(ps, "Write-Host 'seed'"); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestLoadCacheSnapshotCorruptFile(t *testing.T) {
 	}
 
 	for _, path := range []string{garbage, truncated} {
-		fresh := NewParseCache(0, 0)
+		fresh := pipeline.NewCache(0, 0)
 		_, err := LoadCacheSnapshot(context.Background(), path, fresh, nil)
 		if !IsSnapshotCorrupt(err) {
 			t.Errorf("%s: err = %v, want snapshot-corrupt sentinel", filepath.Base(path), err)
@@ -162,7 +162,7 @@ func TestLoadCacheSnapshotSkipsUnknownLang(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	cache := NewParseCache(0, 0)
+	cache := pipeline.NewCache(0, 0)
 	stats, err := LoadCacheSnapshot(context.Background(), path, cache, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -10,13 +10,28 @@ import (
 	"github.com/invoke-deobfuscation/invokedeob/internal/corpus"
 )
 
+// spliceFallbackInputs hold statements the splicer rejects — joined by
+// `;` on one line, or followed by a comment — so replacement batches on
+// them take the full-rebuild path. Nothing in the pinned corpora
+// reaches that path.
+var spliceFallbackInputs = map[string]string{
+	"fallback_semicolon":      "Write-Host ('a'+'b'); Write-Host ('c'+'d')",
+	"fallback_comment":        "$x = 'ab' + 'cd' # trailing comment\nWrite-Host $x\n",
+	"fallback_inline_comment": "Write-Host ('he'+'llo') <# inline #> ; $y = [char]104 + [char]105\nWrite-Host $y\n",
+	"fallback_nested_layer":   "IEX (\"Write-Host ('a'+'b'); Write-Host ('c'+'d')\")\n",
+}
+
 // spliceEquivalenceInputs collects every pinned input across both
 // frontends: the PowerShell equivalence set (testdata shapes plus the
-// deterministic corpus) and the JavaScript golden corpus.
+// deterministic corpus), the splice-fallback shapes, and the
+// JavaScript golden corpus.
 func spliceEquivalenceInputs(t *testing.T) map[string]BatchInput {
 	t.Helper()
 	inputs := make(map[string]BatchInput)
 	for name, src := range equivalenceInputs(t) {
+		inputs[name] = BatchInput{Name: name, Script: src}
+	}
+	for name, src := range spliceFallbackInputs {
 		inputs[name] = BatchInput{Name: name, Script: src}
 	}
 	files, err := filepath.Glob(filepath.Join("..", "jsfront", "testdata", "*.js"))
@@ -41,8 +56,11 @@ func spliceEquivalenceInputs(t *testing.T) map[string]BatchInput {
 // the splice fast path: incremental splicing and the full re-render
 // fallback must produce byte-identical scripts on every pinned input.
 // Splicing is a pure performance feature and must never change a byte.
+// At least one input must fall back from a rejected splice to the
+// rebuild, so the comparison also covers the fallback.
 func TestSpliceEquivalence(t *testing.T) {
 	splice, rebuild := New(Options{}), New(Options{DisableSplice: true})
+	fellBack := 0
 	for name, in := range spliceEquivalenceInputs(t) {
 		name, in := name, in
 		t.Run(name, func(t *testing.T) {
@@ -58,7 +76,13 @@ func TestSpliceEquivalence(t *testing.T) {
 				t.Errorf("splice output diverged from the full rebuild\n--- splice ---\n%s\n--- rebuild ---\n%s",
 					got.Script, want.Script)
 			}
+			if got.Stats.SpliceFallbacks > 0 {
+				fellBack++
+			}
 		})
+	}
+	if fellBack == 0 {
+		t.Error("no input fell back from a rejected splice to the full rebuild")
 	}
 }
 

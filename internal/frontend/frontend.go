@@ -24,20 +24,8 @@ import (
 )
 
 // ErrUnsupported reports that a frontend does not implement an
-// optional capability (e.g. safe evaluation on a static-only
-// frontend).
+// optional operation (e.g. safe evaluation on a static-only frontend).
 var ErrUnsupported = errors.New("frontend: operation not supported")
-
-// Capabilities describes the optional abilities of a frontend, so the
-// driver and callers can branch without type assertions.
-type Capabilities struct {
-	// Evaluate reports that the frontend can safely evaluate snippets
-	// in an embedded interpreter (the paper's recovery phase).
-	Evaluate bool
-	// RecoverableNodes reports that the frontend detects recoverable
-	// AST nodes and folds them during its layer passes.
-	RecoverableNodes bool
-}
 
 // EvalBudget bounds one snippet evaluation.
 type EvalBudget struct {
@@ -52,8 +40,6 @@ type EvalBudget struct {
 type EvalResult struct {
 	// Values is the pipeline output of the snippet.
 	Values []any
-	// Console is any host/console output the snippet produced.
-	Console string
 	// Pure reports that the evaluation was deterministic and free of
 	// observable side effects (safe to memoize).
 	Pure bool
@@ -77,11 +63,8 @@ type Frontend interface {
 	Parse(src string) (any, error)
 	// Evaluate runs a snippet in the frontend's bounded evaluator with
 	// the given variable preloads. Frontends without an evaluator
-	// return ErrUnsupported (Base's default).
+	// return ErrUnsupported.
 	Evaluate(ctx context.Context, snippet string, vars map[string]any, budget EvalBudget) (EvalResult, error)
-	// Render renders a recovered value as a source literal of the
-	// language, or false when the value has no literal form.
-	Render(v any) (string, bool)
 	// CopyValue returns a deep, unaliased copy of an evaluator value
 	// (or false to refuse reference types), for the shared eval cache.
 	CopyValue(v any) (any, bool)
@@ -90,91 +73,9 @@ type Frontend interface {
 	// DefaultBlocklist is the language's default irrelevant-command
 	// blocklist (nil when the language has none).
 	DefaultBlocklist() map[string]bool
-	// Capabilities reports the frontend's optional abilities.
-	Capabilities() Capabilities
 	// LayerPasses returns the passes of the per-layer fixpoint loop in
 	// order, honoring the run's ablation options.
 	LayerPasses(r *Run) []pipeline.Pass
 	// FinalPasses returns the once-only finishing passes.
 	FinalPasses(r *Run) []pipeline.Pass
 }
-
-// ValidityChecker is the optional capability hook for syntax
-// validation. Frontends with a cheaper-than-parse validity check
-// implement it; everyone else gets the Valid helper's parse-based
-// default.
-type ValidityChecker interface {
-	Valid(src string) bool
-}
-
-// Valid reports whether src is syntactically valid under fe, through
-// the ValidityChecker hook when implemented and a full Parse
-// otherwise.
-func Valid(fe Frontend, src string) bool {
-	if v, ok := fe.(ValidityChecker); ok {
-		return v.Valid(src)
-	}
-	_, err := fe.Parse(src)
-	return err == nil
-}
-
-// RecoverableDetector is the optional capability hook for
-// recoverable-node detection: given a parsed artifact, does the script
-// contain nodes the frontend's recovery pass could fold? Frontends
-// without the hook fall back to Capabilities().RecoverableNodes (the
-// static answer).
-type RecoverableDetector interface {
-	HasRecoverable(ast any) bool
-}
-
-// HasRecoverable reports whether ast contains recoverable nodes,
-// through the RecoverableDetector hook when implemented, with
-// Capabilities().RecoverableNodes as the default.
-func HasRecoverable(fe Frontend, ast any) bool {
-	if d, ok := fe.(RecoverableDetector); ok {
-		return d.HasRecoverable(ast)
-	}
-	return fe.Capabilities().RecoverableNodes
-}
-
-// Base provides conservative defaults for the optional parts of the
-// Frontend interface, for embedding in frontends that do not support
-// evaluation or custom value handling. The required methods (Name,
-// Tokenize, Parse, LayerPasses, FinalPasses) have no sensible default
-// and must be implemented by the embedding type.
-type Base struct{}
-
-// Evaluate reports that the frontend has no evaluator.
-func (Base) Evaluate(ctx context.Context, snippet string, vars map[string]any, budget EvalBudget) (EvalResult, error) {
-	return EvalResult{}, ErrUnsupported
-}
-
-// Render refuses every value.
-func (Base) Render(v any) (string, bool) { return "", false }
-
-// CopyValue copies the immutable scalar types and refuses everything
-// else — safe for any language, at the cost of cacheability.
-func (Base) CopyValue(v any) (any, bool) {
-	switch v.(type) {
-	case nil, bool, int, int64, float64, string:
-		return v, true
-	}
-	return nil, false
-}
-
-// ValueSize gives a rough scalar size estimate.
-func (Base) ValueSize(v any) int {
-	if s, ok := v.(string); ok {
-		return len(s) + 16
-	}
-	return 16
-}
-
-// DefaultBlocklist reports no blocklist.
-func (Base) DefaultBlocklist() map[string]bool { return nil }
-
-// Capabilities reports no optional abilities.
-func (Base) Capabilities() Capabilities { return Capabilities{} }
-
-// FinalPasses reports no finishing passes.
-func (Base) FinalPasses(r *Run) []pipeline.Pass { return nil }

@@ -3,7 +3,6 @@ package frontend
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -11,36 +10,22 @@ import (
 	"github.com/invoke-deobfuscation/invokedeob/internal/pipeline"
 )
 
-// stubFrontend is a minimal Frontend for registry and hook tests.
+// stubFrontend is a minimal Frontend for registry tests.
 type stubFrontend struct {
-	Base
 	name string
 }
 
 func (f stubFrontend) Name() string                     { return f.name }
 func (f stubFrontend) Tokenize(src string) (any, error) { return []string{src}, nil }
-func (f stubFrontend) Parse(src string) (any, error) {
-	if strings.Contains(src, "INVALID") {
-		return nil, fmt.Errorf("stub: bad syntax")
-	}
-	return &src, nil
+func (f stubFrontend) Parse(src string) (any, error)    { return &src, nil }
+func (f stubFrontend) Evaluate(context.Context, string, map[string]any, EvalBudget) (EvalResult, error) {
+	return EvalResult{}, ErrUnsupported
 }
+func (f stubFrontend) CopyValue(v any) (any, bool)        { return v, true }
+func (f stubFrontend) ValueSize(v any) int                { return 0 }
+func (f stubFrontend) DefaultBlocklist() map[string]bool  { return nil }
 func (f stubFrontend) LayerPasses(r *Run) []pipeline.Pass { return nil }
-
-// hookedFrontend additionally implements both capability hooks.
-type hookedFrontend struct {
-	stubFrontend
-	valid       bool
-	recoverable bool
-}
-
-func (f hookedFrontend) Valid(src string) bool       { return f.valid }
-func (f hookedFrontend) HasRecoverable(ast any) bool { return f.recoverable }
-func (f hookedFrontend) Capabilities() Capabilities {
-	// Deliberately the opposite of the hook's answer, to prove the hook
-	// wins over the static capability bit.
-	return Capabilities{RecoverableNodes: !f.recoverable}
-}
+func (f stubFrontend) FinalPasses(r *Run) []pipeline.Pass { return nil }
 
 func TestRegisterAndGet(t *testing.T) {
 	fe := stubFrontend{name: "stublang"}
@@ -105,64 +90,6 @@ func TestNormalizeAliases(t *testing.T) {
 		if got := Normalize(in); got != want {
 			t.Errorf("Normalize(%q) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-func TestBaseDefaults(t *testing.T) {
-	fe := stubFrontend{name: "defaults"}
-	if _, err := fe.Evaluate(context.Background(), "x", nil, EvalBudget{}); !errors.Is(err, ErrUnsupported) {
-		t.Errorf("Base.Evaluate err = %v, want ErrUnsupported", err)
-	}
-	if _, ok := fe.Render("v"); ok {
-		t.Error("Base.Render accepted a value")
-	}
-	// Scalars copy, reference types are refused.
-	if cp, ok := fe.CopyValue("s"); !ok || cp != "s" {
-		t.Errorf("Base.CopyValue scalar = %v/%t", cp, ok)
-	}
-	if _, ok := fe.CopyValue([]any{1}); ok {
-		t.Error("Base.CopyValue accepted a slice")
-	}
-	if fe.ValueSize("abcd") != 4+16 {
-		t.Errorf("Base.ValueSize = %d", fe.ValueSize("abcd"))
-	}
-	if fe.DefaultBlocklist() != nil {
-		t.Error("Base.DefaultBlocklist not nil")
-	}
-	if fe.Capabilities() != (Capabilities{}) {
-		t.Error("Base.Capabilities not zero")
-	}
-	if fe.FinalPasses(nil) != nil {
-		t.Error("Base.FinalPasses not nil")
-	}
-}
-
-func TestValidHookFallback(t *testing.T) {
-	plain := stubFrontend{name: "plain"}
-	// Without the hook, Valid falls back to Parse.
-	if !Valid(plain, "fine") {
-		t.Error("parse-based Valid rejected good input")
-	}
-	if Valid(plain, "INVALID") {
-		t.Error("parse-based Valid accepted bad input")
-	}
-	// With the hook, the hook's answer wins even when Parse disagrees.
-	hooked := hookedFrontend{stubFrontend: stubFrontend{name: "hooked"}, valid: false}
-	if Valid(hooked, "fine") {
-		t.Error("ValidityChecker hook was bypassed")
-	}
-}
-
-func TestHasRecoverableHookFallback(t *testing.T) {
-	// Without the hook: the static capability bit.
-	plain := stubFrontend{name: "plain"}
-	if HasRecoverable(plain, nil) {
-		t.Error("zero-capability frontend reported recoverable nodes")
-	}
-	// With the hook: the hook's per-AST answer wins over the bit.
-	hooked := hookedFrontend{stubFrontend: stubFrontend{name: "hooked"}, recoverable: true}
-	if !HasRecoverable(hooked, nil) {
-		t.Error("RecoverableDetector hook was bypassed")
 	}
 }
 

@@ -110,10 +110,10 @@ type Stats struct {
 	// and whose pure result was inserted into the cache.
 	EvalCacheMisses int64
 	// EvalCacheSkips counts piece evaluations that ran but were not
-	// cacheable (impure, failed, or holding uncopyable values).
+	// cached (impure, failed, or refused by the cache).
 	EvalCacheSkips int64
 	// SplicesApplied counts ast-phase replacement batches applied as an
-	// incremental Document splice (statement-extent reparse only).
+	// incremental splice (statement-extent reparse only).
 	SplicesApplied int
 	// SpliceFallbacks counts replacement batches where the splice was
 	// attempted but failed validation and the engine fell back to a full

@@ -129,7 +129,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	r := &runner{
 		cfg:          cfg,
 		deob:         core.New(core.Options{}),
-		parseCache:   core.NewParseCache(4096, 16<<20),
+		parseCache:   pipeline.NewCache(4096, 16<<20),
 		evalCache:    core.NewEvalCache(2048, 8<<20),
 		originalRuns: make(map[string]*sandbox.Result, len(samples)),
 	}
@@ -229,7 +229,7 @@ func (r *runner) runCase(ctx context.Context, spec caseSpec) (CaseResult, caseSc
 	cr.ObfuscatedScore = score.Score(obf)
 
 	dctx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
-	res, derr := r.deob.DeobfuscateShared(dctx, obf, r.parseCache, r.evalCache)
+	res, derr := r.deob.DeobfuscateSharedLang(dctx, obf, "", r.parseCache, r.evalCache)
 	cancel()
 	if derr != nil {
 		cr.Outcome = OutcomeDeobError

@@ -327,11 +327,3 @@ func (r *run) foldArrayJoin(sig []Token, i int) (repl, int, bool) {
 type run struct {
 	*frontend.Run
 }
-
-type decodePass struct{ r *run }
-
-func (p *decodePass) Name() string { return "jsdecode" }
-func (p *decodePass) Run(pc *pipeline.PassContext) error {
-	p.r.decodePhase(pc, pc.Doc)
-	return nil
-}

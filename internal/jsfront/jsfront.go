@@ -13,6 +13,7 @@
 package jsfront
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/invoke-deobfuscation/invokedeob/internal/frontend"
@@ -24,9 +25,7 @@ func init() {
 }
 
 // JS is the JavaScript string-decoder frontend.
-type JS struct {
-	frontend.Base
-}
+type JS struct{}
 
 // Name is the canonical language name.
 func (JS) Name() string { return "javascript" }
@@ -81,51 +80,33 @@ func opener(closer byte) byte {
 	}
 }
 
-// Render renders a recovered value as JavaScript source.
-func (JS) Render(v any) (string, bool) {
-	switch x := v.(type) {
-	case string:
-		return QuoteJS(x), true
-	case int:
-		return fmt.Sprintf("%d", x), true
-	case int64:
-		return fmt.Sprintf("%d", x), true
-	case float64:
-		return fmt.Sprintf("%g", x), true
-	}
-	return "", false
+// Evaluate reports that the frontend has no evaluator.
+func (JS) Evaluate(context.Context, string, map[string]any, frontend.EvalBudget) (frontend.EvalResult, error) {
+	return frontend.EvalResult{}, frontend.ErrUnsupported
 }
 
-// Capabilities: static recovery only, no evaluator.
-func (JS) Capabilities() frontend.Capabilities {
-	return frontend.Capabilities{RecoverableNodes: true}
+// CopyValue copies the immutable scalar types and refuses everything
+// else. Nothing reaches the eval cache without an evaluator; this only
+// satisfies pipeline.EvalOps.
+func (JS) CopyValue(v any) (any, bool) {
+	switch v.(type) {
+	case nil, bool, int, int64, float64, string:
+		return v, true
+	}
+	return nil, false
 }
 
-// HasRecoverable reports whether the parsed artifact contains any
-// pattern the decode pass could fold (the RecoverableDetector hook).
-func (JS) HasRecoverable(ast any) bool {
-	s, ok := ast.(*Script)
-	if !ok {
-		return false
+// ValueSize gives a rough scalar size estimate.
+func (JS) ValueSize(v any) int {
+	if s, ok := v.(string); ok {
+		return len(s) + 16
 	}
-	for _, t := range s.Toks {
-		switch t.Type {
-		case Str:
-			if hasCodeEscape(t.Text) {
-				return true
-			}
-		case Ident:
-			if t.Text == "fromCharCode" || t.Text == "join" {
-				return true
-			}
-		case Punct:
-			if t.Text == "+" {
-				return true
-			}
-		}
-	}
-	return false
+	return 16
 }
+
+// DefaultBlocklist reports no blocklist: the decoder never evaluates
+// commands.
+func (JS) DefaultBlocklist() map[string]bool { return nil }
 
 // LayerPasses returns the fixpoint-loop passes: the one decode pass
 // (honoring the AST-phase ablation switch, which governs recovery
@@ -134,7 +115,10 @@ func (JS) LayerPasses(fr *frontend.Run) []pipeline.Pass {
 	if fr.Opts.DisableASTPhase {
 		return nil
 	}
-	return []pipeline.Pass{&decodePass{&run{fr}}}
+	r := &run{fr}
+	return []pipeline.Pass{{Name: "jsdecode", Run: func(pc *pipeline.PassContext) {
+		r.decodePhase(pc, pc.Doc)
+	}}}
 }
 
 // FinalPasses: none — the frontend does not reformat or rename.

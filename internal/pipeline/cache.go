@@ -2,9 +2,9 @@
 // architecture the deobfuscation engine is built on: a bounded,
 // content-keyed parse cache shared by every phase of a run (and, in
 // batch mode, across scripts), a Document type that lazily memoizes
-// its token stream and AST through that cache, a Pass interface the
-// engine's phases implement, and a Runner/Trace pair that records
-// per-pass duration, bytes in/out, reverts and cache hit rates.
+// its token stream and AST through that cache, the Pass type the
+// engine's phases are registered as, and a Trace that runs passes and
+// records per-pass duration, bytes in/out, reverts and cache hit rates.
 //
 // The package knows nothing about any concrete language: tokenizing
 // and parsing are delegated to a Lang (the structural subset of a
@@ -507,9 +507,6 @@ type View struct {
 
 // Cache returns the underlying shared cache.
 func (v *View) Cache() *Cache { return v.c }
-
-// Lang returns the language this view is bound to.
-func (v *View) Lang() Lang { return v.lang }
 
 func (v *View) observe(hit bool) {
 	if hit {

@@ -76,47 +76,3 @@ func (d *Document) View() *View { return d.view }
 func (d *Document) Fork(text string) *Document {
 	return &Document{view: d.view, text: text}
 }
-
-// Edit is one replacement in a batched splice: the half-open byte span
-// [Start, End) of the current text is replaced by New. A batch of
-// edits must be non-overlapping; Document.Splice sorts them by Start.
-type Edit struct {
-	Start, End int
-	New        string
-}
-
-// Splicer is the optional Lang capability behind Document.Splice: an
-// incremental reparse that applies a batch of edits to text, reparsing
-// only the enclosing statement extents, and publishes the synthesized
-// token stream and AST for the resulting text through the view's cache
-// (View.Insert) so downstream consumers get them as cache hits. It
-// returns ok=false — without publishing anything — when the edit shape
-// defeats incremental synthesis (edits crossing statement boundaries,
-// a slice that no longer parses, ...); the caller then falls back to a
-// full re-render + reparse.
-type Splicer interface {
-	Splice(view *View, text string, edits []Edit) (newText string, ok bool)
-}
-
-// Splice applies a batch of non-overlapping edits as one incremental
-// splice: the view's language patches the text and synthesizes the new
-// artifacts from slice reparses plus offset-shifted reuse of the old
-// ones, so the whole batch costs statement-extent parses instead of a
-// full-document reparse per replacement. Reports false — leaving the
-// Document untouched — when the language has no Splicer or the splice
-// fails validation; the caller decides how to fall back.
-func (d *Document) Splice(edits []Edit) bool {
-	if d.view == nil || len(edits) == 0 {
-		return false
-	}
-	sp, ok := d.view.Lang().(Splicer)
-	if !ok {
-		return false
-	}
-	newText, ok := sp.Splice(d.view, d.text, edits)
-	if !ok {
-		return false
-	}
-	d.text = newText
-	return true
-}

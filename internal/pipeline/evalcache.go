@@ -77,10 +77,11 @@ type evalEntry struct {
 type EvalCacheStats struct {
 	// Hits counts lookups answered from memory (interpreter runs saved).
 	Hits int64
-	// Misses counts lookups that had to evaluate.
+	// Misses counts evaluations whose result the cache kept.
 	Misses int64
-	// Skips counts evaluations that completed but were not cacheable
-	// (impure, oversized, or holding uncopyable values).
+	// Skips counts evaluations that were not cached: impure or failed
+	// runs, and results the cache refused (oversize snippet, uncopyable
+	// values, full per-snippet chain).
 	Skips int64
 	// Evictions counts entries dropped to stay within bounds.
 	Evictions int64
@@ -231,15 +232,16 @@ func copyValues(ops EvalOps, values []any) ([]any, bool) {
 	return out, true
 }
 
-// insert stores a pure evaluation result. The values are deep-copied
-// before retention; values the copier refuses make the whole result
-// uncacheable (recorded as a skip).
+// insert stores a pure evaluation result and reports whether the cache
+// holds it afterwards. It counts nothing: the caller attributes the
+// evaluation. The values are deep-copied before retention; the result
+// is refused when the snippet is oversize, the copier refuses a value,
+// or the snippet's binding-set chain is full.
 func (c *EvalCache) insert(ops EvalOps, snippet string, bindings []Binding, values []any, warm bool) bool {
-	lang := ops.Name()
 	if len(snippet) > maxCacheableSnippet {
-		c.recordSkip(lang)
 		return false
 	}
+	lang := ops.Name()
 	var size int64 = int64(len(lang)+len(snippet)) + 64
 	for _, b := range bindings {
 		size += int64(len(b.Name) + len(b.FP) + 32)
@@ -253,7 +255,6 @@ func (c *EvalCache) insert(ops EvalOps, snippet string, bindings []Binding, valu
 		for i, v := range values {
 			cp, ok := ops.CopyValue(v)
 			if !ok {
-				c.recordSkip(lang)
 				return false
 			}
 			stored[i] = cp
@@ -272,8 +273,6 @@ func (c *EvalCache) insert(ops EvalOps, snippet string, bindings []Binding, valu
 		}
 	}
 	if len(chain) >= maxEntriesPerSnippet {
-		c.skips++
-		c.langStatsLocked(lang).Skips++
 		return false
 	}
 	e := &evalEntry{lang: lang, snippet: snippet, bindings: bindings, values: stored, bytes: size, warm: warm}
@@ -330,22 +329,23 @@ func (c *EvalCache) langStatsLocked(lang string) *LangEvalStats {
 	return ls
 }
 
-func (c *EvalCache) recordSkip(lang string) {
+// record counts one evaluation that ran the interpreter: a miss when
+// its result was cached, a skip when it was not.
+func (c *EvalCache) record(lang string, cached bool) {
 	c.mu.Lock()
-	c.skips++
-	c.langStatsLocked(lang).Skips++
-	c.mu.Unlock()
-}
-
-func (c *EvalCache) recordMiss(lang string) {
-	c.mu.Lock()
-	c.misses++
-	c.langStatsLocked(lang).Misses++
+	ls := c.langStatsLocked(lang)
+	if cached {
+		c.misses++
+		ls.Misses++
+	} else {
+		c.skips++
+		ls.Skips++
+	}
 	c.mu.Unlock()
 }
 
 // PreloadEval inserts a snapshot-derived zero-binding result, flagged
-// warm. Unlike Insert it records neither a hit nor a miss (a restart
+// warm. Unlike Insert it counts nothing, not even a refusal (a restart
 // is not traffic). Only environment-independent results are ever
 // preloaded: a snapshot carries no binding environment, so results
 // whose replay depends on one cannot be safely re-derived at load.
@@ -455,16 +455,20 @@ func (v *EvalView) Lookup(snippet string, visible func(name string) (fp string, 
 	return out, ok
 }
 
-// Insert stores a pure evaluation result under (snippet, bindings) and
-// counts the evaluation as a miss (the work happened; future lookups
-// may hit).
+// Insert stores a pure evaluation result under (snippet, bindings).
+// The evaluation counts as a miss when the cache keeps the result
+// (future lookups may hit) and as a skip when the cache refuses it.
 func (v *EvalView) Insert(snippet string, bindings []Binding, values []any) {
 	if !v.Enabled() {
 		return
 	}
-	v.Misses++
-	v.c.recordMiss(v.ops.Name())
-	v.c.insert(v.ops, snippet, bindings, values, false)
+	cached := v.c.insert(v.ops, snippet, bindings, values, false)
+	if cached {
+		v.Misses++
+	} else {
+		v.Skips++
+	}
+	v.c.record(v.ops.Name(), cached)
 }
 
 // Skip records an evaluation whose result must not be cached (impure,
@@ -474,5 +478,5 @@ func (v *EvalView) Skip() {
 		return
 	}
 	v.Skips++
-	v.c.recordSkip(v.ops.Name())
+	v.c.record(v.ops.Name(), false)
 }

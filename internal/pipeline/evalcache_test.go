@@ -159,6 +159,60 @@ func TestEvalCacheRefusedValuesAreSkips(t *testing.T) {
 	}
 }
 
+// TestEvalCountsEachEvaluationOnce: every evaluation that reaches the
+// cache counts exactly once, as a miss when the cache keeps the result
+// and as a skip otherwise, and the view and the shared cache agree.
+func TestEvalCountsEachEvaluationOnce(t *testing.T) {
+	c := NewEvalCache(0, 0)
+	v := c.View(testOps())
+	type opaque struct{}
+	evaluations := 0
+	insert := func(snippet string, bindings []Binding, values []any) {
+		v.Insert(snippet, bindings, values)
+		evaluations++
+	}
+	for i := 0; i < 3; i++ {
+		insert(fmt.Sprintf("plain %d", i), nil, []any{int64(i)})
+	}
+	// The tenth and eleventh binding-sets find the chain full.
+	for i := 0; i < maxEntriesPerSnippet+2; i++ {
+		insert("$a", []Binding{{"a", fmt.Sprintf("i:%d", i)}}, []any{int64(i)})
+	}
+	insert("x", nil, []any{opaque{}})                             // copier refuses
+	insert(string(make([]byte, maxCacheableSnippet+1)), nil, nil) // oversize
+	v.Skip()
+	v.Skip()
+	evaluations += 2
+	if _, ok := v.Lookup("plain 0", fpOf(nil)); !ok { // a hit is not an evaluation
+		t.Fatal("want a hit on a cached result")
+	}
+
+	// Misses: the 3 plain results and a full chain. Skips: 2 chain
+	// refusals, the uncopyable and oversize results, and 2 Skip calls.
+	const wantMisses, wantSkips = 3 + maxEntriesPerSnippet, 2 + 1 + 1 + 2
+	st := c.Stats()
+	if v.Misses != wantMisses || v.Skips != wantSkips {
+		t.Errorf("view = %d misses / %d skips, want %d / %d", v.Misses, v.Skips, wantMisses, wantSkips)
+	}
+	if st.Misses != v.Misses || st.Skips != v.Skips || st.Hits != v.Hits {
+		t.Errorf("cache = %d/%d/%d hits/misses/skips, view = %d/%d/%d",
+			st.Hits, st.Misses, st.Skips, v.Hits, v.Misses, v.Skips)
+	}
+	if got := st.Misses + st.Skips; got != int64(evaluations) {
+		t.Errorf("cache misses + skips = %d, want %d evaluations", got, evaluations)
+	}
+	if ls := c.LangStats()["fake"]; ls.Misses != st.Misses || ls.Skips != st.Skips {
+		t.Errorf("per-lang = %+v, want the cache totals", ls)
+	}
+	// A refused preload is not traffic.
+	if c.PreloadEval(testOps(), "y", []any{opaque{}}) {
+		t.Error("preload of an uncopyable value succeeded")
+	}
+	if got := c.Stats(); got.Misses != st.Misses || got.Skips != st.Skips {
+		t.Errorf("refused preload counted: %+v", got)
+	}
+}
+
 func TestEvalCacheEntryAndByteBounds(t *testing.T) {
 	c := NewEvalCache(4, 0)
 	v := c.View(testOps())

@@ -5,16 +5,16 @@ import (
 	"time"
 )
 
-// Pass is one composable phase of the deobfuscation pipeline. A Pass
-// reads and rewrites the Document in its PassContext; it must leave the
-// Document parseable (revert on regression) and report only hard
-// failures — "nothing to do" is a successful no-op.
-type Pass interface {
+// Pass is one composable phase of the deobfuscation pipeline. Its Run
+// reads and rewrites the Document in the PassContext; it must leave the
+// Document parseable (revert on regression), and "nothing to do" is a
+// no-op.
+type Pass struct {
 	// Name identifies the pass in traces ("token", "ast", "rename",
-	// "reformat").
-	Name() string
+	// "reformat", "jsdecode").
+	Name string
 	// Run executes the pass over pc.Doc.
-	Run(pc *PassContext) error
+	Run func(pc *PassContext)
 }
 
 // PassContext carries the mutable per-run state a pass operates on.
@@ -32,7 +32,7 @@ type PassContext struct {
 
 	// nestedDepth / nestedTime track wall-clock time spent inside nested
 	// payload layers re-entered from within a pass (see BeginNested), so
-	// Runner.Run can split a pass's cumulative duration into self time
+	// Trace.Run can split a pass's cumulative duration into self time
 	// vs nested-layer time instead of double-attributing the nested work.
 	nestedDepth int
 	nestedTime  time.Duration
@@ -43,7 +43,7 @@ type PassContext struct {
 // the token and ast phases for every unwrapped layer). It returns the
 // matching end function, to be called — typically deferred — when the
 // nested layer finishes. Only the outermost nesting level accrues time,
-// so recursive layers are counted once, and Runner.Run subtracts the
+// so recursive layers are counted once, and Trace.Run subtracts the
 // accrued time from the enclosing pass's SelfDuration while leaving its
 // cumulative Duration intact.
 func (pc *PassContext) BeginNested() func() {
@@ -72,20 +72,6 @@ func (pc *PassContext) ValidOrRevert(view *View, candidate, fallback string) str
 		return fallback
 	}
 	return candidate
-}
-
-// passFunc adapts a function to the Pass interface.
-type passFunc struct {
-	name string
-	fn   func(*PassContext) error
-}
-
-func (p passFunc) Name() string              { return p.name }
-func (p passFunc) Run(pc *PassContext) error { return p.fn(pc) }
-
-// NewPass wraps fn as a named Pass.
-func NewPass(name string, fn func(*PassContext) error) Pass {
-	return passFunc{name: name, fn: fn}
 }
 
 // PassStat is the aggregated trace of one pass across all its runs in
@@ -126,8 +112,8 @@ type PassStat struct {
 	EvalSkips  int64
 }
 
-// Trace accumulates PassStats in first-run order. It is confined to
-// one run (one goroutine).
+// Trace accumulates PassStats in first-run order. It is not safe for
+// concurrent use: a run's trace is confined to the run's goroutine.
 type Trace struct {
 	order  []string
 	byName map[string]*PassStat
@@ -138,26 +124,26 @@ func NewTrace() *Trace {
 	return &Trace{byName: make(map[string]*PassStat)}
 }
 
-// Record folds one pass execution into the trace. d is the execution's
-// cumulative duration, self the portion spent outside nested payload
-// layers.
-func (t *Trace) Record(pass string, d, self time.Duration, bytesIn, bytesOut, reverts int, hits, misses int64, evalHits, evalMisses, evalSkips int64) {
-	st, ok := t.byName[pass]
+// Add folds st into the trace entry named st.Pass. Counts and
+// durations sum; BytesIn keeps the first value and BytesOut the latest.
+func (t *Trace) Add(st PassStat) {
+	agg, ok := t.byName[st.Pass]
 	if !ok {
-		st = &PassStat{Pass: pass, BytesIn: bytesIn}
-		t.byName[pass] = st
-		t.order = append(t.order, pass)
+		first := st // only a first-seen pass allocates
+		t.byName[st.Pass] = &first
+		t.order = append(t.order, st.Pass)
+		return
 	}
-	st.Runs++
-	st.Duration += d
-	st.SelfDuration += self
-	st.BytesOut = bytesOut
-	st.Reverts += reverts
-	st.CacheHits += hits
-	st.CacheMisses += misses
-	st.EvalHits += evalHits
-	st.EvalMisses += evalMisses
-	st.EvalSkips += evalSkips
+	agg.Runs += st.Runs
+	agg.Duration += st.Duration
+	agg.SelfDuration += st.SelfDuration
+	agg.BytesOut = st.BytesOut
+	agg.Reverts += st.Reverts
+	agg.CacheHits += st.CacheHits
+	agg.CacheMisses += st.CacheMisses
+	agg.EvalHits += st.EvalHits
+	agg.EvalMisses += st.EvalMisses
+	agg.EvalSkips += st.EvalSkips
 }
 
 // Stats returns the accumulated per-pass statistics in first-run order.
@@ -169,26 +155,9 @@ func (t *Trace) Stats() []PassStat {
 	return out
 }
 
-// Runner executes passes over a PassContext, recording a trace entry
-// per execution (duration, bytes in/out, reverts, cache hits/misses).
-type Runner struct {
-	trace *Trace
-}
-
-// NewRunner returns a Runner recording into trace (nil allocates one).
-func NewRunner(trace *Trace) *Runner {
-	if trace == nil {
-		trace = NewTrace()
-	}
-	return &Runner{trace: trace}
-}
-
-// Trace returns the runner's trace.
-func (r *Runner) Trace() *Trace { return r.trace }
-
-// Run executes one pass and records its trace entry. The pass's error
-// is returned unwrapped.
-func (r *Runner) Run(p Pass, pc *PassContext) error {
+// Run executes one pass and adds the execution to the trace: duration,
+// self time, bytes in/out, reverts, and parse- and eval-cache outcomes.
+func (t *Trace) Run(p Pass, pc *PassContext) {
 	view := pc.Doc.View()
 	hits0, misses0 := view.Hits, view.Misses
 	var eh0, em0, es0 int64
@@ -199,19 +168,27 @@ func (r *Runner) Run(p Pass, pc *PassContext) error {
 	bytesIn := pc.Doc.Len()
 	nested0 := pc.nestedTime
 	start := time.Now()
-	err := p.Run(pc)
+	p.Run(pc)
 	total := time.Since(start)
-	var eh, em, es int64
-	if pc.Eval != nil {
-		eh, em, es = pc.Eval.Hits-eh0, pc.Eval.Misses-em0, pc.Eval.Skips-es0
-	}
 	// Self time excludes the nested payload layers processed inside this
 	// execution; their own pass work would otherwise be attributed twice.
 	self := total - (pc.nestedTime - nested0)
 	if self < 0 {
 		self = 0
 	}
-	r.trace.Record(p.Name(), total, self, bytesIn, pc.Doc.Len(),
-		pc.Reverts-reverts0, view.Hits-hits0, view.Misses-misses0, eh, em, es)
-	return err
+	st := PassStat{
+		Pass:         p.Name,
+		Runs:         1,
+		Duration:     total,
+		SelfDuration: self,
+		BytesIn:      bytesIn,
+		BytesOut:     pc.Doc.Len(),
+		Reverts:      pc.Reverts - reverts0,
+		CacheHits:    view.Hits - hits0,
+		CacheMisses:  view.Misses - misses0,
+	}
+	if pc.Eval != nil {
+		st.EvalHits, st.EvalMisses, st.EvalSkips = pc.Eval.Hits-eh0, pc.Eval.Misses-em0, pc.Eval.Skips-es0
+	}
+	t.Add(st)
 }

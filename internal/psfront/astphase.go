@@ -117,7 +117,8 @@ func (r *run) astPhase(pc *pipeline.PassContext, doc *pipeline.Document, depth i
 	// cannot prove safe falls back to the classic full-text rebuild with
 	// a whole-document validation parse.
 	if !r.Opts.DisableSplice {
-		if doc.Splice(s.buildEdits(root)) {
+		if text, ok := splice(s.view, s.src, s.buildEdits(root)); ok {
+			doc.SetText(text)
 			r.Stats.SplicesApplied++
 			return
 		}
@@ -1257,13 +1258,13 @@ func unquoteSingle(r string) (string, bool) {
 // source order, under the same containment/overlap filtering writeTextOf
 // applies — so splicing the edits into the source yields byte-for-byte
 // the text the full rebuild would produce.
-func (s *astState) buildEdits(root psast.Node) []pipeline.Edit {
-	var edits []pipeline.Edit
+func (s *astState) buildEdits(root psast.Node) []edit {
+	var edits []edit
 	var walk func(n psast.Node)
 	walk = func(n psast.Node) {
 		if r, ok := s.repl[n]; ok {
 			ext := n.Extent()
-			edits = append(edits, pipeline.Edit{Start: ext.Start, End: ext.End, New: r})
+			edits = append(edits, edit{Start: ext.Start, End: ext.End, New: r})
 			return
 		}
 		ext := n.Extent()

@@ -35,9 +35,7 @@ func init() {
 
 // PS is the PowerShell frontend: full tokenizer, parser, embedded
 // interpreter, and the paper's three phases as passes.
-type PS struct {
-	frontend.Base
-}
+type PS struct{}
 
 // Name is the canonical language name.
 func (PS) Name() string { return "powershell" }
@@ -71,15 +69,10 @@ func (PS) Evaluate(ctx context.Context, snippet string, vars map[string]any, bud
 	p := in.Purity()
 	return frontend.EvalResult{
 		Values:   out,
-		Console:  in.Console(),
 		Pure:     p.Pure,
 		ReadVars: p.ReadVars,
 	}, nil
 }
-
-// Render renders a recovered value as PowerShell source, only for
-// string- and number-typed results (paper §III-B2).
-func (PS) Render(v any) (string, bool) { return renderLiteral(v) }
 
 // CopyValue deep-copies an interpreter value for the shared eval cache.
 func (PS) CopyValue(v any) (any, bool) { return psinterp.CopyValue(v) }
@@ -90,21 +83,22 @@ func (PS) ValueSize(v any) int { return psinterp.ValueSize(v) }
 // DefaultBlocklist is the paper's irrelevant-command blocklist.
 func (PS) DefaultBlocklist() map[string]bool { return psnames.DefaultBlocklist() }
 
-// Capabilities: full evaluation and recoverable-node support.
-func (PS) Capabilities() frontend.Capabilities {
-	return frontend.Capabilities{Evaluate: true, RecoverableNodes: true}
-}
-
 // LayerPasses returns the passes of the fixpoint loop (phases 1–2) in
-// order, honoring the ablation switches.
+// order, honoring the ablation switches. Nested payload layers call the
+// phase implementations directly on forked Documents; their work is
+// attributed to the enclosing ast pass.
 func (PS) LayerPasses(fr *frontend.Run) []pipeline.Pass {
 	r := &run{fr}
 	var passes []pipeline.Pass
 	if !fr.Opts.DisableTokenPhase {
-		passes = append(passes, &tokenPass{r})
+		passes = append(passes, pipeline.Pass{Name: "token", Run: func(pc *pipeline.PassContext) {
+			r.tokenPhase(pc, pc.Doc)
+		}})
 	}
 	if !fr.Opts.DisableASTPhase {
-		passes = append(passes, &astPass{r})
+		passes = append(passes, pipeline.Pass{Name: "ast", Run: func(pc *pipeline.PassContext) {
+			r.astPhase(pc, pc.Doc, 0)
+		}})
 	}
 	return passes
 }
@@ -114,10 +108,14 @@ func (PS) FinalPasses(fr *frontend.Run) []pipeline.Pass {
 	r := &run{fr}
 	var passes []pipeline.Pass
 	if !fr.Opts.DisableRename {
-		passes = append(passes, &renamePass{r})
+		passes = append(passes, pipeline.Pass{Name: "rename", Run: func(pc *pipeline.PassContext) {
+			r.renamePhase(pc, pc.Doc)
+		}})
 	}
 	if !fr.Opts.DisableReformat {
-		passes = append(passes, &reformatPass{r})
+		passes = append(passes, pipeline.Pass{Name: "reformat", Run: func(pc *pipeline.PassContext) {
+			r.reformatPhase(pc, pc.Doc)
+		}})
 	}
 	return passes
 }
@@ -126,41 +124,6 @@ func (PS) FinalPasses(fr *frontend.Run) []pipeline.Pass {
 // the embedded Run promotes Opts, Blocklist, Stats and Env.
 type run struct {
 	*frontend.Run
-}
-
-// The four phases as registered passes. Each is a thin adapter from
-// the pipeline.Pass interface onto the phase implementation; nested
-// payload layers reuse the phase implementations directly on forked
-// Documents (their work is attributed to the enclosing ast pass).
-type (
-	tokenPass    struct{ r *run }
-	astPass      struct{ r *run }
-	renamePass   struct{ r *run }
-	reformatPass struct{ r *run }
-)
-
-func (p *tokenPass) Name() string { return "token" }
-func (p *tokenPass) Run(pc *pipeline.PassContext) error {
-	p.r.tokenPhase(pc, pc.Doc)
-	return nil
-}
-
-func (p *astPass) Name() string { return "ast" }
-func (p *astPass) Run(pc *pipeline.PassContext) error {
-	p.r.astPhase(pc, pc.Doc, 0)
-	return nil
-}
-
-func (p *renamePass) Name() string { return "rename" }
-func (p *renamePass) Run(pc *pipeline.PassContext) error {
-	p.r.renamePhase(pc, pc.Doc)
-	return nil
-}
-
-func (p *reformatPass) Name() string { return "reformat" }
-func (p *reformatPass) Run(pc *pipeline.PassContext) error {
-	p.r.reformatPhase(pc, pc.Doc)
-	return nil
 }
 
 // The phase implementations predate the language-neutral artifact

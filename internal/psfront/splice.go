@@ -9,30 +9,38 @@ import (
 	"github.com/invoke-deobfuscation/invokedeob/internal/pstoken"
 )
 
-// Splice implements pipeline.Splicer: it applies a batch of
-// non-overlapping edits to text in one pass and synthesizes the new
-// text's token stream and AST from statement-slice reparses plus
-// offset-shifted reuse of the old artifacts, publishing both through
-// the view's cache. The ast phase's replacement batch then costs one
-// parse per *touched top-level statement* instead of a full-document
-// validation parse, and every downstream consumer of the new text
-// (fixpoint convergence check, nested-layer statement count, final
-// validity check) hits the cache.
+// edit is one replacement in a batched splice: the half-open byte span
+// [Start, End) of the current text is replaced by New. A batch of edits
+// must be non-overlapping; splice sorts them by Start.
+type edit struct {
+	Start, End int
+	New        string
+}
+
+// splice applies a batch of non-overlapping edits to text in one pass
+// and synthesizes the new text's token stream and AST from
+// statement-slice reparses plus offset-shifted reuse of the old
+// artifacts, publishing both through the view's cache. The ast phase's
+// replacement batch then costs one parse per *touched top-level
+// statement* instead of a full-document validation parse, and every
+// downstream consumer of the new text (fixpoint convergence check,
+// nested-layer statement count, final validity check) hits the cache.
 //
 // Correctness rests on a locality argument: the tokenizer is
 // mode-aware, so a source slice lexes identically standalone and
 // in-document only when the document lexer would enter the slice at
 // statement-start state with an empty delimiter stack and leave it the
-// same way. Splice establishes that by construction — edits must fall
+// same way. splice establishes that by construction — edits must fall
 // inside top-level statement extents, and a touched statement must be
 // bounded by line breaks (or text ends) on both sides. Anything else
-// reports ok=false and the caller falls back to the full reparse path,
-// so a rejected splice costs nothing but the attempt.
-func (PS) Splice(view *pipeline.View, text string, edits []pipeline.Edit) (string, bool) {
+// reports ok=false without publishing anything, and the caller falls
+// back to the full reparse path, so a rejected splice costs nothing but
+// the attempt.
+func splice(view *pipeline.View, text string, edits []edit) (string, bool) {
 	if len(edits) == 0 {
 		return "", false
 	}
-	sorted := make([]pipeline.Edit, len(edits))
+	sorted := make([]edit, len(edits))
 	copy(sorted, edits)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
 	prevEnd := 0
@@ -56,7 +64,7 @@ func (PS) Splice(view *pipeline.View, text string, edits []pipeline.Edit) (strin
 
 	// Map every edit to the unique top-level statement containing it.
 	stmts := root.Body.Statements
-	touched := make(map[int][]pipeline.Edit) // statement index -> its edits
+	touched := make(map[int][]edit) // statement index -> its edits
 	si := 0
 	for _, e := range sorted {
 		for si < len(stmts) && stmts[si].Extent().End < e.End {
@@ -213,7 +221,7 @@ func (PS) Splice(view *pipeline.View, text string, edits []pipeline.Edit) (strin
 }
 
 // sliceGrowth is the net byte delta a statement's edit batch produces.
-func sliceGrowth(edits []pipeline.Edit) int {
+func sliceGrowth(edits []edit) int {
 	g := 0
 	for _, e := range edits {
 		g += len(e.New) - (e.End - e.Start)

@@ -18,7 +18,7 @@ func spliceView() *pipeline.View {
 
 // applyEditsNaive is the ground-truth text transform: left-to-right
 // replacement with no statement mapping or artifact synthesis.
-func applyEditsNaive(text string, edits []pipeline.Edit) string {
+func applyEditsNaive(text string, edits []edit) string {
 	var b strings.Builder
 	cursor := 0
 	for _, e := range edits {
@@ -30,13 +30,13 @@ func applyEditsNaive(text string, edits []pipeline.Edit) string {
 	return b.String()
 }
 
-// checkSpliceGroundTruth applies edits via Splice and asserts the
-// synthesized artifacts — the token stream and AST Splice published
+// checkSpliceGroundTruth applies edits via splice and asserts the
+// synthesized artifacts — the token stream and AST splice published
 // into the view — are deep-equal to a fresh full retokenize/reparse of
 // the spliced text. This is the correctness bar for the incremental
 // path: downstream passes must not be able to tell a splice from a
 // full reparse.
-func checkSpliceGroundTruth(t *testing.T, src string, edits []pipeline.Edit) {
+func checkSpliceGroundTruth(t *testing.T, src string, edits []edit) {
 	t.Helper()
 	view := spliceView()
 	// Warm the view the way the ast phase does before building edits.
@@ -47,9 +47,9 @@ func checkSpliceGroundTruth(t *testing.T, src string, edits []pipeline.Edit) {
 		t.Fatalf("source does not tokenize: %v", err)
 	}
 
-	newText, ok := PS{}.Splice(view, src, edits)
+	newText, ok := splice(view, src, edits)
 	if !ok {
-		t.Fatalf("Splice rejected a spliceable batch\nsrc: %q\nedits: %+v", src, edits)
+		t.Fatalf("splice rejected a spliceable batch\nsrc: %q\nedits: %+v", src, edits)
 	}
 	if want := applyEditsNaive(src, edits); newText != want {
 		t.Fatalf("spliced text = %q, want %q", newText, want)
@@ -85,41 +85,41 @@ func checkSpliceGroundTruth(t *testing.T, src string, edits []pipeline.Edit) {
 }
 
 // findSpan locates a unique substring and returns its extent as an edit.
-func findSpan(t *testing.T, src, old, new string) pipeline.Edit {
+func findSpan(t *testing.T, src, old, new string) edit {
 	t.Helper()
 	i := strings.Index(src, old)
 	if i < 0 || strings.Index(src[i+1:], old) >= 0 {
 		t.Fatalf("substring %q not unique in %q", old, src)
 	}
-	return pipeline.Edit{Start: i, End: i + len(old), New: new}
+	return edit{Start: i, End: i + len(old), New: new}
 }
 
 func TestSpliceMatchesFullReparse(t *testing.T) {
 	t.Run("single_statement", func(t *testing.T) {
 		src := "$a = 'x' + 'y'\n"
-		checkSpliceGroundTruth(t, src, []pipeline.Edit{findSpan(t, src, "'x' + 'y'", "'xy'")})
+		checkSpliceGroundTruth(t, src, []edit{findSpan(t, src, "'x' + 'y'", "'xy'")})
 	})
 	t.Run("growth_and_shrink_across_statements", func(t *testing.T) {
 		src := "$a = 'aa' + 'bb'\nWrite-Output $a\n$b = [char]104 + [char]105\n"
-		checkSpliceGroundTruth(t, src, []pipeline.Edit{
+		checkSpliceGroundTruth(t, src, []edit{
 			findSpan(t, src, "'aa' + 'bb'", "'aabb'"),
 			findSpan(t, src, "[char]104 + [char]105", "'hi'"),
 		})
 	})
 	t.Run("multiple_edits_one_statement", func(t *testing.T) {
 		src := "Write-Output ('a'+'b') ('c'+'d')\n"
-		checkSpliceGroundTruth(t, src, []pipeline.Edit{
+		checkSpliceGroundTruth(t, src, []edit{
 			findSpan(t, src, "'a'+'b'", "'ab'"),
 			findSpan(t, src, "'c'+'d'", "'cd'"),
 		})
 	})
 	t.Run("last_statement_no_trailing_newline", func(t *testing.T) {
 		src := "$x = 1\n$y = 'p' + 'q'"
-		checkSpliceGroundTruth(t, src, []pipeline.Edit{findSpan(t, src, "'p' + 'q'", "'pq'")})
+		checkSpliceGroundTruth(t, src, []edit{findSpan(t, src, "'p' + 'q'", "'pq'")})
 	})
 	t.Run("untouched_statements_shift", func(t *testing.T) {
 		src := "$a = 'one' + 'two'\n$b = 2\n$c = 3\nWrite-Output $b $c\n"
-		checkSpliceGroundTruth(t, src, []pipeline.Edit{findSpan(t, src, "'one' + 'two'", "'onetwo'")})
+		checkSpliceGroundTruth(t, src, []edit{findSpan(t, src, "'one' + 'two'", "'onetwo'")})
 	})
 }
 
@@ -129,23 +129,23 @@ func TestSpliceMatchesFullReparse(t *testing.T) {
 func TestSpliceRejects(t *testing.T) {
 	view := spliceView()
 	src := "$a = 'x' + 'y'\n$b = 'z'\n"
-	if _, ok := (PS{}).Splice(view, src, nil); ok {
+	if _, ok := splice(view, src, nil); ok {
 		t.Error("empty edit batch accepted")
 	}
-	if _, ok := (PS{}).Splice(view, src, []pipeline.Edit{
+	if _, ok := splice(view, src, []edit{
 		{Start: 5, End: 10, New: "'q'"},
 		{Start: 8, End: 12, New: "'r'"},
 	}); ok {
 		t.Error("overlapping edits accepted")
 	}
-	if _, ok := (PS{}).Splice(view, src, []pipeline.Edit{
+	if _, ok := splice(view, src, []edit{
 		{Start: 5, End: len(src) + 3, New: "'q'"},
 	}); ok {
 		t.Error("out-of-bounds edit accepted")
 	}
 	// Crossing the boundary between statement 0 and statement 1.
 	nl := strings.Index(src, "\n")
-	if _, ok := (PS{}).Splice(view, src, []pipeline.Edit{
+	if _, ok := splice(view, src, []edit{
 		{Start: nl - 2, End: nl + 3, New: "'q'"},
 	}); ok {
 		t.Error("statement-boundary-crossing edit accepted")
@@ -154,7 +154,7 @@ func TestSpliceRejects(t *testing.T) {
 	// line-isolated and the slice lexing argument does not apply.
 	joined := "$a = 'x' + 'y'; $b = 'z'\n"
 	e := findSpan(t, joined, "'x' + 'y'", "'xy'")
-	if _, ok := (PS{}).Splice(spliceView(), joined, []pipeline.Edit{e}); ok {
+	if _, ok := splice(spliceView(), joined, []edit{e}); ok {
 		t.Error("edit inside a semicolon-joined statement accepted")
 	}
 }
@@ -162,7 +162,7 @@ func TestSpliceRejects(t *testing.T) {
 // TestSpliceSeededSmoke generates deterministic pseudo-random documents
 // and edit batches, and holds every accepted splice to the full
 // retokenize/reparse ground truth. The generator only emits line-
-// isolated single-line statements, so Splice must accept every batch;
+// isolated single-line statements, so splice must accept every batch;
 // a rejection here is a lost fast path, not just a correctness miss.
 func TestSpliceSeededSmoke(t *testing.T) {
 	rng := rand.New(rand.NewSource(20220627))
@@ -200,12 +200,12 @@ func TestSpliceSeededSmoke(t *testing.T) {
 			b.WriteString("\n")
 		}
 		src := b.String()
-		var edits []pipeline.Edit
+		var edits []edit
 		for _, s := range spans {
 			if s.start < 0 || rng.Intn(2) == 0 {
 				continue
 			}
-			edits = append(edits, pipeline.Edit{Start: s.start, End: s.end, New: randLit()})
+			edits = append(edits, edit{Start: s.start, End: s.end, New: randLit()})
 		}
 		if len(edits) == 0 {
 			continue

@@ -11,6 +11,7 @@ import (
 
 	"github.com/invoke-deobfuscation/invokedeob/internal/core"
 	"github.com/invoke-deobfuscation/invokedeob/internal/corpus"
+	"github.com/invoke-deobfuscation/invokedeob/internal/pipeline"
 )
 
 // integrationScripts returns a small deterministic corpus of obfuscated
@@ -212,6 +213,55 @@ func TestStatszShape(t *testing.T) {
 	}
 	if sb.ParseCache.Hits != 0 || sb.ParseCache.Misses != 0 {
 		t.Errorf("fresh parse cache not empty: %+v", sb.ParseCache)
+	}
+}
+
+// TestStatszPassTraceSumsResponses checks that /statsz's per-pass
+// aggregate is the sum of the pass traces the responses carried, field
+// by field, self time included (sizes are zeroed: they do not sum).
+func TestStatszPassTraceSumsResponses(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var order []string
+	want := make(map[string]pipeline.PassStat)
+	for _, src := range integrationScripts() {
+		pr := postJSON(t, ts.Client(), ts.URL+"/v1/deobfuscate", scriptBody(src), nil)
+		var rb resultBody
+		if err := json.Unmarshal(pr.raw, &rb); err != nil || pr.status != http.StatusOK {
+			t.Fatalf("deobfuscate = %d %s (%v)", pr.status, pr.raw, err)
+		}
+		for _, p := range rb.PassTrace {
+			w, seen := want[p.Pass]
+			if !seen {
+				order = append(order, p.Pass)
+				w.Pass = p.Pass
+			}
+			w.Runs += p.Runs
+			w.Duration += p.Duration
+			w.SelfDuration += p.SelfDuration
+			w.Reverts += p.Reverts
+			w.CacheHits += p.CacheHits
+			w.CacheMisses += p.CacheMisses
+			w.EvalHits += p.EvalHits
+			w.EvalMisses += p.EvalMisses
+			w.EvalSkips += p.EvalSkips
+			want[p.Pass] = w
+		}
+	}
+	if len(order) == 0 {
+		t.Fatal("responses carried no pass trace")
+	}
+	var sb statszBody
+	getJSON(t, ts, "/statsz", &sb)
+	if len(sb.PassTrace) != len(order) {
+		t.Fatalf("statsz has %d passes, responses %d", len(sb.PassTrace), len(order))
+	}
+	for i, got := range sb.PassTrace {
+		if w := want[order[i]]; got != w {
+			t.Errorf("statsz pass %d = %+v\nsum over responses = %+v", i, got, w)
+		}
 	}
 }
 

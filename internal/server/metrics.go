@@ -133,23 +133,24 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		m.val(e.name, "", e.v)
 	}
 
+	passes := st.passes.Stats()
 	m.header("invokedeob_pass_runs_total", "Pass executions, by pass.", "counter")
-	for _, name := range st.passOrder {
-		m.val("invokedeob_pass_runs_total", `pass="`+escapeLabelValue(name)+`"`, float64(st.passes[name].Runs))
+	for _, p := range passes {
+		m.val("invokedeob_pass_runs_total", `pass="`+escapeLabelValue(p.Pass)+`"`, float64(p.Runs))
 	}
 	m.header("invokedeob_pass_reverts_total", "Pass outputs reverted by validation, by pass.", "counter")
-	for _, name := range st.passOrder {
-		m.val("invokedeob_pass_reverts_total", `pass="`+escapeLabelValue(name)+`"`, float64(st.passes[name].Reverts))
+	for _, p := range passes {
+		m.val("invokedeob_pass_reverts_total", `pass="`+escapeLabelValue(p.Pass)+`"`, float64(p.Reverts))
 	}
 
 	m.header("invokedeob_pass_duration_seconds",
 		"Per-run cumulative time spent in each pass.", "histogram")
-	for _, name := range st.passOrder {
-		h, ok := st.passLat[name]
+	for _, p := range passes {
+		h, ok := st.passLat[p.Pass]
 		if !ok {
 			continue
 		}
-		lbl := `pass="` + escapeLabelValue(name) + `"`
+		lbl := `pass="` + escapeLabelValue(p.Pass) + `"`
 		for i, ub := range latencyBuckets {
 			m.val("invokedeob_pass_duration_seconds_bucket",
 				lbl+`,le="`+strconv.FormatFloat(ub, 'g', -1, 64)+`"`, float64(h.counts[i]))

@@ -227,7 +227,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg,
 		eng:   core.New(cfg.Engine),
-		cache: core.NewParseCache(0, 0),
+		cache: pipeline.NewCache(0, 0),
 		admit: make(chan struct{}, cfg.Workers+cfg.QueueDepth),
 		slots: make(chan struct{}, cfg.Workers),
 		stats: newServerStats(),

@@ -47,10 +47,9 @@ type serverStats struct {
 	// exposes fleet-level pieces/layers/cache counters, not just the
 	// last request's.
 	agg core.Stats
-	// passes folds every run's PassTrace by pass name, preserving
-	// first-seen order like the engine's own Trace.
-	passOrder []string
-	passes    map[string]*pipeline.PassStat
+	// passes folds every run's PassTrace by pass name, in first-seen
+	// order, with BytesIn/BytesOut zeroed (per-run sizes do not sum).
+	passes *pipeline.Trace
 	// passLat holds per-pass latency histograms (one observation per
 	// run and pass: that run's cumulative duration in the pass), the
 	// scrape surface behind /metrics' *_bucket series.
@@ -67,7 +66,7 @@ func newServerStats() *serverStats {
 		statuses:  make(map[string]int64),
 		classes:   make(map[string]int64),
 		langs:     make(map[string]int64),
-		passes:    make(map[string]*pipeline.PassStat),
+		passes:    pipeline.NewTrace(),
 		passLat:   make(map[string]*latencyHist),
 	}
 }
@@ -183,22 +182,8 @@ func (st *serverStats) observeRun(res *core.Result) {
 			st.passLat[p.Pass] = h
 		}
 		h.observe(p.Duration.Seconds())
-		agg, ok := st.passes[p.Pass]
-		if !ok {
-			cp := p
-			cp.BytesIn, cp.BytesOut = 0, 0 // sizes are per-run, meaningless summed
-			st.passes[p.Pass] = &cp
-			st.passOrder = append(st.passOrder, p.Pass)
-			continue
-		}
-		agg.Runs += p.Runs
-		agg.Duration += p.Duration
-		agg.Reverts += p.Reverts
-		agg.CacheHits += p.CacheHits
-		agg.CacheMisses += p.CacheMisses
-		agg.EvalHits += p.EvalHits
-		agg.EvalMisses += p.EvalMisses
-		agg.EvalSkips += p.EvalSkips
+		p.BytesIn, p.BytesOut = 0, 0
+		st.passes.Add(p)
 	}
 }
 
@@ -323,10 +308,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		Classes:       copyCounts(st.classes),
 		Langs:         copyCounts(st.langs),
 		Stats:         st.agg,
-		PassTrace:     make([]pipeline.PassStat, 0, len(st.passOrder)),
-	}
-	for _, name := range st.passOrder {
-		body.PassTrace = append(body.PassTrace, *st.passes[name])
+		PassTrace:     st.passes.Stats(),
 	}
 	st.mu.Unlock()
 	if s.quota != nil {
