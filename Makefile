@@ -63,6 +63,7 @@ goldens:
 fuzz-smoke:
 	$(GO) test ./internal/psfront -run '^$$' -fuzz FuzzTokenize -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/psfront -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/frontend -run '^$$' -fuzz FuzzDetect -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDeobfuscate$$ -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDeobfuscateEnvelope -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/psinterp -run '^$$' -fuzz FuzzEvalSnippet -fuzztime $(FUZZTIME)

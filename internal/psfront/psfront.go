@@ -2,7 +2,8 @@
 // as a registered language frontend.
 //
 //  1. Token parsing (§III-A): lexical recovery of L1 obfuscation —
-//     ticking, random case, aliases — rewriting tokens in reverse order.
+//     ticking, random case, aliases — rewriting tokens in one forward
+//     pass that yields the bytes of the paper's reverse-order rewrite.
 //  2. Recovery based on AST (§III-B): recoverable nodes are evaluated
 //     with the embedded interpreter under variable tracing (Algorithm 1),
 //     results are spliced strictly in place, and multi-layer

@@ -10,13 +10,16 @@ import (
 // span is a byte range within the reformatted source.
 type span struct{ start, end int }
 
-func inSpans(spans []span, off int) bool {
-	for _, s := range spans {
-		if off >= s.start && off < s.end {
-			return true
-		}
+// spanCursor answers whether an offset lies in one of a list of spans
+// in source order. Offsets asked must not decrease, so spans ending at
+// or before one are never looked at again.
+type spanCursor []span
+
+func (c *spanCursor) contains(off int) bool {
+	for len(*c) > 0 && (*c)[0].end <= off {
+		*c = (*c)[1:]
 	}
-	return false
+	return len(*c) > 0 && (*c)[0].start <= off
 }
 
 // reformatPhase removes random whitespace and re-indents the script
@@ -34,8 +37,15 @@ func (r *run) reformatPhase(pc *pipeline.PassContext, doc *pipeline.Document) {
 		doc.SetText(pc.ValidOrRevert(view, collapsed, src))
 		return
 	}
-	var literal []span   // strings and comments: braces inside do not nest
-	var multiline []span // multi-line literals: lines stay verbatim
+	literal, multiline := literalSpans(toks)
+	indented := reindent(collapsed, literal, multiline)
+	doc.SetText(pc.ValidOrRevert(view, indented, src))
+}
+
+// literalSpans returns, in source order, the spans of the string and
+// comment tokens, inside which braces do not nest, and the subset of
+// them spanning lines, whose lines stay verbatim.
+func literalSpans(toks []pstoken.Token) (literal, multiline []span) {
 	for _, t := range toks {
 		if t.Type != pstoken.String && t.Type != pstoken.Comment {
 			continue
@@ -45,8 +55,7 @@ func (r *run) reformatPhase(pc *pipeline.PassContext, doc *pipeline.Document) {
 			multiline = append(multiline, span{t.Start, t.End()})
 		}
 	}
-	indented := reindent(collapsed, literal, multiline)
-	doc.SetText(pc.ValidOrRevert(view, indented, src))
+	return literal, multiline
 }
 
 // collapseWhitespace reduces runs of spaces and tabs outside strings and
@@ -120,8 +129,9 @@ func collapseWhitespace(view *pipeline.View, src string) string {
 
 // reindent indents each line by brace depth. Braces inside literal
 // spans do not affect depth; lines that begin inside a multi-line
-// literal are emitted verbatim.
+// literal are emitted verbatim. Both span lists are in source order.
 func reindent(src string, literal, multiline []span) string {
+	inLiteral, inMultiline := spanCursor(literal), spanCursor(multiline)
 	var sb strings.Builder
 	depth := 0
 	lineStart := 0
@@ -135,7 +145,7 @@ func reindent(src string, literal, multiline []span) string {
 			lineEnd += lineStart
 		}
 		line := src[lineStart:lineEnd]
-		if inSpans(multiline, lineStart) {
+		if inMultiline.contains(lineStart) {
 			// Interior (or terminator) of a here-string/block comment.
 			sb.WriteString(line)
 		} else {
@@ -159,7 +169,7 @@ func reindent(src string, literal, multiline []span) string {
 		}
 		// Update depth from braces outside literals.
 		for i := lineStart; i < lineEnd; i++ {
-			if inSpans(literal, i) {
+			if inLiteral.contains(i) {
 				continue
 			}
 			switch src[i] {

@@ -45,25 +45,28 @@ func (r *run) renamePhase(pc *pipeline.PassContext, doc *pipeline.Document) {
 	for i, n := range funcNames {
 		funcMap[n] = fmt.Sprintf("func%d", i)
 	}
-	out := src
-	for i := len(toks) - 1; i >= 0; i-- {
-		tok := toks[i]
+	out, n := rewriteTokens(src, toks, renameToken(varMap, funcMap))
+	r.Stats.IdentifiersRenamed += n
+	doc.SetText(pc.ValidOrRevert(doc.View(), out, src))
+}
+
+// renameToken returns the rename pass's replacement: variables named in
+// varMap become $var{N}, commands and arguments named in funcMap become
+// func{N}. Both maps are keyed by the lower-cased name.
+func renameToken(varMap, funcMap map[string]string) func(pstoken.Token) (string, bool) {
+	return func(tok pstoken.Token) (string, bool) {
 		switch tok.Type {
 		case pstoken.Variable:
-			key := strings.ToLower(tok.Content)
-			if repl, ok := varMap[key]; ok {
-				out = out[:tok.Start] + "$" + repl + out[tok.End():]
-				r.Stats.IdentifiersRenamed++
+			if repl, ok := varMap[strings.ToLower(tok.Content)]; ok {
+				return "$" + repl, true
 			}
 		case pstoken.Command, pstoken.CommandArgument:
-			key := strings.ToLower(tok.Content)
-			if repl, ok := funcMap[key]; ok {
-				out = out[:tok.Start] + repl + out[tok.End():]
-				r.Stats.IdentifiersRenamed++
+			if repl, ok := funcMap[strings.ToLower(tok.Content)]; ok {
+				return repl, true
 			}
 		}
+		return "", false
 	}
-	doc.SetText(pc.ValidOrRevert(doc.View(), out, src))
 }
 
 // collectVariableNames returns unique user variable names (lower-cased)

@@ -10,8 +10,9 @@ import (
 )
 
 // tokenPhase recovers token-level (L1) obfuscation: ticking, random
-// case, aliases and parameter casing. Tokens are rewritten from the last
-// to the first so earlier offsets stay valid (paper §III-A). The token
+// case, aliases and parameter casing. The paper rewrites tokens from
+// the last to the first so earlier offsets stay valid (§III-A);
+// rewriteTokens produces the same bytes in one forward pass. The token
 // stream and the rewrite's validity check both come from the run's
 // parse cache via doc.
 func (r *run) tokenPhase(pc *pipeline.PassContext, doc *pipeline.Document) {
@@ -20,22 +21,48 @@ func (r *run) tokenPhase(pc *pipeline.PassContext, doc *pipeline.Document) {
 		return
 	}
 	src := doc.Text()
-	out := src
-	changed := 0
-	for i := len(toks) - 1; i >= 0; i-- {
-		tok := toks[i]
-		replacement, ok := canonicalToken(tok)
-		if !ok || replacement == tok.Text {
-			continue
-		}
-		out = out[:tok.Start] + replacement + out[tok.End():]
-		changed++
-	}
+	out, changed := rewriteTokens(src, toks, normalizeToken)
 	if changed == 0 {
 		return
 	}
 	r.Stats.TokensNormalized += changed
 	doc.SetText(pc.ValidOrRevert(doc.View(), out, src))
+}
+
+// rewriteTokens replaces every token for which repl reports true with
+// repl's text and returns the result with the number of tokens
+// replaced. It copies src once, front to back, between the original
+// token offsets. Because pstoken emits tokens in source order and
+// never overlapping, the bytes equal those of splicing each
+// replacement in from the last token to the first.
+func rewriteTokens(src string, toks []pstoken.Token, repl func(pstoken.Token) (string, bool)) (string, int) {
+	var sb strings.Builder
+	n, copied := 0, 0
+	for _, tok := range toks {
+		text, ok := repl(tok)
+		if !ok {
+			continue
+		}
+		if n == 0 {
+			sb.Grow(len(src))
+		}
+		sb.WriteString(src[copied:tok.Start])
+		sb.WriteString(text)
+		copied = tok.End()
+		n++
+	}
+	if n == 0 {
+		return src, 0
+	}
+	sb.WriteString(src[copied:])
+	return sb.String(), n
+}
+
+// normalizeToken is the token phase's replacement: the canonical text
+// of a token the phase rewrites, when it differs from the source.
+func normalizeToken(tok pstoken.Token) (string, bool) {
+	text, ok := canonicalToken(tok)
+	return text, ok && text != tok.Text
 }
 
 // typeNameArg matches bare-word arguments that are .NET type names
