@@ -6,11 +6,10 @@
 
 GO ?= go
 FUZZTIME ?= 10s
-BENCHCOUNT ?= 5
 
 PROFILEDIR ?= .profile
 
-.PHONY: all check fmt vet build test race soak equivalence goldens fuzz-smoke serve-smoke loadtest loadtest-smoke gauntlet gauntlet-smoke perfbench-selftest bench-compare profile clean
+.PHONY: all check fmt vet build test race soak equivalence goldens fuzz-smoke serve-smoke loadtest loadtest-smoke gauntlet gauntlet-smoke perfbench-selftest profile clean
 
 all: check
 
@@ -44,11 +43,12 @@ soak:
 
 # equivalence re-runs the refactor guards explicitly (they are also in
 # the plain suite): byte-identical output against the frozen goldens of
-# both language frontends, and the parses-per-run budget on the fixed
-# 3-layer script.
+# both language frontends, the parses-per-run budget on the fixed
+# 3-layer script, and the lexes-per-run budget (one lex per distinct
+# text) on that script and the 24-sample corpus.
 equivalence:
 	$(GO) test ./internal/core -run TestEquivalenceGolden -count=1
-	$(GO) test ./internal/psfront -run TestParseCount -count=1
+	$(GO) test ./internal/psfront -run 'TestParseCount|TestLexCountBudget' -count=1
 	$(GO) test ./internal/jsfront -run TestJSGolden -count=1
 
 # goldens deliberately regenerates both frontends' golden suites from
@@ -115,21 +115,6 @@ gauntlet-smoke:
 perfbench-selftest:
 	cd perfbench && $(GO) test ./...
 
-# bench-compare measures the single-script engine benchmark and the
-# batch driver at 1/2/4 workers, writing bench.new. When a bench.old
-# baseline exists and benchstat is installed the two are compared;
-# otherwise copy bench.new to bench.old to set the baseline.
-bench-compare:
-	$(GO) test -run '^$$' -bench 'BenchmarkDeobfuscate$$|BenchmarkDeobfuscateBatch' \
-		-count $(BENCHCOUNT) . | tee bench.new
-	@if command -v benchstat >/dev/null 2>&1 && [ -f bench.old ]; then \
-		benchstat bench.old bench.new; \
-	elif [ -f bench.old ]; then \
-		echo "benchstat not installed; compare bench.old and bench.new manually"; \
-	else \
-		echo "no baseline; run: cp bench.new bench.old"; \
-	fi
-
 # profile runs the jobs=1 batch benchmark (the 16-sample generated
 # corpus through the library) with CPU and allocation profiling,
 # leaving cpu.pprof, mem.pprof and the test binary they refer to in
@@ -144,5 +129,4 @@ profile:
 
 clean:
 	$(GO) clean -testcache
-	rm -f bench.new
 	rm -rf $(PROFILEDIR)

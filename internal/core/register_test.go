@@ -16,6 +16,10 @@ func psParseErr(src string) error {
 	if err != nil {
 		return err
 	}
-	_, err = fe.Parse(src)
+	toks, err := fe.Tokenize(src)
+	if err != nil {
+		return err
+	}
+	_, err = fe.Parse(src, toks)
 	return err
 }

@@ -58,9 +58,12 @@ type Frontend interface {
 	Name() string
 	// Tokenize produces the language's token-stream artifact.
 	Tokenize(src string) (any, error)
-	// Parse produces the language's AST artifact; a nil error means
-	// src is syntactically valid.
-	Parse(src string) (any, error)
+	// Parse produces the language's AST artifact from src and the
+	// token artifact Tokenize returned for it without error, which it
+	// must not modify; a nil error means src is syntactically valid.
+	// The parse cache calls it with its cached tokens, so a text is
+	// lexed once however many consumers ask for either artifact.
+	Parse(src string, toks any) (any, error)
 	// Evaluate runs a snippet in the frontend's bounded evaluator with
 	// the given variable preloads. Frontends without an evaluator
 	// return ErrUnsupported.

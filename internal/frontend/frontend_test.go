@@ -15,9 +15,9 @@ type stubFrontend struct {
 	name string
 }
 
-func (f stubFrontend) Name() string                     { return f.name }
-func (f stubFrontend) Tokenize(src string) (any, error) { return []string{src}, nil }
-func (f stubFrontend) Parse(src string) (any, error)    { return &src, nil }
+func (f stubFrontend) Name() string                         { return f.name }
+func (f stubFrontend) Tokenize(src string) (any, error)     { return []string{src}, nil }
+func (f stubFrontend) Parse(src string, _ any) (any, error) { return &src, nil }
 func (f stubFrontend) Evaluate(context.Context, string, map[string]any, EvalBudget) (EvalResult, error) {
 	return EvalResult{}, ErrUnsupported
 }

@@ -76,7 +76,7 @@ func TestJSGoldenOutputsStillParse(t *testing.T) {
 		if err != nil {
 			t.Fatalf("missing golden for %s: %v", name, err)
 		}
-		if _, err := (JS{}).Parse(string(raw)); err != nil {
+		if err := parseErr(string(raw)); err != nil {
 			t.Errorf("golden %s no longer parses: %v", name, err)
 		}
 	}

@@ -41,15 +41,12 @@ type Script struct {
 	Toks []Token
 }
 
-// Parse checks that src lexes and that its brackets balance, returning
-// the token-stream artifact.
-func (JS) Parse(src string) (any, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, err
-	}
+// Parse checks that the brackets of src's token stream (toks, from
+// Tokenize) balance, returning the token-stream artifact.
+func (JS) Parse(src string, toks any) (any, error) {
+	stream := toks.([]Token)
 	var stack []byte
-	for _, t := range toks {
+	for _, t := range stream {
 		if t.Type != Punct || len(t.Text) != 1 {
 			continue
 		}
@@ -66,7 +63,7 @@ func (JS) Parse(src string) (any, error) {
 	if len(stack) != 0 {
 		return nil, fmt.Errorf("jsfront: %d unclosed bracket(s)", len(stack))
 	}
-	return &Script{Toks: toks}, nil
+	return &Script{Toks: stream}, nil
 }
 
 func opener(closer byte) byte {

@@ -167,16 +167,26 @@ func TestQuoteJS(t *testing.T) {
 	}
 }
 
+// parseErr lexes and parses src the way the parse cache does.
+func parseErr(src string) error {
+	toks, err := (JS{}).Tokenize(src)
+	if err != nil {
+		return err
+	}
+	_, err = (JS{}).Parse(src, toks)
+	return err
+}
+
 func TestParseBracketBalance(t *testing.T) {
 	good := []string{"f(a[0], {k: 1})", "", "(([[{{}}]]))"}
 	for _, src := range good {
-		if _, err := (JS{}).Parse(src); err != nil {
+		if err := parseErr(src); err != nil {
 			t.Errorf("Parse(%q): %v", src, err)
 		}
 	}
 	bad := []string{"(", "f(a]", "{)}", "]"}
 	for _, src := range bad {
-		if _, err := (JS{}).Parse(src); err == nil {
+		if err := parseErr(src); err == nil {
 			t.Errorf("Parse(%q) accepted unbalanced brackets", src)
 		}
 	}

@@ -7,24 +7,49 @@ import (
 	"github.com/invoke-deobfuscation/invokedeob/internal/pstoken"
 )
 
-// rewriteTokens applies fn to each token and rewrites the source in
-// reverse order; fn returns the replacement text and whether to apply.
-func rewriteTokens(src string, fn func(tok pstoken.Token) (string, bool)) (string, bool, error) {
+// tokenRewriter is the rewrite the token techniques call. It is a
+// variable so the equivalence test can check every call against the
+// reference reverse splice.
+var tokenRewriter = rewriteTokens
+
+// rewriteTokens applies fn to each token of src and rewrites it; fn
+// gets the token and its source text and returns the replacement text
+// and whether to apply it. fn is called from the last token to the
+// first, because the techniques draw random numbers inside it and
+// their output must stay that of splicing each replacement in from the
+// last token to the first; the replacements are then written front to
+// back in one copy of src, which gives the same bytes because pstoken
+// emits tokens in source order without overlap. changed reports
+// whether any replacement differs from the token's text.
+func rewriteTokens(src string, fn func(tok pstoken.Token, text string) (string, bool)) (out string, changed bool, err error) {
 	toks, err := pstoken.Tokenize(src)
 	if err != nil {
 		return "", false, err
 	}
-	out := src
-	changed := false
-	for i := len(toks) - 1; i >= 0; i-- {
-		repl, ok := fn(toks[i])
-		if !ok || repl == toks[i].Text {
-			continue
-		}
-		out = out[:toks[i].Start] + repl + out[toks[i].End():]
-		changed = true
+	type replacement struct {
+		tok  pstoken.Token
+		text string
 	}
-	return out, changed, nil
+	var repls []replacement // last token first
+	for i := len(toks) - 1; i >= 0; i-- {
+		text := toks[i].Text(src)
+		if repl, ok := fn(toks[i], text); ok && repl != text {
+			repls = append(repls, replacement{toks[i], repl})
+		}
+	}
+	if len(repls) == 0 {
+		return src, false, nil
+	}
+	var sb strings.Builder
+	sb.Grow(len(src))
+	copied := 0
+	for i := len(repls) - 1; i >= 0; i-- {
+		sb.WriteString(src[copied:repls[i].tok.Start])
+		sb.WriteString(repls[i].text)
+		copied = repls[i].tok.End()
+	}
+	sb.WriteString(src[copied:])
+	return sb.String(), true, nil
 }
 
 // tickSafe reports whether a backtick may precede c inside a bare word
@@ -56,18 +81,18 @@ func (o *Obfuscator) insertTicks(word string) string {
 
 // ticking inserts meaningless backticks into command and member names.
 func (o *Obfuscator) ticking(src string) (string, error) {
-	out, changed, err := rewriteTokens(src, func(tok pstoken.Token) (string, bool) {
+	out, changed, err := tokenRewriter(src, func(tok pstoken.Token, text string) (string, bool) {
 		switch tok.Type {
 		case pstoken.Command:
 			if psnames.IsAlias(tok.Content) && len(tok.Content) <= 3 {
-				return o.insertTicks(tok.Text), true
+				return o.insertTicks(text), true
 			}
-			return o.insertTicks(tok.Text), true
+			return o.insertTicks(text), true
 		case pstoken.Member:
-			return o.insertTicks(tok.Text), true
+			return o.insertTicks(text), true
 		case pstoken.CommandArgument:
 			if isLetterWord(tok.Content) {
-				return o.insertTicks(tok.Text), true
+				return o.insertTicks(text), true
 			}
 		}
 		return "", false
@@ -109,10 +134,10 @@ func (o *Obfuscator) whitespacing(src string) (string, error) {
 		}
 		// Only widen gaps that already exist so attached syntax
 		// (members, indexes) is never broken.
-		if prev.End() >= cur.Start {
+		if prev.End() >= int(cur.Start) {
 			continue
 		}
-		lastGap = cur.Start
+		lastGap = int(cur.Start)
 		if o.rng.Intn(3) == 0 {
 			continue
 		}
@@ -153,18 +178,18 @@ func (o *Obfuscator) flipCase(s string) string {
 
 // randomCase randomizes case of case-insensitive tokens.
 func (o *Obfuscator) randomCase(src string) (string, error) {
-	out, changed, err := rewriteTokens(src, func(tok pstoken.Token) (string, bool) {
+	out, changed, err := tokenRewriter(src, func(tok pstoken.Token, text string) (string, bool) {
 		switch tok.Type {
 		case pstoken.Command, pstoken.Keyword, pstoken.Member,
 			pstoken.CommandParameter, pstoken.Variable, pstoken.TypeLiteral,
 			pstoken.Operator:
-			return o.flipCase(tok.Text), true
+			return o.flipCase(text), true
 		case pstoken.CommandArgument:
 			// Only type-name arguments (Net.WebClient) are
 			// case-insensitive; flipping ordinary bare words would
 			// change the string value they pass.
 			if strings.Contains(tok.Content, ".") && isLetterWord(tok.Content) {
-				return o.flipCase(tok.Text), true
+				return o.flipCase(text), true
 			}
 		}
 		return "", false
@@ -227,7 +252,7 @@ func (o *Obfuscator) randomName(src string) (string, error) {
 	changed := false
 	for i := len(toks) - 1; i >= 0; i-- {
 		tok := toks[i]
-		if tok.Type != pstoken.Variable || strings.HasPrefix(tok.Text, "@") {
+		if tok.Type != pstoken.Variable || strings.HasPrefix(tok.Text(src), "@") {
 			continue
 		}
 		newName, ok := nameFor(tok.Content)
@@ -279,7 +304,7 @@ var reverseAliases = map[string]string{
 
 // alias replaces canonical cmdlet names with their aliases.
 func (o *Obfuscator) alias(src string) (string, error) {
-	out, changed, err := rewriteTokens(src, func(tok pstoken.Token) (string, bool) {
+	out, changed, err := tokenRewriter(src, func(tok pstoken.Token, _ string) (string, bool) {
 		if tok.Type != pstoken.Command {
 			return "", false
 		}

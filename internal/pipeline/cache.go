@@ -17,7 +17,8 @@
 // per-splice validity checks, literal detection, piece evaluation,
 // unwrap, rename and reformat all ask the same cache, so identical text
 // is tokenized and parsed at most once per run instead of once per
-// consumer.
+// consumer. A text's AST is parsed from its cached token stream, so a
+// text that is both tokenized and parsed is lexed once.
 //
 // For serving workloads one cache is shared by every request. It holds
 // one mutex, one map keyed by (language, text), one LRU list and global
@@ -44,9 +45,13 @@ type Lang interface {
 	Name() string
 	// Tokenize produces the language's token-stream artifact.
 	Tokenize(src string) (any, error)
-	// Parse produces the language's AST artifact. A nil error means the
-	// source is syntactically valid.
-	Parse(src string) (any, error)
+	// Parse produces the language's AST artifact from src and the token
+	// artifact Tokenize returned for it without error; it must not
+	// modify toks, which the cache shares. A nil error means the source
+	// is syntactically valid. When Tokenize fails, the cache reports
+	// its error as the parse error and does not call Parse, so Parse's
+	// own lexing errors must be Tokenize's.
+	Parse(src string, toks any) (any, error)
 }
 
 // ErrNoLang is returned by Views and Documents that were constructed
@@ -245,34 +250,44 @@ func (c *Cache) recordLocked(lang string, hit bool) {
 
 // artifact returns one memoized artifact of src under language l —
 // the token slot or the AST slot, as picked — computing it through the
-// singleflight protocol when absent. hit reports whether the value came
+// singleflight protocol when absent, and records the request as one hit
+// or miss. compute receives the entry the artifact belongs to, or nil
+// for a text too large to cache. hit reports whether the value came
 // from memory.
-func (c *Cache) artifact(l Lang, src string, pick func(*cacheEntry) *artifactSlot, compute func(string) (any, error)) (val any, err error, hit bool) {
+func (c *Cache) artifact(l Lang, src string, pick func(*cacheEntry) *artifactSlot, compute func(*cacheEntry) (any, error)) (val any, err error, hit bool) {
 	lang := l.Name()
 	if len(src) > maxCacheableText {
-		val, err = compute(src)
+		val, err = compute(nil)
 		c.mu.Lock()
 		c.recordLocked(lang, false)
 		c.mu.Unlock()
 		return val, err, false
 	}
 	c.mu.Lock()
-	slot := pick(c.entryLocked(cacheKey{lang, src}))
+	e := c.entryLocked(cacheKey{lang, src})
+	slot := pick(e)
+	val, err, hit = c.await(slot, func() (any, error) { return compute(e) })
+	c.recordLocked(lang, hit)
+	if hit && slot.warm {
+		c.warmHits++
+	}
+	c.mu.Unlock()
+	return val, err, hit
+}
+
+// await returns slot's artifact: from memory when done, computed by
+// this caller as the leader when empty, and after waiting for the
+// leader when one is computing. Callers hold c.mu, and hold it again
+// when await returns; the computation and the wait run outside it. hit
+// reports whether the value came from memory.
+func (c *Cache) await(slot *artifactSlot, compute func() (any, error)) (val any, err error, hit bool) {
 	for {
 		switch slot.state {
 		case slotDone:
-			val, err = slot.val, slot.err
-			c.recordLocked(lang, true)
-			if slot.warm {
-				c.warmHits++
-			}
-			c.mu.Unlock()
-			return val, err, true
+			return slot.val, slot.err, true
 		case slotEmpty:
-			val, err = c.lead(slot, func() (any, error) { return compute(src) }, false)
+			val, err = c.lead(slot, compute, false)
 			c.mu.Lock()
-			c.recordLocked(lang, false)
-			c.mu.Unlock()
 			return val, err, false
 		default: // slotComputing
 			ch := slot.done
@@ -332,11 +347,14 @@ func (c *Cache) tokenize(l Lang, src string) (any, error, bool) {
 	if l == nil {
 		return nil, ErrNoLang, false
 	}
-	return c.artifact(l, src, tokSlot, l.Tokenize)
+	return c.artifact(l, src, tokSlot, func(*cacheEntry) (any, error) { return l.Tokenize(src) })
 }
 
 // Parse returns the (possibly memoized) AST artifact of src under
-// language l. Parse errors are memoized too — a failed candidate
+// language l. The AST is parsed from the text's token slot, so a text
+// that is both tokenized and parsed is lexed once, in whichever order
+// the two are asked for; the token lookup is not counted as a request
+// of its own. Parse errors are memoized too — a failed candidate
 // rejected once by a validity check is never re-parsed. The returned
 // AST is shared: callers must treat it as immutable (every consumer in
 // this codebase walks ASTs read-only).
@@ -349,7 +367,26 @@ func (c *Cache) parse(l Lang, src string) (any, error, bool) {
 	if l == nil {
 		return nil, ErrNoLang, false
 	}
-	return c.artifact(l, src, astSlot, l.Parse)
+	return c.artifact(l, src, astSlot, func(e *cacheEntry) (any, error) { return c.parseEntry(l, src, e) })
+}
+
+// parseEntry parses src from its token artifact, taken from entry e's
+// token slot (computing it when absent, without counting a request) or,
+// for an uncached text (e == nil), lexed directly.
+func (c *Cache) parseEntry(l Lang, src string, e *cacheEntry) (any, error) {
+	var toks any
+	var err error
+	if e == nil {
+		toks, err = l.Tokenize(src)
+	} else {
+		c.mu.Lock()
+		toks, err, _ = c.await(&e.tok, func() (any, error) { return l.Tokenize(src) })
+		c.mu.Unlock()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return l.Parse(src, toks)
 }
 
 // Valid reports whether src parses under language l, through the cache.
@@ -369,8 +406,8 @@ func (c *Cache) Preload(l Lang, text string) bool {
 		return false
 	}
 	key := cacheKey{l.Name(), text}
-	tok := c.preload(key, tokSlot, l.Tokenize)
-	ast := c.preload(key, astSlot, l.Parse)
+	tok := c.preload(key, tokSlot, func(*cacheEntry) (any, error) { return l.Tokenize(text) })
+	ast := c.preload(key, astSlot, func(e *cacheEntry) (any, error) { return c.parseEntry(l, text, e) })
 	if !tok && !ast {
 		return false
 	}
@@ -383,14 +420,15 @@ func (c *Cache) Preload(l Lang, text string) bool {
 // preload derives one artifact of key eagerly and marks it warm. It
 // never overwrites a live or completed computation: if the slot is not
 // empty it is left alone and preload reports false.
-func (c *Cache) preload(key cacheKey, pick func(*cacheEntry) *artifactSlot, compute func(string) (any, error)) bool {
+func (c *Cache) preload(key cacheKey, pick func(*cacheEntry) *artifactSlot, compute func(*cacheEntry) (any, error)) bool {
 	c.mu.Lock()
-	slot := pick(c.entryLocked(key))
+	e := c.entryLocked(key)
+	slot := pick(e)
 	if slot.state != slotEmpty {
 		c.mu.Unlock()
 		return false
 	}
-	c.lead(slot, func() (any, error) { return compute(key.text) }, true)
+	c.lead(slot, func() (any, error) { return compute(e) }, true)
 	return true
 }
 

@@ -98,7 +98,7 @@ type slowLang struct {
 
 func (l *slowLang) Name() string                     { return l.name }
 func (l *slowLang) Tokenize(src string) (any, error) { return src, nil }
-func (l *slowLang) Parse(src string) (any, error) {
+func (l *slowLang) Parse(src string, _ any) (any, error) {
 	l.parses.Add(1)
 	if l.panicIn.Load() > 0 {
 		l.panicIn.Add(-1)

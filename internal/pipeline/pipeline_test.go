@@ -39,7 +39,7 @@ func (l *fakeLang) Tokenize(src string) (any, error) {
 	return strings.Fields(src), nil
 }
 
-func (l *fakeLang) Parse(src string) (any, error) {
+func (l *fakeLang) Parse(src string, _ any) (any, error) {
 	l.parses.Add(1)
 	if strings.Contains(src, "INVALID") {
 		return nil, fmt.Errorf("fakeLang: syntax error in %q", src)

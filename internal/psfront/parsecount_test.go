@@ -9,6 +9,7 @@ import (
 	"github.com/invoke-deobfuscation/invokedeob/internal/core"
 	"github.com/invoke-deobfuscation/invokedeob/internal/corpus"
 	"github.com/invoke-deobfuscation/invokedeob/internal/psparser"
+	"github.com/invoke-deobfuscation/invokedeob/internal/pstoken"
 )
 
 // encodeUTF16LEBase64 encodes a script the way PowerShell's
@@ -77,6 +78,48 @@ func TestParseCountBudget(t *testing.T) {
 	if parses*2 > preRefactorParseCount {
 		t.Errorf("parse count %d is not ≥2× below the pre-refactor engine's %d",
 			parses, preRefactorParseCount)
+	}
+}
+
+// lexBudget is the ceiling on pstoken.Tokenize invocations for one
+// default-options run over threeLayerScript: its number of distinct
+// lexed texts. The parse cache parses each text from its cached token
+// stream, so every text is lexed once; a consumer that lexes a text the
+// cache already holds, or a parse that lexes again, fails this.
+const lexBudget = 9
+
+// corpusLexBudget is the same ceiling summed over the 24-sample corpus
+// of the equivalence suite, one fresh Deobfuscator per script: the
+// number of distinct texts its runs lex. The count includes the
+// sub-texts the parser and the interpreter lex directly (expandable
+// string subexpressions, evaluated snippets).
+const corpusLexBudget = 1541
+
+func TestLexCountBudget(t *testing.T) {
+	script := threeLayerScript()
+	d := core.New(core.Options{Lang: "powershell"})
+	if _, err := d.Deobfuscate(script); err != nil {
+		t.Fatalf("warm-up: %v", err)
+	}
+	before := pstoken.TokenizeCalls()
+	if _, err := d.Deobfuscate(script); err != nil {
+		t.Fatalf("Deobfuscate: %v", err)
+	}
+	if lexes := pstoken.TokenizeCalls() - before; lexes > lexBudget {
+		t.Errorf("threeLayerScript lexed %d times per run, budget %d (one per distinct text)", lexes, lexBudget)
+	}
+
+	var lexes int64
+	for i, s := range corpus.Generate(corpus.Config{Seed: 20220627, N: 24, MaxL3Layers: 3}) {
+		d := core.New(core.Options{Lang: "powershell"})
+		before := pstoken.TokenizeCalls()
+		if _, err := d.Deobfuscate(s.Source); err != nil {
+			t.Fatalf("corpus_%02d: %v", i, err)
+		}
+		lexes += pstoken.TokenizeCalls() - before
+	}
+	if lexes > corpusLexBudget {
+		t.Errorf("the corpus lexed %d times, budget %d (one per distinct text)", lexes, corpusLexBudget)
 	}
 }
 

@@ -44,8 +44,11 @@ func (PS) Name() string { return "powershell" }
 // Tokenize produces the PowerShell token stream ([]pstoken.Token).
 func (PS) Tokenize(src string) (any, error) { return pstoken.Tokenize(src) }
 
-// Parse produces the PowerShell AST (*psast.ScriptBlock).
-func (PS) Parse(src string) (any, error) { return psparser.Parse(src) }
+// Parse produces the PowerShell AST (*psast.ScriptBlock) from src's
+// token stream.
+func (PS) Parse(src string, toks any) (any, error) {
+	return psparser.ParseTokens(src, toks.([]pstoken.Token))
+}
 
 // Evaluate runs a snippet in a fresh bounded interpreter with the given
 // variable preloads.

@@ -37,7 +37,7 @@ func (r *run) reformatPhase(pc *pipeline.PassContext, doc *pipeline.Document) {
 		doc.SetText(pc.ValidOrRevert(view, collapsed, src))
 		return
 	}
-	literal, multiline := literalSpans(toks)
+	literal, multiline := literalSpans(collapsed, toks)
 	indented := reindent(collapsed, literal, multiline)
 	doc.SetText(pc.ValidOrRevert(view, indented, src))
 }
@@ -45,14 +45,15 @@ func (r *run) reformatPhase(pc *pipeline.PassContext, doc *pipeline.Document) {
 // literalSpans returns, in source order, the spans of the string and
 // comment tokens, inside which braces do not nest, and the subset of
 // them spanning lines, whose lines stay verbatim.
-func literalSpans(toks []pstoken.Token) (literal, multiline []span) {
+func literalSpans(src string, toks []pstoken.Token) (literal, multiline []span) {
 	for _, t := range toks {
 		if t.Type != pstoken.String && t.Type != pstoken.Comment {
 			continue
 		}
-		literal = append(literal, span{t.Start, t.End()})
-		if strings.Contains(t.Text, "\n") {
-			multiline = append(multiline, span{t.Start, t.End()})
+		sp := span{int(t.Start), t.End()}
+		literal = append(literal, sp)
+		if strings.Contains(t.Text(src), "\n") {
+			multiline = append(multiline, sp)
 		}
 	}
 	return literal, multiline
@@ -69,7 +70,7 @@ func collapseWhitespace(view *pipeline.View, src string) string {
 	var protected []span
 	for _, t := range toks {
 		if t.Type == pstoken.String || t.Type == pstoken.Comment {
-			protected = append(protected, span{t.Start, t.End()})
+			protected = append(protected, span{int(t.Start), t.End()})
 		}
 	}
 	var sb strings.Builder

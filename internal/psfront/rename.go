@@ -53,8 +53,8 @@ func (r *run) renamePhase(pc *pipeline.PassContext, doc *pipeline.Document) {
 // renameToken returns the rename pass's replacement: variables named in
 // varMap become $var{N}, commands and arguments named in funcMap become
 // func{N}. Both maps are keyed by the lower-cased name.
-func renameToken(varMap, funcMap map[string]string) func(pstoken.Token) (string, bool) {
-	return func(tok pstoken.Token) (string, bool) {
+func renameToken(varMap, funcMap map[string]string) func(pstoken.Token, string) (string, bool) {
+	return func(tok pstoken.Token, _ string) (string, bool) {
 		switch tok.Type {
 		case pstoken.Variable:
 			if repl, ok := varMap[strings.ToLower(tok.Content)]; ok {

@@ -54,11 +54,11 @@ func textPassInputs(t *testing.T) map[string]string {
 // reference for rewriteTokens: each replacement is spliced into the
 // whole text, from the last token to the first so that earlier offsets
 // stay valid.
-func reverseSplice(src string, toks []pstoken.Token, repl func(pstoken.Token) (string, bool)) (string, int) {
+func reverseSplice(src string, toks []pstoken.Token, repl func(pstoken.Token, string) (string, bool)) (string, int) {
 	out, n := src, 0
 	for i := len(toks) - 1; i >= 0; i-- {
 		tok := toks[i]
-		text, ok := repl(tok)
+		text, ok := repl(tok, tok.Text(src))
 		if !ok {
 			continue
 		}
@@ -90,7 +90,7 @@ func TestRewriteTokensMatchesReverseSplice(t *testing.T) {
 		}
 		for _, pass := range []struct {
 			name  string
-			repl  func(pstoken.Token) (string, bool)
+			repl  func(pstoken.Token, string) (string, bool)
 			count *int
 		}{
 			{"token", normalizeToken, &normalized},
@@ -188,7 +188,7 @@ func TestReindentMatchesReference(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		literal, multiline := literalSpans(toks)
+		literal, multiline := literalSpans(collapsed, toks)
 		multilines += len(multiline)
 		got := reindent(collapsed, literal, multiline)
 		if want := referenceReindent(collapsed, literal, multiline); got != want {

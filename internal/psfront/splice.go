@@ -51,8 +51,9 @@ func splice(view *pipeline.View, text string, edits []edit) (string, bool) {
 		prevEnd = e.End
 	}
 
-	// Both artifacts of the old text are already cached (the ast phase
-	// walked the old AST to produce the edits), so these are hits.
+	// The old text's AST is cached (the ast phase walked it to produce
+	// the edits), and the cache parsed it from the text's token stream,
+	// so both lookups are hits.
 	root, err := viewParse(view, text)
 	if err != nil || root.Body == nil {
 		return "", false
@@ -113,12 +114,13 @@ func splice(view *pipeline.View, text string, edits []edit) (string, bool) {
 	}
 	out.WriteString(text[cursor:])
 	newText := out.String()
-	if strings.TrimSpace(newText) == "" {
-		return "", false
+	if strings.TrimSpace(newText) == "" || len(newText) > pstoken.MaxSourceLen {
+		return "", false // empty, or too long for int32 token offsets
 	}
 
 	// Reparse and retokenize each touched statement's new slice. These
-	// are the only parser invocations a successful splice performs; the
+	// are the only parser invocations a successful splice performs, and
+	// each slice is lexed once: the parse fills its token slot. The
 	// slices go through the view so identical replacement texts across
 	// layers or iterations parse once.
 	type slicePart struct {
@@ -180,8 +182,9 @@ func splice(view *pipeline.View, text string, edits []edit) (string, bool) {
 
 	// Synthesize the new token stream: old tokens outside touched
 	// statements shift by the running delta, slice tokens land at their
-	// statement's new start. Line/column are recomputed afterwards in
-	// one linear scan.
+	// statement's new start. Lines are recomputed afterwards in one
+	// linear scan. The tokens are copies: the cached streams they come
+	// from are never modified.
 	newToks := make([]pstoken.Token, 0, len(toks))
 	delta = 0
 	ti := 0
@@ -191,24 +194,24 @@ func splice(view *pipeline.View, text string, edits []edit) (string, bool) {
 			continue
 		}
 		ext := st.Extent()
-		for ti < len(toks) && toks[ti].Start < ext.Start {
+		for ti < len(toks) && int(toks[ti].Start) < ext.Start {
 			t := toks[ti]
-			t.Start += delta
+			t.Start += int32(delta)
 			newToks = append(newToks, t)
 			ti++
 		}
 		for _, t := range part.toks {
-			t.Start += newStart[idx]
+			t.Start += int32(newStart[idx])
 			newToks = append(newToks, t)
 		}
-		for ti < len(toks) && toks[ti].Start < ext.End {
+		for ti < len(toks) && int(toks[ti].Start) < ext.End {
 			ti++ // old tokens of the replaced statement
 		}
 		delta += sliceGrowth(touched[idx])
 	}
 	for ; ti < len(toks); ti++ {
 		t := toks[ti]
-		t.Start += delta
+		t.Start += int32(delta)
 		newToks = append(newToks, t)
 	}
 	recomputeLines(newText, newToks)
@@ -240,14 +243,14 @@ func sliceGrowth(edits []edit) int {
 // crossing the boundary all fail here and fall back to a full reparse.
 func stmtLineIsolated(toks []pstoken.Token, ext psast.Extent) bool {
 	// Binary search for the first token starting at or after ext.Start.
-	lo := sort.Search(len(toks), func(i int) bool { return toks[i].Start >= ext.Start })
+	lo := sort.Search(len(toks), func(i int) bool { return int(toks[i].Start) >= ext.Start })
 	if lo > 0 {
 		prev := toks[lo-1]
 		if prev.End() > ext.Start || prev.Type != pstoken.NewLine {
 			return false
 		}
 	}
-	hi := sort.Search(len(toks), func(i int) bool { return toks[i].Start >= ext.End })
+	hi := sort.Search(len(toks), func(i int) bool { return int(toks[i].Start) >= ext.End })
 	if hi > 0 && toks[hi-1].End() > ext.End {
 		return false
 	}
@@ -257,19 +260,17 @@ func stmtLineIsolated(toks []pstoken.Token, ext psast.Extent) bool {
 	return true
 }
 
-// recomputeLines rewrites every token's Line/Column against text in one
-// linear scan, matching the tokenizer's convention (both 1-based, taken
-// at the token's start byte). Tokens must be sorted by Start.
+// recomputeLines rewrites every token's Line against text in one
+// linear scan, matching the tokenizer's convention (1-based, taken at
+// the token's start byte). Tokens must be sorted by Start.
 func recomputeLines(text string, toks []pstoken.Token) {
-	line, lineStart, pos := 1, 0, 0
+	line, pos := int32(1), 0
 	for i := range toks {
-		for ; pos < toks[i].Start; pos++ {
+		for ; pos < int(toks[i].Start); pos++ {
 			if text[pos] == '\n' {
 				line++
-				lineStart = pos + 1
 			}
 		}
 		toks[i].Line = line
-		toks[i].Column = toks[i].Start - lineStart + 1
 	}
 }

@@ -31,15 +31,16 @@ func (r *run) tokenPhase(pc *pipeline.PassContext, doc *pipeline.Document) {
 
 // rewriteTokens replaces every token for which repl reports true with
 // repl's text and returns the result with the number of tokens
-// replaced. It copies src once, front to back, between the original
-// token offsets. Because pstoken emits tokens in source order and
-// never overlapping, the bytes equal those of splicing each
-// replacement in from the last token to the first.
-func rewriteTokens(src string, toks []pstoken.Token, repl func(pstoken.Token) (string, bool)) (string, int) {
+// replaced; repl gets the token and its source text. It copies src
+// once, front to back, between the original token offsets. Because
+// pstoken emits tokens in source order and never overlapping, the
+// bytes equal those of splicing each replacement in from the last
+// token to the first.
+func rewriteTokens(src string, toks []pstoken.Token, repl func(tok pstoken.Token, text string) (string, bool)) (string, int) {
 	var sb strings.Builder
 	n, copied := 0, 0
 	for _, tok := range toks {
-		text, ok := repl(tok)
+		text, ok := repl(tok, tok.Text(src))
 		if !ok {
 			continue
 		}
@@ -59,19 +60,21 @@ func rewriteTokens(src string, toks []pstoken.Token, repl func(pstoken.Token) (s
 }
 
 // normalizeToken is the token phase's replacement: the canonical text
-// of a token the phase rewrites, when it differs from the source.
-func normalizeToken(tok pstoken.Token) (string, bool) {
-	text, ok := canonicalToken(tok)
-	return text, ok && text != tok.Text
+// of a token the phase rewrites, when it differs from the source text
+// raw.
+func normalizeToken(tok pstoken.Token, raw string) (string, bool) {
+	text, ok := canonicalToken(tok, raw)
+	return text, ok && text != raw
 }
 
 // typeNameArg matches bare-word arguments that are .NET type names
 // (net.webclient), safe to lower-case.
 var typeNameArg = regexp.MustCompile(`^[A-Za-z]+(\.[A-Za-z]+)+$`)
 
-// canonicalToken computes the normalized text for a token, reporting
-// whether the token type is one the phase rewrites.
-func canonicalToken(tok pstoken.Token) (string, bool) {
+// canonicalToken computes the normalized text for a token whose source
+// text is raw, reporting whether the token type is one the phase
+// rewrites.
+func canonicalToken(tok pstoken.Token, raw string) (string, bool) {
 	switch tok.Type {
 	case pstoken.Command:
 		name := tok.Content // ticks already stripped
@@ -82,23 +85,23 @@ func canonicalToken(tok pstoken.Token) (string, bool) {
 	case pstoken.Keyword:
 		return strings.ToLower(tok.Content), true
 	case pstoken.CommandParameter:
-		text := strings.ToLower(pstoken.StripTicks(tok.Text))
+		text := strings.ToLower(pstoken.StripTicks(raw))
 		return text, true
 	case pstoken.Member:
 		return strings.ToLower(tok.Content), true
 	case pstoken.Variable:
-		return canonicalVariableToken(tok), true
+		return canonicalVariableToken(tok, raw), true
 	case pstoken.TypeLiteral:
 		return "[" + strings.ToLower(tok.Content) + "]", true
 	case pstoken.Operator:
 		// Dash operators get canonical lower case; ticked operators are
 		// impossible, so only case changes.
-		if strings.HasPrefix(tok.Text, "-") && len(tok.Text) > 1 {
-			return strings.ToLower(tok.Text), true
+		if strings.HasPrefix(raw, "-") && len(raw) > 1 {
+			return strings.ToLower(raw), true
 		}
-		return tok.Text, true
+		return raw, true
 	case pstoken.CommandArgument:
-		text := tok.Text
+		text := raw
 		if tok.HadTicks {
 			text = pstoken.StripTicks(text)
 		}
@@ -111,18 +114,18 @@ func canonicalToken(tok pstoken.Token) (string, bool) {
 		return text, true
 	case pstoken.String:
 		if tok.Kind == pstoken.DoubleQuoted {
-			return normalizeDoubleQuoted(tok.Text), true
+			return normalizeDoubleQuoted(raw), true
 		}
-		return tok.Text, true
+		return raw, true
 	default:
-		return tok.Text, false
+		return raw, false
 	}
 }
 
-// canonicalVariableToken lower-cases a variable reference while
-// preserving its syntactic form ($name, ${name}, $scope:name).
-func canonicalVariableToken(tok pstoken.Token) string {
-	text := tok.Text
+// canonicalVariableToken lower-cases a variable reference, whose
+// source text is text, while preserving its syntactic form ($name,
+// ${name}, $scope:name).
+func canonicalVariableToken(tok pstoken.Token, text string) string {
 	if strings.HasPrefix(text, "@") {
 		return "@" + strings.ToLower(text[1:])
 	}

@@ -13,13 +13,14 @@ import (
 func (p *parser) parseExpandableString(t pstoken.Token) psast.Node {
 	var body string
 	var bodyStart int
+	raw := p.text(t)
 	if t.Kind == pstoken.DoubleHereString {
-		nl := strings.IndexByte(t.Text, '\n')
+		nl := strings.IndexByte(raw, '\n')
 		body = t.Content
-		bodyStart = t.Start + nl + 1
+		bodyStart = int(t.Start) + nl + 1
 	} else {
-		body = t.Text[1 : len(t.Text)-1]
-		bodyStart = t.Start + 1
+		body = raw[1 : len(raw)-1]
+		bodyStart = int(t.Start) + 1
 	}
 	node := &psast.ExpandableString{Ext: p.tokExt(t), Raw: body}
 	node.Parts = p.scanExpandableParts(body, bodyStart, t.Kind == pstoken.DoubleHereString)

@@ -131,7 +131,7 @@ func (p *parser) parseRange() (psast.Node, error) {
 func (p *parser) parseArray() (psast.Node, error) {
 	// Unary comma builds a one-element array.
 	if p.isOperator(",") {
-		start := p.cur().Start
+		start := int(p.cur().Start)
 		p.advance()
 		p.skipNewlines()
 		elem, err := p.parseUnary()
@@ -182,7 +182,7 @@ func (p *parser) parseUnary() (psast.Node, error) {
 			return nil, err
 		}
 		return &psast.UnaryExpression{
-			Ext:      psast.Extent{Start: t.Start + p.offset, End: operand.Extent().End},
+			Ext:      psast.Extent{Start: int(t.Start) + p.offset, End: operand.Extent().End},
 			Operator: strings.ToLower(t.Content),
 			Operand:  operand,
 		}, nil
@@ -201,7 +201,7 @@ func (p *parser) parseUnary() (psast.Node, error) {
 				return nil, err
 			}
 			return &psast.ConvertExpression{
-				Ext:      psast.Extent{Start: t.Start + p.offset, End: operand.Extent().End},
+				Ext:      psast.Extent{Start: int(t.Start) + p.offset, End: operand.Extent().End},
 				TypeName: t.Content,
 				Operand:  operand,
 			}, nil
@@ -247,7 +247,7 @@ func (p *parser) parsePostfixFrom(base psast.Node) (psast.Node, error) {
 				return nil, err
 			}
 			// Attached ( begins a method invocation.
-			if p.isGroupStart("(") && p.cur().Start == memberEnd(member)-p.offset {
+			if p.isGroupStart("(") && int(p.cur().Start) == memberEnd(member)-p.offset {
 				p.advance()
 				args, err := p.parseInvocationArgs()
 				if err != nil {
@@ -288,7 +288,7 @@ func (p *parser) parsePostfixFrom(base psast.Node) (psast.Node, error) {
 				Target: base,
 				Index:  idx,
 			}
-		case t.Type == pstoken.GroupStart && t.Content == "(" && base.Kind() == psast.KindMemberExpression && t.Start+p.offset == base.Extent().End:
+		case t.Type == pstoken.GroupStart && t.Content == "(" && base.Kind() == psast.KindMemberExpression && int(t.Start)+p.offset == base.Extent().End:
 			// Method call written with whitespace elsewhere collapsed:
 			// target.member(...) parsed as member then invocation.
 			me := base.(*psast.MemberExpression)
@@ -343,7 +343,7 @@ func (p *parser) parseMemberName() (psast.Node, error) {
 			return p.parsePrimary()
 		}
 	}
-	return nil, p.errorf("expected member name, found %q", t.Text)
+	return nil, p.errorf("expected member name, found %q", p.text(t))
 }
 
 // parseInvocationArgs parses a comma-separated method argument list.
@@ -456,7 +456,7 @@ func (p *parser) parsePrimary() (psast.Node, error) {
 	case pstoken.GroupStart:
 		switch t.Content {
 		case "(":
-			start := t.Start
+			start := int(t.Start)
 			p.advance()
 			p.skipSeparators()
 			inner, err := p.parsePipelineStatement()
@@ -469,7 +469,7 @@ func (p *parser) parsePrimary() (psast.Node, error) {
 			}
 			return &psast.ParenExpression{Ext: p.ext(start, end.End()), Pipeline: inner}, nil
 		case "$(":
-			start := t.Start
+			start := int(t.Start)
 			p.advance()
 			stmts, err := p.parseStatementList()
 			if err != nil {
@@ -481,7 +481,7 @@ func (p *parser) parsePrimary() (psast.Node, error) {
 			}
 			return &psast.SubExpression{Ext: p.ext(start, end.End()), Statements: stmts}, nil
 		case "@(":
-			start := t.Start
+			start := int(t.Start)
 			p.advance()
 			stmts, err := p.parseStatementList()
 			if err != nil {
@@ -495,7 +495,7 @@ func (p *parser) parsePrimary() (psast.Node, error) {
 		case "@{":
 			return p.parseHashtable()
 		case "{":
-			start := t.Start
+			start := int(t.Start)
 			p.advance()
 			inner, err := p.parseScriptBody(start+1, 0)
 			if err != nil {
@@ -507,22 +507,22 @@ func (p *parser) parsePrimary() (psast.Node, error) {
 			}
 			inner.Ext = p.ext(start, end.End())
 			if inner.Body != nil {
-				inner.Body.Ext = p.ext(start+1, end.Start)
+				inner.Body.Ext = p.ext(start+1, int(end.Start))
 			}
 			return &psast.ScriptBlockExpression{
 				Ext:    p.ext(start, end.End()),
 				Body:   inner,
-				Source: p.src[start+1 : end.Start],
+				Source: p.src[start+1 : int(end.Start)],
 			}, nil
 		}
-		return nil, p.errorf("unexpected group %q", t.Text)
+		return nil, p.errorf("unexpected group %q", p.text(t))
 	}
-	return nil, p.errorf("unexpected token %q in expression", t.Text)
+	return nil, p.errorf("unexpected token %q in expression", p.text(t))
 }
 
 // parseHashtable parses @{ key = value ; ... }.
 func (p *parser) parseHashtable() (psast.Node, error) {
-	start := p.cur().Start
+	start := int(p.cur().Start)
 	p.advance() // @{
 	node := &psast.Hashtable{}
 	for {
@@ -550,11 +550,11 @@ func (p *parser) parseHashtable() (psast.Node, error) {
 			p.advance()
 			key = &psast.VariableExpression{Ext: p.tokExt(t), Name: t.Content}
 		default:
-			return nil, p.errorf("unexpected hashtable key %q", t.Text)
+			return nil, p.errorf("unexpected hashtable key %q", p.text(t))
 		}
 		p.skipNewlines()
 		if !p.isOperator("=") {
-			return nil, p.errorf("expected = in hashtable, found %q", p.cur().Text)
+			return nil, p.errorf("expected = in hashtable, found %q", p.text(p.cur()))
 		}
 		p.advance()
 		p.skipNewlines()

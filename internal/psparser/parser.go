@@ -7,6 +7,7 @@ package psparser
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -15,15 +16,16 @@ import (
 	"github.com/invoke-deobfuscation/invokedeob/internal/pstoken"
 )
 
-// parseCalls counts top-level Parse invocations since process start.
-// It is cheap instrumentation (one atomic add per call) that lets the
-// parse-amortization regression tests and the pipeline trace assert how
-// many full parses a deobfuscation run actually performs.
+// parseCalls counts top-level Parse and ParseTokens invocations since
+// process start. It is cheap instrumentation (one atomic add per call)
+// that lets the parse-amortization regression tests and the pipeline
+// trace assert how many full parses a deobfuscation run actually
+// performs.
 var parseCalls atomic.Int64
 
-// ParseCalls returns the number of Parse invocations performed by this
-// process so far. Deltas around a region of work measure its parse
-// cost.
+// ParseCalls returns the number of Parse and ParseTokens invocations
+// performed by this process so far. Deltas around a region of work
+// measure its parse cost.
 func ParseCalls() int64 { return parseCalls.Load() }
 
 // SyntaxError reports a parse failure at a source offset.
@@ -70,7 +72,7 @@ func (p *parser) enter() error {
 	if p.depth > maxParseDepth {
 		pos := p.offset
 		if p.pos < len(p.toks) {
-			pos += p.toks[p.pos].Start
+			pos += int(p.toks[p.pos].Start)
 		} else {
 			pos += len(p.src)
 		}
@@ -89,6 +91,17 @@ func Parse(src string) (sb *psast.ScriptBlock, err error) {
 	return parseAt(src, 0, 0)
 }
 
+// ParseTokens parses a complete PowerShell script from the token
+// stream pstoken.Tokenize returned for it without error, so a caller
+// that already holds the tokens does not lex src again. The result
+// equals Parse(src). toks is only read, never modified, so a cached
+// stream may be passed.
+func ParseTokens(src string, toks []pstoken.Token) (sb *psast.ScriptBlock, err error) {
+	defer limits.Recover("psparser.ParseTokens", &err)
+	parseCalls.Add(1)
+	return parseTokensAt(src, toks, 0, 0)
+}
+
 // parseAt parses src whose first byte sits at absolute offset off in the
 // enclosing script, so extents remain absolute. depth seeds the recursion
 // counter so sub-parses (expandable-string subexpressions) inherit the
@@ -98,28 +111,41 @@ func parseAt(src string, off, depth int) (*psast.ScriptBlock, error) {
 	if err != nil {
 		return nil, err
 	}
-	kept := make([]pstoken.Token, 0, len(toks))
-	for _, t := range toks {
-		if t.Type == pstoken.Comment || t.Type == pstoken.LineContinuation {
-			continue
-		}
-		kept = append(kept, t)
-	}
-	p := &parser{src: src, offset: off, toks: kept, depth: depth}
+	return parseTokensAt(src, toks, off, depth)
+}
+
+// parseTokensAt is parseAt over an already lexed src.
+func parseTokensAt(src string, toks []pstoken.Token, off, depth int) (*psast.ScriptBlock, error) {
+	p := &parser{src: src, offset: off, toks: significant(toks), depth: depth}
 	sb, err := p.parseScriptBody(0, len(src))
 	if err != nil {
 		return nil, err
 	}
 	if !p.atEnd() {
-		return nil, p.errorf("unexpected token %q", p.cur().Text)
+		return nil, p.errorf("unexpected token %q", p.text(p.cur()))
 	}
 	return sb, nil
+}
+
+// significant returns toks without the comment and line-continuation
+// tokens, which the grammar never reads. It copies only when there is
+// something to drop, and never filters in place: toks may be a cached
+// stream shared with other readers.
+func significant(toks []pstoken.Token) []pstoken.Token {
+	if !slices.ContainsFunc(toks, insignificant) {
+		return toks
+	}
+	return slices.DeleteFunc(slices.Clone(toks), insignificant)
+}
+
+func insignificant(t pstoken.Token) bool {
+	return t.Type == pstoken.Comment || t.Type == pstoken.LineContinuation
 }
 
 func (p *parser) errorf(format string, args ...any) error {
 	pos := p.offset
 	if p.pos < len(p.toks) {
-		pos += p.toks[p.pos].Start
+		pos += int(p.toks[p.pos].Start)
 	} else {
 		pos += len(p.src)
 	}
@@ -130,17 +156,20 @@ func (p *parser) atEnd() bool { return p.pos >= len(p.toks) }
 
 func (p *parser) cur() pstoken.Token {
 	if p.atEnd() {
-		return pstoken.Token{Type: pstoken.Unknown, Start: len(p.src)}
+		return pstoken.Token{Type: pstoken.Unknown, Start: int32(len(p.src))}
 	}
 	return p.toks[p.pos]
 }
 
 func (p *parser) peek(n int) pstoken.Token {
 	if p.pos+n >= len(p.toks) {
-		return pstoken.Token{Type: pstoken.Unknown, Start: len(p.src)}
+		return pstoken.Token{Type: pstoken.Unknown, Start: int32(len(p.src))}
 	}
 	return p.toks[p.pos+n]
 }
+
+// text returns a token's raw source text.
+func (p *parser) text(t pstoken.Token) string { return t.Text(p.src) }
 
 func (p *parser) advance() pstoken.Token {
 	t := p.cur()
@@ -156,7 +185,7 @@ func (p *parser) ext(start, end int) psast.Extent {
 }
 
 func (p *parser) tokExt(t pstoken.Token) psast.Extent {
-	return p.ext(t.Start, t.End())
+	return p.ext(int(t.Start), t.End())
 }
 
 // skipSeparators consumes newlines and semicolons.
@@ -201,7 +230,7 @@ func (p *parser) isKeyword(word string) bool {
 func (p *parser) expectGroupEnd(text string) (pstoken.Token, error) {
 	p.skipNewlines()
 	if !p.isGroupEnd(text) {
-		return pstoken.Token{}, p.errorf("expected %q, found %q", text, p.cur().Text)
+		return pstoken.Token{}, p.errorf("expected %q, found %q", text, p.text(p.cur()))
 	}
 	return p.advance(), nil
 }
@@ -301,7 +330,7 @@ func (p *parser) parseStatement() (psast.Node, error) {
 }
 
 func (p *parser) parseParamBlock() (*psast.ParamBlock, error) {
-	start := p.cur().Start
+	start := int(p.cur().Start)
 	p.advance() // param
 	p.skipNewlines()
 	if !p.isGroupStart("(") {
@@ -335,7 +364,7 @@ func (p *parser) parseParameterList() ([]*psast.Parameter, error) {
 		}
 		t := p.cur()
 		if t.Type != pstoken.Variable {
-			return nil, p.errorf("expected parameter variable, found %q", t.Text)
+			return nil, p.errorf("expected parameter variable, found %q", p.text(t))
 		}
 		p.advance()
 		param := &psast.Parameter{Ext: p.tokExt(t), Name: t.Content}
@@ -364,9 +393,9 @@ func (p *parser) parseParameterList() ([]*psast.Parameter, error) {
 func (p *parser) parseBlock() (*psast.StatementBlock, error) {
 	p.skipNewlines()
 	if !p.isGroupStart("{") {
-		return nil, p.errorf("expected {, found %q", p.cur().Text)
+		return nil, p.errorf("expected {, found %q", p.text(p.cur()))
 	}
-	start := p.cur().Start
+	start := int(p.cur().Start)
 	p.advance()
 	stmts, err := p.parseStatementList()
 	if err != nil {
@@ -383,7 +412,7 @@ func (p *parser) parseBlock() (*psast.StatementBlock, error) {
 func (p *parser) parseParenPipeline() (psast.Node, error) {
 	p.skipNewlines()
 	if !p.isGroupStart("(") {
-		return nil, p.errorf("expected (, found %q", p.cur().Text)
+		return nil, p.errorf("expected (, found %q", p.text(p.cur()))
 	}
 	p.advance()
 	p.skipSeparators()
@@ -398,7 +427,7 @@ func (p *parser) parseParenPipeline() (psast.Node, error) {
 }
 
 func (p *parser) parseIf() (psast.Node, error) {
-	start := p.cur().Start
+	start := int(p.cur().Start)
 	node := &psast.If{}
 	for {
 		p.advance() // if / elseif
@@ -435,7 +464,7 @@ func (p *parser) parseIf() (psast.Node, error) {
 }
 
 func (p *parser) parseWhile() (psast.Node, error) {
-	start := p.cur().Start
+	start := int(p.cur().Start)
 	p.advance()
 	cond, err := p.parseParenPipeline()
 	if err != nil {
@@ -449,7 +478,7 @@ func (p *parser) parseWhile() (psast.Node, error) {
 }
 
 func (p *parser) parseDo() (psast.Node, error) {
-	start := p.cur().Start
+	start := int(p.cur().Start)
 	p.advance()
 	body, err := p.parseBlock()
 	if err != nil {
@@ -477,7 +506,7 @@ func (p *parser) parseDo() (psast.Node, error) {
 }
 
 func (p *parser) parseFor() (psast.Node, error) {
-	start := p.cur().Start
+	start := int(p.cur().Start)
 	p.advance()
 	p.skipNewlines()
 	if !p.isGroupStart("(") {
@@ -521,7 +550,7 @@ func (p *parser) parseFor() (psast.Node, error) {
 }
 
 func (p *parser) parseForEach() (psast.Node, error) {
-	start := p.cur().Start
+	start := int(p.cur().Start)
 	p.advance()
 	p.skipNewlines()
 	if !p.isGroupStart("(") {
@@ -531,12 +560,12 @@ func (p *parser) parseForEach() (psast.Node, error) {
 	p.skipNewlines()
 	vt := p.cur()
 	if vt.Type != pstoken.Variable {
-		return nil, p.errorf("expected loop variable, found %q", vt.Text)
+		return nil, p.errorf("expected loop variable, found %q", p.text(vt))
 	}
 	p.advance()
 	p.skipNewlines()
 	if !p.isKeyword("in") {
-		return nil, p.errorf("expected in, found %q", p.cur().Text)
+		return nil, p.errorf("expected in, found %q", p.text(p.cur()))
 	}
 	p.advance()
 	coll, err := p.parseExpression()
@@ -559,7 +588,7 @@ func (p *parser) parseForEach() (psast.Node, error) {
 }
 
 func (p *parser) parseSwitch() (psast.Node, error) {
-	start := p.cur().Start
+	start := int(p.cur().Start)
 	p.advance()
 	p.skipNewlines()
 	// Skip flags like -regex, -wildcard.
@@ -618,13 +647,13 @@ func (p *parser) parseSwitch() (psast.Node, error) {
 }
 
 func (p *parser) parseFunction() (psast.Node, error) {
-	start := p.cur().Start
+	start := int(p.cur().Start)
 	isFilter := strings.EqualFold(p.cur().Content, "filter")
 	p.advance()
 	p.skipNewlines()
 	nameTok := p.cur()
 	if nameTok.Type != pstoken.CommandArgument && nameTok.Type != pstoken.Command {
-		return nil, p.errorf("expected function name, found %q", nameTok.Text)
+		return nil, p.errorf("expected function name, found %q", p.text(nameTok))
 	}
 	p.advance()
 	node := &psast.FunctionDefinition{Name: nameTok.Content, IsFilter: isFilter}
@@ -644,7 +673,7 @@ func (p *parser) parseFunction() (psast.Node, error) {
 	if !p.isGroupStart("{") {
 		return nil, p.errorf("expected { in function definition")
 	}
-	bodyStart := p.cur().Start
+	bodyStart := int(p.cur().Start)
 	p.advance()
 	inner, err := p.parseScriptBody(bodyStart+1, 0)
 	if err != nil {
@@ -656,7 +685,7 @@ func (p *parser) parseFunction() (psast.Node, error) {
 	}
 	inner.Ext = p.ext(bodyStart, end.End())
 	if inner.Body != nil {
-		inner.Body.Ext = p.ext(bodyStart+1, end.Start)
+		inner.Body.Ext = p.ext(bodyStart+1, int(end.Start))
 	}
 	node.Body = inner
 	node.Ext = p.ext(start, end.End())
@@ -664,7 +693,7 @@ func (p *parser) parseFunction() (psast.Node, error) {
 }
 
 func (p *parser) parseTry() (psast.Node, error) {
-	start := p.cur().Start
+	start := int(p.cur().Start)
 	p.advance()
 	body, err := p.parseBlock()
 	if err != nil {
@@ -676,7 +705,7 @@ func (p *parser) parseTry() (psast.Node, error) {
 		save := p.pos
 		p.skipNewlines()
 		if p.isKeyword("catch") {
-			cstart := p.cur().Start
+			cstart := int(p.cur().Start)
 			p.advance()
 			p.skipNewlines()
 			var types []string
@@ -722,7 +751,7 @@ func (p *parser) parseTry() (psast.Node, error) {
 }
 
 func (p *parser) parseTrap() (psast.Node, error) {
-	start := p.cur().Start
+	start := int(p.cur().Start)
 	p.advance()
 	p.skipNewlines()
 	if p.cur().Type == pstoken.TypeLiteral {
@@ -828,7 +857,7 @@ func assignmentTarget(n psast.Node) psast.Node {
 
 // parsePipeline parses element (| element)*.
 func (p *parser) parsePipeline() (psast.Node, error) {
-	start := p.cur().Start
+	start := int(p.cur().Start)
 	elem, err := p.parsePipelineElement()
 	if err != nil {
 		return nil, err
@@ -882,9 +911,9 @@ func (p *parser) parsePipelineElement() (psast.Node, error) {
 
 // parseCommand parses a command invocation. invOp is "", "&" or ".".
 func (p *parser) parseCommand(invOp string) (psast.Node, error) {
-	start := p.cur().Start
+	start := int(p.cur().Start)
 	if invOp != "" && p.pos > 0 {
-		start = p.toks[p.pos-1].Start
+		start = int(p.toks[p.pos-1].Start)
 	}
 	cmd := &psast.Command{InvocationOperator: invOp}
 	// Command name.
@@ -901,7 +930,7 @@ func (p *parser) parseCommand(invOp string) (psast.Node, error) {
 		cmd.Name = &psast.VariableExpression{Ext: p.tokExt(t), Name: t.Content}
 	case pstoken.GroupStart:
 		if t.Content != "(" && t.Content != "$(" && t.Content != "{" {
-			return nil, p.errorf("unexpected %q as command name", t.Text)
+			return nil, p.errorf("unexpected %q as command name", p.text(t))
 		}
 		name, err := p.parsePrimary()
 		if err != nil {
@@ -909,7 +938,7 @@ func (p *parser) parseCommand(invOp string) (psast.Node, error) {
 		}
 		cmd.Name = name
 	default:
-		return nil, p.errorf("expected command name, found %q", t.Text)
+		return nil, p.errorf("expected command name, found %q", p.text(t))
 	}
 	end := cmd.Name.Extent().End
 	// Arguments.
@@ -929,7 +958,7 @@ func (p *parser) parseCommand(invOp string) (psast.Node, error) {
 				p.skipNewlines()
 				target := p.cur()
 				p.advance()
-				cmd.Redirections = append(cmd.Redirections, t.Content+" "+target.Text)
+				cmd.Redirections = append(cmd.Redirections, t.Content+" "+p.text(target))
 				end = target.End() + p.offset
 				continue
 			case ",":
@@ -964,7 +993,7 @@ func (p *parser) parseCommand(invOp string) (psast.Node, error) {
 		case pstoken.CommandParameter:
 			p.advance()
 			cp := &psast.CommandParameter{Ext: p.tokExt(t), Name: t.Content}
-			if strings.HasSuffix(t.Text, ":") {
+			if strings.HasSuffix(p.text(t), ":") {
 				arg, err := p.parseCommandArgument()
 				if err != nil {
 					return nil, err
@@ -1016,14 +1045,14 @@ func (p *parser) parseCommandArgument() (psast.Node, error) {
 		}
 		return p.parsePostfixFrom(prim)
 	default:
-		return nil, p.errorf("unexpected token %q in command arguments", t.Text)
+		return nil, p.errorf("unexpected token %q in command arguments", p.text(t))
 	}
 	return base, nil
 }
 
 func (p *parser) stringNode(t pstoken.Token) psast.Node {
 	expandable := (t.Kind == pstoken.DoubleQuoted || t.Kind == pstoken.DoubleHereString) &&
-		strings.ContainsRune(t.Text, '$')
+		strings.ContainsRune(p.text(t), '$')
 	if !expandable {
 		return &psast.StringConstant{
 			Ext:          p.tokExt(t),

@@ -1,13 +1,23 @@
 package pstoken
 
-import "testing"
+import (
+	"errors"
+	"runtime"
+	"strconv"
+	"strings"
+	"testing"
+	"unsafe"
+
+	"github.com/invoke-deobfuscation/invokedeob/internal/limits"
+)
 
 func TestSplattingAndLabels(t *testing.T) {
-	toks, err := Tokenize("f @args")
+	const src = "f @args"
+	toks, err := Tokenize(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if toks[1].Type != Variable || toks[1].Content != "args" || toks[1].Text != "@args" {
+	if toks[1].Type != Variable || toks[1].Content != "args" || toks[1].Text(src) != "@args" {
 		t.Errorf("splat token = %+v", toks[1])
 	}
 	toks, err = Tokenize(":outer while ($x) { break outer }")
@@ -91,5 +101,52 @@ func TestErrorMessage(t *testing.T) {
 	}
 	if e, ok := err.(*Error); !ok || e.Line != 1 {
 		t.Errorf("error = %#v", err)
+	}
+}
+
+// TestTokenSize pins the token layout. Token streams are the engine's
+// largest allocation, and cached streams live as long as their text.
+func TestTokenSize(t *testing.T) {
+	if size := unsafe.Sizeof(Token{}); size > 40 {
+		t.Errorf("pstoken.Token is %d bytes, want at most 40", size)
+	}
+}
+
+// TestTokenizeLiteralAllocation checks that a long literal costs one
+// token, not slots sized by its bytes: tokenizing a quoted 64 KiB
+// base64 blob must allocate less than 16 KiB.
+func TestTokenizeLiteralAllocation(t *testing.T) {
+	src := "'" + strings.Repeat("QUJDRA==", 64<<10/8) + "'"
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		toks, err := Tokenize(src)
+		if err != nil || len(toks) != 1 || toks[0].Type != String {
+			t.Fatalf("Tokenize = %v, %v; want one string token", toks, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun >= 16<<10 {
+		t.Errorf("tokenizing a %d-byte literal allocated %d bytes per run, want under 16 KiB", len(src), perRun)
+	}
+}
+
+// TestSourceSizeLimit checks the int32 offset guard: a source of 2 GiB
+// or more is refused with a typed error rather than lexed into wrapping
+// offsets. (The guard is tested on the length alone; no 2 GiB string is
+// built.)
+func TestSourceSizeLimit(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("int cannot hold a length past the limit")
+	}
+	if err := checkSize(MaxSourceLen); err != nil {
+		t.Errorf("checkSize(MaxSourceLen) = %v, want nil", err)
+	}
+	n := MaxSourceLen
+	n++
+	err := checkSize(n)
+	if err == nil || !errors.Is(error(err), limits.ErrInputBudget) {
+		t.Errorf("checkSize(%d) = %v, want an error unwrapping to limits.ErrInputBudget", n, err)
 	}
 }

@@ -8,14 +8,10 @@
 // aliases, random whitespace) can be recovered and replaced in place.
 package pstoken
 
-import (
-	"fmt"
-
-	"github.com/invoke-deobfuscation/invokedeob/internal/limits"
-)
+import "fmt"
 
 // Type classifies a token, mirroring PSTokenType.
-type Type int
+type Type uint8
 
 // Token types, mirroring System.Management.Automation.PSTokenType.
 const (
@@ -87,7 +83,7 @@ func (t Type) String() string {
 }
 
 // StringKind describes the flavor of a String token.
-type StringKind int
+type StringKind uint8
 
 // String token flavors.
 const (
@@ -103,24 +99,25 @@ const (
 	DoubleHereString
 )
 
-// Token is a single lexical unit with its exact source extent.
+// Token is a single lexical unit with its exact source extent. It is
+// 32 bytes: the raw text is not stored but sliced from the source on
+// demand (Text), offsets are int32 (Tokenize rejects sources of 2 GiB
+// or more) and the classifications are bytes. Token streams are the
+// largest allocation of a deobfuscation run, and cached streams live
+// as long as their text does.
 type Token struct {
-	// Type is the PSTokenType-style classification.
-	Type Type
 	// Content is the decoded content: escapes resolved for strings,
 	// backticks stripped from bare words, brackets stripped from type
 	// literals, $ stripped from variables.
 	Content string
-	// Text is the raw source text of the token.
-	Text string
 	// Start is the byte offset of the token in the source.
-	Start int
+	Start int32
 	// Length is the byte length of the raw token text.
-	Length int
+	Length int32
 	// Line is the 1-based line number of the token start.
-	Line int
-	// Column is the 1-based byte column of the token start.
-	Column int
+	Line int32
+	// Type is the PSTokenType-style classification.
+	Type Type
 	// Kind differentiates string flavors (only meaningful for String
 	// and CommandArgument/Command tokens derived from bare words).
 	Kind StringKind
@@ -130,7 +127,11 @@ type Token struct {
 }
 
 // End returns the byte offset one past the token.
-func (t Token) End() int { return t.Start + t.Length }
+func (t Token) End() int { return int(t.Start) + int(t.Length) }
+
+// Text returns the raw source text of the token. src must be the text
+// the token was lexed from.
+func (t Token) Text(src string) string { return src[t.Start:t.End()] }
 
 func (t Token) String() string {
 	return fmt.Sprintf("%s(%q@%d)", t.Type, t.Content, t.Start)
@@ -141,19 +142,16 @@ type Error struct {
 	Pos  int
 	Line int
 	Msg  string
-	// Depth marks errors caused by the group-nesting limit; such errors
-	// unwrap to limits.ErrParseDepth.
-	Depth bool
+	// Limit, when set, is the taxonomy sentinel of the resource limit
+	// that stopped the lexer (limits.ErrParseDepth for group nesting,
+	// limits.ErrInputBudget for a source too large for int32 offsets);
+	// the error unwraps to it.
+	Limit error
 }
 
 func (e *Error) Error() string {
 	return fmt.Sprintf("line %d (offset %d): %s", e.Line, e.Pos, e.Msg)
 }
 
-// Unwrap exposes the taxonomy sentinel for depth-limit failures.
-func (e *Error) Unwrap() error {
-	if e.Depth {
-		return limits.ErrParseDepth
-	}
-	return nil
-}
+// Unwrap exposes the taxonomy sentinel for limit failures.
+func (e *Error) Unwrap() error { return e.Limit }

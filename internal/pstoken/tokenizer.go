@@ -1,7 +1,11 @@
 package pstoken
 
 import (
+	"fmt"
+	"math"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"unicode/utf8"
 
 	"github.com/invoke-deobfuscation/invokedeob/internal/limits"
@@ -57,7 +61,6 @@ type lexer struct {
 	src       string
 	pos       int
 	line      int
-	lineStart int
 	toks      []Token
 	state     lexState
 	stack     []frame
@@ -67,25 +70,87 @@ type lexer struct {
 	err       *Error
 }
 
+// MaxSourceLen is the largest source Tokenize accepts: token offsets
+// are int32. Larger sources fail with an *Error that unwraps to
+// limits.ErrInputBudget.
+const MaxSourceLen = math.MaxInt32
+
+// maxFreeLen caps the capacity a recycled lexer keeps of its token and
+// group-stack buffers (1 MiB of tokens), so one huge or deeply nested
+// script does not pin its scratch for the life of the process.
+const maxFreeLen = 1 << 15
+
+// freeLexers holds lexers for reuse, at most one per processor (and at
+// most eight). Tokens are lexed into a recycled lexer's scratch slice
+// and copied out at their exact count, so a returned stream carries no
+// spare capacity however the source's bytes split into tokens: a
+// base64 blob is one token, whatever its length. Unlike a sync.Pool,
+// the list survives garbage collection, so what a Tokenize call
+// allocates does not depend on when the collector last ran.
+var freeLexers = make(chan *lexer, min(runtime.GOMAXPROCS(0), 8))
+
+// tokenizeCalls counts Tokenize invocations since process start, the
+// lexing twin of psparser.ParseCalls.
+var tokenizeCalls atomic.Int64
+
+// TokenizeCalls returns the number of Tokenize invocations performed by
+// this process so far. Deltas around a region of work measure how many
+// times it lexed.
+func TokenizeCalls() int64 { return tokenizeCalls.Load() }
+
 // Tokenize splits a PowerShell script into tokens. On a lexical error it
 // returns the tokens recognized so far together with the error. Internal
 // panics are converted to a *limits.PanicError rather than crashing the
 // caller.
 func Tokenize(src string) (toks []Token, err error) {
 	defer limits.Recover("pstoken.Tokenize", &err)
-	l := &lexer{src: src, line: 1, state: sStmtStart, lastEnd: -1}
-	// Pre-size the token slice from the source length. PowerShell
-	// averages roughly six source bytes per token; starting near that
-	// estimate turns the append-growth cascade (the dominant
-	// allocation in tokenization) into at most one or two regrowths.
-	if est := len(src)/6 + 8; est > 16 {
-		l.toks = make([]Token, 0, est)
+	tokenizeCalls.Add(1)
+	if err := checkSize(len(src)); err != nil {
+		return nil, err
 	}
+	var l *lexer
+	select {
+	case l = <-freeLexers:
+	default:
+		l = new(lexer)
+	}
+	*l = lexer{src: src, line: 1, state: sStmtStart, lastEnd: -1, toks: l.toks[:0], stack: l.stack[:0]}
 	l.run()
-	if l.err != nil {
-		return l.toks, l.err
+	if len(l.toks) > 0 {
+		toks = make([]Token, len(l.toks))
+		copy(toks, l.toks)
 	}
-	return l.toks, nil
+	lexErr := l.err
+	l.release()
+	if lexErr != nil {
+		return toks, lexErr
+	}
+	return toks, nil
+}
+
+// checkSize rejects a source whose offsets would not fit a Token.
+func checkSize(n int) *Error {
+	if n <= MaxSourceLen {
+		return nil
+	}
+	return &Error{Pos: 0, Line: 1, Msg: fmt.Sprintf("source of %d bytes exceeds the %d-byte lexer limit", n, MaxSourceLen), Limit: limits.ErrInputBudget}
+}
+
+// release returns the lexer to the free list, dropping its references
+// to the source and to token contents.
+func (l *lexer) release() {
+	clear(l.toks)
+	if cap(l.toks) > maxFreeLen {
+		l.toks = nil
+	}
+	if cap(l.stack) > maxFreeLen {
+		l.stack = nil
+	}
+	*l = lexer{toks: l.toks[:0], stack: l.stack[:0]}
+	select {
+	case freeLexers <- l:
+	default:
+	}
 }
 
 func (l *lexer) fail(pos int, msg string) {
@@ -127,18 +192,15 @@ func (l *lexer) emit(t Type, start int, content string) {
 }
 
 func (l *lexer) emitKind(t Type, start int, content string, kind StringKind, hadTicks bool) {
-	tok := Token{
-		Type:     t,
+	l.toks = append(l.toks, Token{
 		Content:  content,
-		Text:     l.src[start:l.pos],
-		Start:    start,
-		Length:   l.pos - start,
-		Line:     l.line,
-		Column:   start - l.lineStart + 1,
+		Start:    int32(start),
+		Length:   int32(l.pos - start),
+		Line:     int32(l.line),
+		Type:     t,
 		Kind:     kind,
 		HadTicks: hadTicks,
-	}
-	l.toks = append(l.toks, tok)
+	})
 	if t != Comment && t != NewLine && t != LineContinuation {
 		l.lastEnd = l.pos
 		l.lastType = t
@@ -147,10 +209,7 @@ func (l *lexer) emitKind(t Type, start int, content string, kind StringKind, had
 		}
 	}
 	// Keep line counting correct for multi-line tokens.
-	if nl := strings.Count(tok.Text, "\n"); nl > 0 {
-		l.line += nl
-		l.lineStart = start + strings.LastIndexByte(tok.Text, '\n') + 1
-	}
+	l.line += strings.Count(l.src[start:l.pos], "\n")
 }
 
 // attached reports whether the current position immediately follows the
@@ -180,7 +239,7 @@ func (l *lexer) afterSeparator() lexState {
 func (l *lexer) pushGroup(kind containerKind, start int, text string, inner lexState) {
 	if len(l.stack) >= maxGroupDepth {
 		if l.err == nil {
-			l.err = &Error{Pos: start, Line: l.line, Msg: "group nesting depth limit exceeded", Depth: true}
+			l.err = &Error{Pos: start, Line: l.line, Msg: "group nesting depth limit exceeded", Limit: limits.ErrParseDepth}
 		}
 		l.pos = len(l.src)
 		return

@@ -27,7 +27,7 @@ func TestSmokeDump(t *testing.T) {
 		}
 		t.Logf("INPUT %q", in)
 		for _, tok := range toks {
-			t.Logf("   %-18s %q", tok.Type, tok.Text)
+			t.Logf("   %-18s %q", tok.Type, tok.Text(in))
 		}
 	}
 }

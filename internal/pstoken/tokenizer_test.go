@@ -50,7 +50,8 @@ func TestTokenizeCommands(t *testing.T) {
 }
 
 func TestTokenizeTicking(t *testing.T) {
-	toks, err := Tokenize("i`e`x 'hi'")
+	const src = "i`e`x 'hi'"
+	toks, err := Tokenize(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +61,8 @@ func TestTokenizeTicking(t *testing.T) {
 	if !toks[0].HadTicks {
 		t.Error("HadTicks not set")
 	}
-	if toks[0].Text != "i`e`x" {
-		t.Errorf("raw text = %q", toks[0].Text)
+	if toks[0].Text(src) != "i`e`x" {
+		t.Errorf("raw text = %q", toks[0].Text(src))
 	}
 }
 
@@ -107,8 +108,8 @@ func TestTokenizeSubexpressionInString(t *testing.T) {
 	if len(toks) != 1 || toks[0].Type != String {
 		t.Fatalf("tokens = %v", toks)
 	}
-	if toks[0].Text != src {
-		t.Errorf("string span = %q, want whole input", toks[0].Text)
+	if toks[0].Text(src) != src {
+		t.Errorf("string span = %q, want whole input", toks[0].Text(src))
 	}
 }
 
@@ -208,6 +209,7 @@ func TestTokenExtentsCoverSource(t *testing.T) {
 		"$a = 1; foreach ($i in 1..3) { $a += $i }",
 		"@{k='v'; n=2}",
 		"\"expand $($a)\" | % { $_ }",
+		"$a = 1\r\n$b = @'\nx\ny\n'@\nwrite-host `\n  $b # c\n<# block\n #> $a",
 	}
 	for _, src := range srcs {
 		toks, err := Tokenize(src)
@@ -216,14 +218,14 @@ func TestTokenExtentsCoverSource(t *testing.T) {
 		}
 		last := 0
 		for _, tok := range toks {
-			if tok.Start < last {
+			if int(tok.Start) < last {
 				t.Errorf("%q: token %v overlaps previous (start %d < %d)", src, tok, tok.Start, last)
 			}
 			if tok.End() > len(src) {
 				t.Errorf("%q: token %v extends past source", src, tok)
 			}
-			if src[tok.Start:tok.End()] != tok.Text {
-				t.Errorf("%q: token text %q != source slice %q", src, tok.Text, src[tok.Start:tok.End()])
+			if want := 1 + strings.Count(src[:tok.Start], "\n"); int(tok.Line) != want {
+				t.Errorf("%q: token %v on line %d, want %d", src, tok, tok.Line, want)
 			}
 			last = tok.End()
 		}

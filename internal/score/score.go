@@ -90,12 +90,13 @@ var (
 // Analyze detects known obfuscation techniques in src.
 func Analyze(src string) *Report {
 	counts := map[string]int{}
-	toks, tokErr := pstoken.Tokenize(src)
-	if tokErr == nil {
+	// A script that does not lex does not parse either, so both
+	// analyses need the one token stream.
+	if toks, err := pstoken.Tokenize(src); err == nil {
 		analyzeTokens(src, toks, counts)
-	}
-	if root, err := psparser.Parse(src); err == nil {
-		analyzeAST(root, src, counts)
+		if root, err := psparser.ParseTokens(src, toks); err == nil {
+			analyzeAST(root, src, counts)
+		}
 	}
 	analyzeRegex(src, counts)
 	rep := &Report{}
@@ -141,7 +142,7 @@ func analyzeTokens(src string, toks []pstoken.Token, counts map[string]int) {
 				counts[TechRandomCase]++
 			}
 		case pstoken.Operator:
-			if strings.HasPrefix(tok.Text, "-") && weirdCase(strings.TrimPrefix(tok.Text, "-")) {
+			if text := tok.Text(src); strings.HasPrefix(text, "-") && weirdCase(strings.TrimPrefix(text, "-")) {
 				counts[TechRandomCase]++
 			}
 		case pstoken.Variable:
@@ -173,7 +174,7 @@ func maskStrings(src string, toks []pstoken.Token) string {
 	b := []byte(src)
 	for _, t := range toks {
 		if t.Type == pstoken.String || t.Type == pstoken.Comment {
-			for i := t.Start; i < t.End() && i < len(b); i++ {
+			for i := int(t.Start); i < t.End() && i < len(b); i++ {
 				if b[i] != '\n' {
 					b[i] = 'x'
 				}
