@@ -44,12 +44,16 @@ soak:
 # equivalence re-runs the refactor guards explicitly (they are also in
 # the plain suite): byte-identical output against the frozen goldens of
 # both language frontends, the parses-per-run budget on the fixed
-# 3-layer script, and the lexes-per-run budget (one lex per distinct
-# text) on that script and the 24-sample corpus.
+# 3-layer script, the lexes-per-run budget (one lex per distinct
+# text) on that script and the 24-sample corpus, the interpreter's
+# pinned output and step count for every level-3 decoder and
+# ForEach-Object body shape, and its allocations-per-character bound
+# on the hot decoders.
 equivalence:
 	$(GO) test ./internal/core -run TestEquivalenceGolden -count=1
 	$(GO) test ./internal/psfront -run 'TestParseCount|TestLexCountBudget' -count=1
 	$(GO) test ./internal/jsfront -run TestJSGolden -count=1
+	$(GO) test ./internal/psinterp -run 'TestDecoderStepsPinned|TestDecoderAllocations' -count=1
 
 # goldens deliberately regenerates both frontends' golden suites from
 # the current engine output. Run it only when an intentional behaviour
@@ -58,8 +62,10 @@ goldens:
 	$(GO) test ./internal/core -run TestEquivalenceGolden -update-golden -count=1
 	$(GO) test ./internal/jsfront -run TestJSGolden -update-golden -count=1
 
-# fuzz-smoke gives each native fuzz target a short budget. Any panic or
-# envelope violation found within the budget fails the gate.
+# fuzz-smoke gives each native fuzz target a short budget. Any panic,
+# envelope violation or differential mismatch (FuzzSplitOperator against
+# the regex split, FuzzParseNumber against the full number grammar)
+# found within the budget fails the gate.
 fuzz-smoke:
 	$(GO) test ./internal/psfront -run '^$$' -fuzz FuzzTokenize -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/psfront -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
@@ -67,6 +73,8 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDeobfuscate$$ -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDeobfuscateEnvelope -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/psinterp -run '^$$' -fuzz FuzzEvalSnippet -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/psinterp -run '^$$' -fuzz FuzzSplitOperator -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/psparser -run '^$$' -fuzz FuzzParseNumber -fuzztime $(FUZZTIME)
 
 # serve-smoke is the end-to-end binary check for the HTTP service:
 # build deobserver, bind an ephemeral port, round-trip a script via

@@ -371,8 +371,8 @@ func cmdForEachObject(in *Interp, args []commandArg, input []any, sc *scope) ([]
 	}
 	var out []any
 	run := func(sb *ScriptBlockValue) error {
-		vals, err := in.evalScriptBlockBody(sb.Body, sc)
-		out = append(out, vals...)
+		var err error
+		out, err = in.appendScriptBlock(out, sb.Body, sc)
 		if stop, err := loopSignal(err); stop {
 			return err
 		}
@@ -413,7 +413,7 @@ func cmdWhereObject(in *Interp, args []commandArg, input []any, sc *scope) ([]an
 			return out, err
 		}
 		sc.set("_", item)
-		vals, err := in.evalScriptBlockBody(blocks[0].Body, sc)
+		vals, err := in.appendScriptBlock(nil, blocks[0].Body, sc)
 		if err != nil {
 			return out, err
 		}

@@ -75,6 +75,30 @@ func TestPanicBarrier(t *testing.T) {
 	}
 }
 
+// panicHost panics on Write-Host, standing in for a latent bug deep
+// inside an evaluation.
+type panicHost struct{ DenyHost }
+
+func (panicHost) WriteHost(string) { panic("host bug") }
+
+// TestBarrierRestoresExprDepth asserts a panic inside an IEX payload
+// leaves the expression depth where the outer evaluation had it.
+// evalExpr does not decrement the depth while a panic unwinds it, so
+// the payload's own EvalScript barrier has to put the depth back.
+func TestBarrierRestoresExprDepth(t *testing.T) {
+	in := New(Options{Host: panicHost{}})
+	out, err := in.EvalSnippet("$r = try { iex '(1 + (1 + (Write-Host x)))' } catch { 'caught' }\n$r\n(2 + 3)")
+	if err != nil {
+		t.Fatalf("EvalSnippet: %v", err)
+	}
+	if got := renderOutput(out); got != "caught\n5" {
+		t.Fatalf("output %q, want caught and 5", got)
+	}
+	if in.exprDepth != 0 {
+		t.Fatalf("exprDepth = %d after the evaluation, want 0", in.exprDepth)
+	}
+}
+
 // TestBudgetsDefaultSane asserts zero-valued options get the documented
 // defaults rather than unbounded execution.
 func TestBudgetsDefaultSane(t *testing.T) {

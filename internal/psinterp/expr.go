@@ -13,15 +13,23 @@ import (
 // nesting limit; this guard is the interpreter's independent backstop.
 const maxExprDepth = 10_000
 
+// evalExpr evaluates one expression node. It tracks the nesting depth
+// without a defer: a panic unwinding through here leaves exprDepth
+// raised, and EvalScript's recover barrier restores it.
 func (in *Interp) evalExpr(node psast.Node, sc *scope) (any, error) {
 	if err := in.step(); err != nil {
 		return nil, err
 	}
-	in.exprDepth++
-	defer func() { in.exprDepth-- }()
-	if in.exprDepth > maxExprDepth {
+	if in.exprDepth >= maxExprDepth {
 		return nil, ErrBudget
 	}
+	in.exprDepth++
+	v, err := in.evalExprNode(node, sc)
+	in.exprDepth--
+	return v, err
+}
+
+func (in *Interp) evalExprNode(node psast.Node, sc *scope) (any, error) {
 	switch n := node.(type) {
 	case *psast.ConstantExpression:
 		return n.Value, nil
@@ -54,7 +62,7 @@ func (in *Interp) evalExpr(node psast.Node, sc *scope) (any, error) {
 		}
 		return out, nil
 	case *psast.ArrayExpression:
-		vals, err := in.evalStatements(n.Statements, sc)
+		vals, err := in.appendStatements(nil, n.Statements, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -63,7 +71,7 @@ func (in *Interp) evalExpr(node psast.Node, sc *scope) (any, error) {
 		}
 		return vals, nil
 	case *psast.SubExpression:
-		vals, err := in.evalStatements(n.Statements, sc)
+		vals, err := in.appendStatements(nil, n.Statements, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -144,7 +152,7 @@ func (in *Interp) evalExpandable(n *psast.ExpandableString, sc *scope) (any, err
 			}
 			sb.WriteString(ToString(v))
 		case *psast.SubExpression:
-			vals, err := in.evalStatements(p.Statements, sc)
+			vals, err := in.appendStatements(nil, p.Statements, sc)
 			if err != nil {
 				return nil, err
 			}
@@ -163,7 +171,7 @@ func (in *Interp) evalExpandable(n *psast.ExpandableString, sc *scope) (any, err
 }
 
 func (in *Interp) lookupVariable(name string, sc *scope) (any, error) {
-	n := strings.ToLower(name)
+	n := foldName(name)
 	switch n {
 	case "true":
 		return true, nil
@@ -186,7 +194,7 @@ func (in *Interp) lookupVariable(name string, sc *scope) (any, error) {
 		}
 		return "", nil
 	}
-	n = normalizeVarName(n)
+	n = stripScope(n)
 	if v, ok := sc.get(n); ok {
 		in.noteVarRead(n)
 		return v, nil

@@ -249,13 +249,17 @@ func (in *Interp) EvalSnippet(src string) ([]any, error) {
 // EvalScript evaluates a parsed script block in the global scope. It is
 // a panic-isolation barrier: a latent bug anywhere in the interpreter
 // surfaces as a *limits.PanicError instead of crashing the process.
+// evalExpr does not unwind its depth count on a panic, so the barrier
+// puts back the depth it was entered at: an IEX payload evaluates
+// through a nested barrier and the outer evaluation then continues.
 func (in *Interp) EvalScript(sb *psast.ScriptBlock) (out []any, err error) {
+	defer func(depth int) { in.exprDepth = depth }(in.exprDepth)
 	defer limits.Recover("eval", &err)
 	return in.evalScript(sb)
 }
 
 func (in *Interp) evalScript(sb *psast.ScriptBlock) ([]any, error) {
-	out, err := in.evalScriptBlockBody(sb, in.global)
+	out, err := in.appendScriptBlock(nil, sb, in.global)
 	var fs *flowSignal
 	if errors.As(err, &fs) {
 		switch fs.kind {
@@ -270,11 +274,13 @@ func (in *Interp) evalScript(sb *psast.ScriptBlock) ([]any, error) {
 	return out, err
 }
 
-func (in *Interp) evalScriptBlockBody(sb *psast.ScriptBlock, sc *scope) ([]any, error) {
+// appendScriptBlock evaluates a script block's statements in sc and
+// appends their output to out.
+func (in *Interp) appendScriptBlock(out []any, sb *psast.ScriptBlock, sc *scope) ([]any, error) {
 	if sb == nil || sb.Body == nil {
-		return nil, nil
+		return out, nil
 	}
-	return in.evalStatements(sb.Body.Statements, sc)
+	return in.appendStatements(out, sb.Body.Statements, sc)
 }
 
 // stepCheckInterval amortizes the wall-clock deadline check: the
@@ -379,21 +385,26 @@ func (s *scope) define(name string, v any) {
 	s.vars[name] = v
 }
 
-// normalizeVarName lower-cases a variable name and strips scope
-// qualifiers (global:, script:, local:, private:, variable:).
-func normalizeVarName(name string) string {
-	n := strings.ToLower(name)
-	for _, prefix := range []string{"global:", "script:", "local:", "private:", "variable:"} {
-		if strings.HasPrefix(n, prefix) {
-			return strings.TrimPrefix(n, prefix)
-		}
-	}
-	return n
-}
-
-func (in *Interp) evalStatements(stmts []psast.Node, sc *scope) ([]any, error) {
-	var out []any
+// appendStatements evaluates stmts in order and appends their output
+// to out, stopping at the first error with the output so far.
+func (in *Interp) appendStatements(out []any, stmts []psast.Node, sc *scope) ([]any, error) {
 	for _, st := range stmts {
+		// A pipeline of one expression, the common statement, appends
+		// its value directly. It takes the same two steps as the
+		// evalStatement -> evalPipeline -> evalExpr route.
+		if p, ok := st.(*psast.Pipeline); ok && len(p.Elements) == 1 {
+			if ce, ok := p.Elements[0].(*psast.CommandExpression); ok {
+				if err := in.step(); err != nil {
+					return out, err
+				}
+				v, err := in.evalExpr(ce.Expression, sc)
+				if err != nil {
+					return out, err
+				}
+				out = appendValue(out, v)
+				continue
+			}
+		}
 		vals, err := in.evalStatement(st, sc)
 		out = append(out, vals...)
 		if err != nil {
@@ -436,7 +447,7 @@ func (in *Interp) evalStatement(node psast.Node, sc *scope) ([]any, error) {
 	case *psast.FlowStatement:
 		return in.evalFlow(n, sc)
 	case *psast.StatementBlock:
-		return in.evalStatements(n.Statements, sc)
+		return in.appendStatements(nil, n.Statements, sc)
 	case *psast.ParamBlock:
 		return nil, nil
 	case *psast.CommandExpression:
@@ -459,6 +470,20 @@ func enumerate(v any) []any {
 		return x
 	default:
 		return []any{v}
+	}
+}
+
+// appendValue appends the pipeline output of an expression value to
+// out, as append(out, enumerate(v)...) does: an array's elements are
+// copied, never aliased.
+func appendValue(out []any, v any) []any {
+	switch x := v.(type) {
+	case nil:
+		return out
+	case []any:
+		return append(out, x...)
+	default:
+		return append(out, v)
 	}
 }
 
@@ -533,17 +558,17 @@ func (in *Interp) evalAssignmentValue(right psast.Node, sc *scope) (any, error) 
 func (in *Interp) assignTo(target psast.Node, value any, sc *scope) error {
 	switch t := target.(type) {
 	case *psast.VariableExpression:
-		name := strings.ToLower(t.Name)
+		name := foldName(t.Name)
 		if strings.HasPrefix(name, "env:") {
 			in.markImpure("env write: " + name)
 			in.setEnv(strings.TrimPrefix(name, "env:"), ToString(value))
 			return nil
 		}
 		if strings.HasPrefix(name, "global:") || strings.HasPrefix(name, "script:") {
-			in.global.define(normalizeVarName(t.Name), value)
+			in.global.define(stripScope(name), value)
 			return nil
 		}
-		sc.set(normalizeVarName(t.Name), value)
+		sc.set(stripScope(name), value)
 		return nil
 	case *psast.ConvertExpression:
 		cast, err := in.castValue(t.TypeName, value)
@@ -633,11 +658,11 @@ func (in *Interp) evalIf(n *psast.If, sc *scope) ([]any, error) {
 			return nil, err
 		}
 		if cond {
-			return in.evalStatements(clause.Body.Statements, sc)
+			return in.appendStatements(nil, clause.Body.Statements, sc)
 		}
 	}
 	if n.Else != nil {
-		return in.evalStatements(n.Else.Statements, sc)
+		return in.appendStatements(nil, n.Else.Statements, sc)
 	}
 	return nil, nil
 }
@@ -664,8 +689,7 @@ func (in *Interp) evalWhile(n *psast.While, sc *scope) ([]any, error) {
 		if !cond {
 			return out, nil
 		}
-		vals, err := in.evalStatements(n.Body.Statements, sc)
-		out = append(out, vals...)
+		out, err = in.appendStatements(out, n.Body.Statements, sc)
 		if stop, err := loopSignal(err); stop {
 			return out, err
 		}
@@ -696,8 +720,8 @@ func (in *Interp) evalDo(n *psast.DoLoop, sc *scope) ([]any, error) {
 		if err := in.step(); err != nil {
 			return out, err
 		}
-		vals, err := in.evalStatements(n.Body.Statements, sc)
-		out = append(out, vals...)
+		var err error
+		out, err = in.appendStatements(out, n.Body.Statements, sc)
 		if stop, err := loopSignal(err); stop {
 			return out, err
 		}
@@ -734,8 +758,8 @@ func (in *Interp) evalFor(n *psast.For, sc *scope) ([]any, error) {
 				return out, nil
 			}
 		}
-		vals, err := in.evalStatements(n.Body.Statements, sc)
-		out = append(out, vals...)
+		var err error
+		out, err = in.appendStatements(out, n.Body.Statements, sc)
 		if stop, err := loopSignal(err); stop {
 			return out, err
 		}
@@ -758,8 +782,7 @@ func (in *Interp) evalForEach(n *psast.ForEach, sc *scope) ([]any, error) {
 			return out, err
 		}
 		sc.set(normalizeVarName(n.Variable.Name), item)
-		vals, err := in.evalStatements(n.Body.Statements, sc)
-		out = append(out, vals...)
+		out, err = in.appendStatements(out, n.Body.Statements, sc)
 		if stop, err := loopSignal(err); stop {
 			return out, err
 		}
@@ -790,8 +813,7 @@ func (in *Interp) evalSwitch(n *psast.Switch, sc *scope) ([]any, error) {
 			// samples do not use.
 			if DeepEqualFold(item, pat) {
 				matched = true
-				vals, err := in.evalStatements(c.Body.Statements, sc)
-				out = append(out, vals...)
+				out, err = in.appendStatements(out, c.Body.Statements, sc)
 				if stop, err := loopSignal(err); stop {
 					return out, err
 				}
@@ -799,8 +821,8 @@ func (in *Interp) evalSwitch(n *psast.Switch, sc *scope) ([]any, error) {
 		}
 	}
 	if !matched && n.Default != nil {
-		vals, err := in.evalStatements(n.Default.Statements, sc)
-		out = append(out, vals...)
+		var err error
+		out, err = in.appendStatements(out, n.Default.Statements, sc)
 		if err != nil {
 			return out, err
 		}
@@ -809,7 +831,7 @@ func (in *Interp) evalSwitch(n *psast.Switch, sc *scope) ([]any, error) {
 }
 
 func (in *Interp) evalTry(n *psast.Try, sc *scope) ([]any, error) {
-	out, err := in.evalStatements(n.Body.Statements, sc)
+	out, err := in.appendStatements(nil, n.Body.Statements, sc)
 	if err != nil {
 		var fs *flowSignal
 		isThrow := errors.As(err, &fs) && fs.kind == flowThrow
@@ -820,14 +842,12 @@ func (in *Interp) evalTry(n *psast.Try, sc *scope) ([]any, error) {
 		}
 		if (isThrow || isRuntime) && len(n.Catches) > 0 {
 			sc.set("_", ToString(errValue(err)))
-			vals, cerr := in.evalStatements(n.Catches[0].Body.Statements, sc)
-			out = append(out, vals...)
-			err = cerr
+			out, err = in.appendStatements(out, n.Catches[0].Body.Statements, sc)
 		}
 	}
 	if n.Finally != nil {
-		vals, ferr := in.evalStatements(n.Finally.Statements, sc)
-		out = append(out, vals...)
+		var ferr error
+		out, ferr = in.appendStatements(out, n.Finally.Statements, sc)
 		if err == nil {
 			err = ferr
 		}
@@ -945,7 +965,7 @@ func (in *Interp) callFunction(fn *psast.FunctionDefinition, args []commandArg, 
 		fsc.define("input", input)
 		fsc.define("_", input[len(input)-1])
 	}
-	out, err := in.evalScriptBlockBody(fn.Body, fsc)
+	out, err := in.appendScriptBlock(nil, fn.Body, fsc)
 	var fs *flowSignal
 	if errors.As(err, &fs) && fs.kind == flowReturn {
 		if fs.value != nil {
@@ -984,7 +1004,7 @@ func (in *Interp) InvokeScriptBlock(sb *ScriptBlockValue, args []any, input []an
 	if len(input) > 0 {
 		bsc.define("input", input)
 	}
-	out, err := in.evalScriptBlockBody(sb.Body, bsc)
+	out, err := in.appendScriptBlock(nil, sb.Body, bsc)
 	var fs *flowSignal
 	if errors.As(err, &fs) && (fs.kind == flowReturn || fs.kind == flowExit) {
 		err = nil

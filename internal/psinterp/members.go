@@ -12,7 +12,7 @@ import (
 
 // getProperty implements instance property access (target.Name).
 func (in *Interp) getProperty(target any, name string) (any, error) {
-	n := strings.ToLower(name)
+	n := foldName(name)
 	switch t := target.(type) {
 	case string:
 		switch n {
@@ -181,7 +181,7 @@ func (in *Interp) setProperty(target any, name string, value any) error {
 
 // invokeMethod implements instance method calls.
 func (in *Interp) invokeMethod(target any, name string, args []any, sc *scope) (any, error) {
-	n := strings.ToLower(name)
+	n := foldName(name)
 	// Universal object methods.
 	switch n {
 	case "tostring":

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // evalBinaryOp implements all non-short-circuit binary operators.
@@ -432,7 +434,9 @@ func (in *Interp) rangeValues(l, r any) (any, error) {
 }
 
 // splitOperator implements the binary -split operator (regex split,
-// flattening array left operands like PowerShell).
+// flattening array left operands like PowerShell). A separator that is
+// plain text splits with strings.SplitN, which gives regexp.Split's
+// pieces for every input and limit (see literalSeparator).
 func (in *Interp) splitOperator(l, r any, caseSensitive bool) (any, error) {
 	pattern := ""
 	limit := -1
@@ -450,17 +454,49 @@ func (in *Interp) splitOperator(l, r any, caseSensitive bool) (any, error) {
 	default:
 		pattern = ToString(r)
 	}
+	var out []any
+	if literalSeparator(pattern, caseSensitive) {
+		for _, item := range ToArray(l) {
+			pieces := strings.SplitN(ToString(item), pattern, limit)
+			out = slices.Grow(out, len(pieces))
+			for _, piece := range pieces {
+				out = append(out, piece)
+			}
+		}
+		return out, nil
+	}
 	re, err := compileRegex(pattern, caseSensitive)
 	if err != nil {
 		return nil, err
 	}
-	var out []any
 	for _, item := range ToArray(l) {
 		for _, piece := range re.Split(ToString(item), limit) {
 			out = append(out, piece)
 		}
 	}
 	return out, nil
+}
+
+// literalSeparator reports whether a -split pattern matches only its
+// own text, so that splitting on it as a string equals the regex split.
+// It must be non-empty (regexp.Split splits on an empty match per rune)
+// and ASCII without regex metacharacters. Case-insensitive patterns
+// must also have no letters: (?i) lets k match the Kelvin sign and s
+// the long s.
+func literalSeparator(pattern string, caseSensitive bool) bool {
+	if pattern == "" {
+		return false
+	}
+	for i := 0; i < len(pattern); i++ {
+		c := pattern[i]
+		if c >= utf8.RuneSelf || strings.IndexByte(`\.+*?()|[]{}^$`, c) >= 0 {
+			return false
+		}
+		if !caseSensitive && ('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z') {
+			return false
+		}
+	}
+	return true
 }
 
 // replaceOperator implements -replace (regex, case-insensitive by

@@ -13,7 +13,7 @@ import (
 // normalizeTypeName lower-cases a type literal and strips whitespace and
 // the System. namespace prefix.
 func normalizeTypeName(name string) string {
-	n := strings.ToLower(strings.TrimSpace(name))
+	n := foldName(strings.TrimSpace(name))
 	// Strip one bracket wrapper ([int] -> int) without harming array
 	// suffixes (byte[] stays byte[]).
 	if strings.HasPrefix(n, "[") && strings.HasSuffix(n, "]") && !strings.HasSuffix(n, "[]") {
@@ -191,7 +191,7 @@ func newEncoding(variant string) *Object {
 // staticProperty implements [Type]::Member reads.
 func (in *Interp) staticProperty(typeName, member string) (any, error) {
 	t := normalizeTypeName(typeName)
-	m := strings.ToLower(member)
+	m := foldName(member)
 	switch t {
 	case "text.encoding", "encoding":
 		switch m {
@@ -279,7 +279,7 @@ func (in *Interp) staticProperty(typeName, member string) (any, error) {
 // staticMethod implements [Type]::Method(args) calls.
 func (in *Interp) staticMethod(typeName, method string, args []any) (any, error) {
 	t := normalizeTypeName(typeName)
-	m := strings.ToLower(method)
+	m := foldName(method)
 	switch t {
 	case "convert":
 		return in.convertStatic(m, args)

@@ -243,6 +243,11 @@ func ToNumber(v any) (any, error) {
 
 // ToInt converts a value to int64.
 func ToInt(v any) (int64, error) {
+	// An int64 needs no conversion; passing it through ToNumber would
+	// box it again.
+	if x, ok := v.(int64); ok {
+		return x, nil
+	}
 	n, err := ToNumber(v)
 	if err != nil {
 		return 0, err

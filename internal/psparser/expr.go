@@ -572,10 +572,22 @@ func (p *parser) parseHashtable() (psast.Node, error) {
 	return node, nil
 }
 
+// numberMultipliers are the kb/mb/gb/tb/pb suffixes of numeric
+// literals. No two can end the same text, so their order is free.
+var numberMultipliers = [...]struct {
+	suffix string
+	mult   int64
+}{
+	{"kb", 1 << 10}, {"mb", 1 << 20}, {"gb", 1 << 30}, {"tb", 1 << 40}, {"pb", 1 << 50},
+}
+
 // ParseNumber converts a PowerShell numeric literal to int64 or float64,
 // handling hex, exponents, the d/l type suffixes and kb/mb/gb/tb/pb
 // multipliers.
 func ParseNumber(s string) (any, error) {
+	if n, ok := parsePlainDecimal(s); ok {
+		return n, nil
+	}
 	text := strings.ToLower(strings.TrimSpace(s))
 	if text == "" {
 		return nil, strconv.ErrSyntax
@@ -592,12 +604,10 @@ func ParseNumber(s string) (any, error) {
 		return nil, strconv.ErrSyntax
 	}
 	mult := int64(1)
-	for suffix, m := range map[string]int64{
-		"kb": 1 << 10, "mb": 1 << 20, "gb": 1 << 30, "tb": 1 << 40, "pb": 1 << 50,
-	} {
-		if strings.HasSuffix(text, suffix) {
-			text = strings.TrimSuffix(text, suffix)
-			mult = m
+	for _, m := range numberMultipliers {
+		if strings.HasSuffix(text, m.suffix) {
+			text = strings.TrimSuffix(text, m.suffix)
+			mult = m.mult
 			break
 		}
 	}
@@ -641,4 +651,30 @@ func ParseNumber(s string) (any, error) {
 		f = -f
 	}
 	return f, nil
+}
+
+// parsePlainDecimal parses an optional sign followed by 1 to 18 ASCII
+// digits, the form string-to-number conversions meet on every element
+// of a decimal decoder. Eighteen digits cannot overflow int64, so the
+// value is the one the general grammar in ParseNumber yields.
+func parsePlainDecimal(s string) (int64, bool) {
+	digits := s
+	if len(s) > 0 && (s[0] == '-' || s[0] == '+') {
+		digits = s[1:]
+	}
+	if len(digits) == 0 || len(digits) > 18 {
+		return 0, false
+	}
+	var n int64
+	for i := 0; i < len(digits); i++ {
+		c := digits[i]
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int64(c-'0')
+	}
+	if s[0] == '-' {
+		n = -n
+	}
+	return n, true
 }
