@@ -177,6 +177,16 @@ func TestCasts(t *testing.T) {
 		{"[char]65", "A"},
 		{"[int]'42'", "42"},
 		{"[int]3.7", "4"},
+		// .NET rounds midpoints to even.
+		{"[int]2.5", "2"},
+		{"[int]3.5", "4"},
+		{"[int]-2.5", "-2"},
+		{"[int]'2.5'", "2"},
+		{"5/2 -as [int]", "2"},
+		{"[char]66.5", "B"},
+		{"[math]::Round(2.5)", "2"},
+		{"[math]::Round(3.5)", "4"},
+		{"[math]::Round(-2.5)", "-2"},
 		{"[string]39", "39"},
 		{"[byte]200", "200"},
 		{"([char[]]'abc') -join ','", "a,b,c"},

@@ -153,7 +153,7 @@ func castChar(v any) (any, error) {
 		}
 		return Char(rune(x)), nil
 	case float64:
-		return castChar(int64(math.Round(x)))
+		return castChar(int64(math.RoundToEven(x)))
 	case string:
 		r := []rune(x)
 		if len(r) != 1 {
@@ -694,7 +694,7 @@ func mathStatic(m string, args []any) (any, error) {
 	case "ceiling":
 		return unary(math.Ceil)
 	case "round":
-		return unary(math.Round)
+		return unary(math.RoundToEven)
 	case "truncate":
 		return unary(math.Trunc)
 	case "sqrt":

@@ -31,7 +31,8 @@ func TestDotNetSurface(t *testing.T) {
 		{"[convert]::ToInt16('7')", "7"},
 		// Math.
 		{"[math]::Ceiling(2.1)", "3"},
-		{"[math]::Round(2.5)", "3"},
+		// Math.Round rounds midpoints to even.
+		{"[math]::Round(2.5)", "2"},
 		{"[math]::Truncate(2.9)", "2"},
 		{"[math]::Min(3,1)", "1"},
 		{"[math]::Log([math]::E)", "1"},

@@ -256,7 +256,7 @@ func ToInt(v any) (int64, error) {
 	case int64:
 		return x, nil
 	case float64:
-		return int64(math.Round(x)), nil
+		return int64(math.RoundToEven(x)), nil
 	}
 	return 0, fmt.Errorf("cannot convert %T to an integer", v)
 }
