@@ -66,7 +66,7 @@ func FuzzEvalSnippet(f *testing.F) {
 // plain punctuation, whitespace, regex metacharacters, letters with
 // non-ASCII case folds (k and the Kelvin sign, s and the long s), and
 // other non-ASCII runes.
-var splitAlphabet = []rune(",; \t-:#'\"0aKkSsxX.*+?()[]{}|^$\\éKKſſ€")
+var splitAlphabet = []rune(",; \t-:#'\"0aKkSsxX.*+?()[]{}|^$\\éKſ€")
 
 var splitSeeds = []struct {
 	s   string
