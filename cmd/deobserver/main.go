@@ -10,6 +10,7 @@
 //	POST /v1/batch        {"scripts": [{"script":..}]} many scripts
 //	GET  /healthz                                      liveness + drain state
 //	GET  /statsz                                       aggregated serving stats
+//	GET  /metrics                                      the same counters, Prometheus text format
 //
 // Overload resilience: -quota-rps/-quota-burst/-quota-buckets enable
 // per-tenant token-bucket quotas keyed by the X-Api-Key header
@@ -17,12 +18,6 @@
 // -shed-highwater tune cost-aware shedding (predicted-heavy requests
 // answered 503 ErrShed once the admission window passes the high-water
 // mark, so light traffic keeps flowing).
-//
-// Warm restarts: -cache-snapshot FILE loads the shared parse/eval
-// caches from FILE at startup (a missing or corrupt file just means a
-// cold start) and saves them back on graceful drain and every
-// -snapshot-interval, so a redeploy resumes with a warm cache instead
-// of re-parsing the whole working set.
 //
 // The listen address is printed to stdout as "deobserver listening on
 // ADDR" once the socket is bound, so -addr 127.0.0.1:0 (ephemeral
@@ -81,27 +76,23 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		quotaBuckets = fs.Int("quota-buckets", 1024, "max tenant buckets tracked at once (LRU eviction beyond)")
 		heavyCost    = fs.Float64("heavy-cost", 32768, "cost-estimate score at which a request is classified heavy (effective bytes)")
 		shedHW       = fs.Float64("shed-highwater", 0.75, "admission-window occupancy fraction above which heavy requests are shed (negative = shedding off)")
-		snapPath     = fs.String("cache-snapshot", "", "warm-restart snapshot file: load caches from it at startup, save on drain and periodically (empty = off)")
-		snapInterval = fs.Duration("snapshot-interval", 5*time.Minute, "periodic cache-snapshot cadence (<=0 = drain-time save only)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	cfg := server.Config{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		DefaultTimeout:   *timeout,
-		MaxTimeout:       *maxTimeout,
-		MaxBodyBytes:     *maxBody,
-		MaxScriptBytes:   *maxScript,
-		MaxBatchScripts:  *maxBatch,
-		QuotaRate:        *quotaRate,
-		QuotaBurst:       *quotaBurst,
-		QuotaMaxBuckets:  *quotaBuckets,
-		HeavyCost:        *heavyCost,
-		ShedHighWater:    *shedHW,
-		SnapshotPath:     *snapPath,
-		SnapshotInterval: *snapInterval,
+		Workers:         *workers,
+		QueueDepth:      *queue,
+		DefaultTimeout:  *timeout,
+		MaxTimeout:      *maxTimeout,
+		MaxBodyBytes:    *maxBody,
+		MaxScriptBytes:  *maxScript,
+		MaxBatchScripts: *maxBatch,
+		QuotaRate:       *quotaRate,
+		QuotaBurst:      *quotaBurst,
+		QuotaMaxBuckets: *quotaBuckets,
+		HeavyCost:       *heavyCost,
+		ShedHighWater:   *shedHW,
 		Engine: core.Options{
 			Jobs:             *jobs,
 			ScriptTimeout:    *scriptTO,
@@ -110,9 +101,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	if *queue == 0 {
 		cfg.QueueDepth = -1 // flag 0 means "no queue", Config 0 means default
-	}
-	if *snapInterval <= 0 {
-		cfg.SnapshotInterval = -1 // flag <=0 means "drain-time save only", Config 0 means default
 	}
 
 	ln, err := net.Listen("tcp", *addr)

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -118,7 +117,10 @@ func TestRunLifecycle(t *testing.T) {
 }
 
 // TestRunFlagErrors: bad flags and a busy port surface as errors from
-// run, not process exits.
+// run, not process exits. The removed warm-restart flags are unknown
+// flags now, so a deployment that still passes one fails at startup.
+// Those calls get an already-canceled context: a run that accepted the
+// flag would bind, drain and return nil instead of serving.
 func TestRunFlagErrors(t *testing.T) {
 	var out, errBuf bytes.Buffer
 	if err := run(context.Background(), []string{"-no-such-flag"}, &out, &errBuf); err == nil {
@@ -126,6 +128,18 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-addr", "256.0.0.1:bogus"}, &out, &errBuf); err == nil {
 		t.Error("unlistenable address did not error")
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, removed := range [][]string{
+		{"-cache-snapshot", filepath.Join(t.TempDir(), "caches.snap")},
+		{"-snapshot-interval", "1m"},
+	} {
+		args := append([]string{"-addr", "127.0.0.1:0"}, removed...)
+		err := run(canceled, args, &out, &errBuf)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("run with %s = %v, want the unknown-flag error", removed[0], err)
+		}
 	}
 }
 
@@ -173,102 +187,5 @@ func TestRunPoolFlags(t *testing.T) {
 	cancel()
 	if err := <-runErr; err != nil {
 		t.Fatalf("run returned %v, want nil (stderr: %s)", err, stderr.String())
-	}
-}
-
-// TestRunCacheSnapshotLifecycle runs the binary lifecycle twice against
-// one -cache-snapshot file: the first life serves a request and drains
-// (writing the snapshot), the second life boots warm and reports it on
-// /statsz.
-func TestRunCacheSnapshotLifecycle(t *testing.T) {
-	snap := filepath.Join(t.TempDir(), "caches.snap")
-
-	// startServer runs one life of the binary and returns its base URL
-	// plus a shutdown func that cancels and waits for the drain.
-	startServer := func() (string, func()) {
-		ctx, cancel := context.WithCancel(context.Background())
-		pr, pw := io.Pipe()
-		runErr := make(chan error, 1)
-		var stderr syncBuffer
-		go func() {
-			runErr <- run(ctx, []string{"-addr", "127.0.0.1:0", "-cache-snapshot", snap, "-drain-timeout", "5s"}, pw, &stderr)
-			pw.Close()
-		}()
-		sc := bufio.NewScanner(pr)
-		if !sc.Scan() {
-			t.Fatalf("no listen line; run returned: %v (stderr: %s)", <-runErr, stderr.String())
-		}
-		addr := strings.TrimPrefix(sc.Text(), "deobserver listening on ")
-		go io.Copy(io.Discard, pr)
-		stop := func() {
-			cancel()
-			select {
-			case err := <-runErr:
-				if err != nil {
-					t.Fatalf("run returned %v on shutdown (stderr: %s)", err, stderr.String())
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("run did not return within 10s of cancellation")
-			}
-		}
-		return "http://" + addr, stop
-	}
-	postScript := func(base string) {
-		body := `{"script":"Write-Host ('snap' + 'shot')"}`
-		resp, err := http.Post(base+"/v1/deobfuscate", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("deobfuscate = %d", resp.StatusCode)
-		}
-	}
-	snapshotStats := func(base string) (loaded bool, warmed, warmHits float64) {
-		resp, err := http.Get(base + "/statsz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var stats struct {
-			ParseCache struct {
-				WarmHits float64 `json:"warm_hits"`
-			} `json:"parse_cache"`
-			Snapshot *struct {
-				Loaded          bool    `json:"loaded"`
-				LoadParseWarmed float64 `json:"load_parse_warmed"`
-			} `json:"snapshot"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if stats.Snapshot == nil {
-			t.Fatal("statsz has no snapshot section despite -cache-snapshot")
-		}
-		return stats.Snapshot.Loaded, stats.Snapshot.LoadParseWarmed, stats.ParseCache.WarmHits
-	}
-
-	// First life: cold, serve, drain (saves the snapshot).
-	base, stop := startServer()
-	if loaded, _, _ := snapshotStats(base); loaded {
-		t.Error("first life reports a loaded snapshot before one exists")
-	}
-	postScript(base)
-	stop()
-	if _, err := os.Stat(snap); err != nil {
-		t.Fatalf("drain did not write -cache-snapshot file: %v", err)
-	}
-
-	// Second life: warm boot, same traffic hits warm entries.
-	base, stop = startServer()
-	defer stop()
-	loaded, warmed, _ := snapshotStats(base)
-	if !loaded || warmed == 0 {
-		t.Fatalf("second life not warm: loaded=%t warmed=%v", loaded, warmed)
-	}
-	postScript(base)
-	if _, _, warmHits := snapshotStats(base); warmHits == 0 {
-		t.Error("replayed traffic produced no warm hits")
 	}
 }

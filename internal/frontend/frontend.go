@@ -40,12 +40,6 @@ type EvalBudget struct {
 type EvalResult struct {
 	// Values is the pipeline output of the snippet.
 	Values []any
-	// Pure reports that the evaluation was deterministic and free of
-	// observable side effects (safe to memoize).
-	Pure bool
-	// ReadVars lists the preloaded variables the evaluation read,
-	// sorted; with Pure it forms the memoization key.
-	ReadVars []string
 }
 
 // Frontend is one language implementation. Its method set includes

@@ -98,11 +98,6 @@ type CacheStats struct {
 	// in-flight computation of the same artifact instead of computing a
 	// duplicate (the singleflight payoff).
 	CoalescedWaits int64
-	// Warmed counts entries preloaded from a warm-restart snapshot.
-	Warmed int64
-	// WarmHits counts hits served by a snapshot-preloaded artifact —
-	// work a cold-started process would have had to redo.
-	WarmHits int64
 }
 
 // HitRate returns Hits / (Hits + Misses), or 0 with no traffic. Serving
@@ -152,9 +147,6 @@ type artifactSlot struct {
 	done  chan struct{} // non-nil while state == slotComputing
 	val   any
 	err   error
-	// warm marks an artifact derived by snapshot Preload; hits on it
-	// are the warm-restart payoff and counted separately.
-	warm bool
 }
 
 // cacheEntry memoizes the artifacts of one exact (language, text)
@@ -188,7 +180,6 @@ type Cache struct {
 
 	hits, misses, evictions int64
 	coalescedWaits          int64
-	warmed, warmHits        int64
 	perLang                 map[string]*LangCacheStats
 }
 
@@ -268,9 +259,6 @@ func (c *Cache) artifact(l Lang, src string, pick func(*cacheEntry) *artifactSlo
 	slot := pick(e)
 	val, err, hit = c.await(slot, func() (any, error) { return compute(e) })
 	c.recordLocked(lang, hit)
-	if hit && slot.warm {
-		c.warmHits++
-	}
 	c.mu.Unlock()
 	return val, err, hit
 }
@@ -286,7 +274,7 @@ func (c *Cache) await(slot *artifactSlot, compute func() (any, error)) (val any,
 		case slotDone:
 			return slot.val, slot.err, true
 		case slotEmpty:
-			val, err = c.lead(slot, compute, false)
+			val, err = c.lead(slot, compute)
 			c.mu.Lock()
 			return val, err, false
 		default: // slotComputing
@@ -307,9 +295,8 @@ func (c *Cache) await(slot *artifactSlot, compute func() (any, error)) (val any,
 // marked done with a half-written value — and the panic propagates to
 // the leader alone: its own run's recover turns it into that run's
 // taxonomy error, while waiters retry rather than being poisoned by
-// someone else's envelope violation. warm flags the published artifact
-// as snapshot-preloaded.
-func (c *Cache) lead(slot *artifactSlot, compute func() (any, error), warm bool) (val any, err error) {
+// someone else's envelope violation.
+func (c *Cache) lead(slot *artifactSlot, compute func() (any, error)) (val any, err error) {
 	slot.state = slotComputing
 	slot.done = make(chan struct{})
 	c.mu.Unlock()
@@ -318,7 +305,7 @@ func (c *Cache) lead(slot *artifactSlot, compute func() (any, error), warm bool)
 		c.mu.Lock()
 		if completed {
 			slot.state = slotDone
-			slot.val, slot.err, slot.warm = val, err, warm
+			slot.val, slot.err = val, err
 		} else {
 			slot.state = slotEmpty
 		}
@@ -395,43 +382,6 @@ func (c *Cache) Valid(l Lang, src string) bool {
 	return err == nil
 }
 
-// Preload inserts text into the cache and derives both artifacts
-// eagerly, marking them warm — the snapshot-load path. Unlike
-// Tokenize/Parse it records neither hits nor misses (a restart is not
-// traffic), so /statsz hit rates reflect only real requests. It
-// reports whether at least one artifact was derived here (false when
-// the text is oversize or already live).
-func (c *Cache) Preload(l Lang, text string) bool {
-	if l == nil || len(text) > maxCacheableText {
-		return false
-	}
-	key := cacheKey{l.Name(), text}
-	tok := c.preload(key, tokSlot, func(*cacheEntry) (any, error) { return l.Tokenize(text) })
-	ast := c.preload(key, astSlot, func(e *cacheEntry) (any, error) { return c.parseEntry(l, text, e) })
-	if !tok && !ast {
-		return false
-	}
-	c.mu.Lock()
-	c.warmed++
-	c.mu.Unlock()
-	return true
-}
-
-// preload derives one artifact of key eagerly and marks it warm. It
-// never overwrites a live or completed computation: if the slot is not
-// empty it is left alone and preload reports false.
-func (c *Cache) preload(key cacheKey, pick func(*cacheEntry) *artifactSlot, compute func(*cacheEntry) (any, error)) bool {
-	c.mu.Lock()
-	e := c.entryLocked(key)
-	slot := pick(e)
-	if slot.state != slotEmpty {
-		c.mu.Unlock()
-		return false
-	}
-	c.lead(slot, func() (any, error) { return compute(e) }, true)
-	return true
-}
-
 // Insert publishes synthesized artifacts for (l, text) without running
 // the language's tokenizer or parser — the incremental-splice path,
 // where the frontend assembles the new text's token stream and AST from
@@ -468,29 +418,6 @@ func publishLocked(slot *artifactSlot, val any) bool {
 	return true
 }
 
-// SnapshotEntry is one cached source text in a warm-restart snapshot:
-// the language namespace plus the exact text. Artifacts are never
-// serialized — they are re-derived on load, which keeps the format
-// frontend-agnostic and immune to artifact-layout drift.
-type SnapshotEntry struct {
-	Lang string
-	Text string
-}
-
-// SnapshotTexts returns every cached (language, text) pair, oldest
-// first, for warm-restart persistence. Re-inserting in the returned
-// order reproduces the LRU recency order.
-func (c *Cache) SnapshotTexts() []SnapshotEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]SnapshotEntry, 0, c.lru.Len())
-	for el := c.lru.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*cacheEntry)
-		out = append(out, SnapshotEntry{Lang: e.key.lang, Text: e.key.text})
-	}
-	return out
-}
-
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
@@ -502,8 +429,6 @@ func (c *Cache) Stats() CacheStats {
 		Entries:        c.lru.Len(),
 		Bytes:          c.bytes,
 		CoalescedWaits: c.coalescedWaits,
-		Warmed:         c.warmed,
-		WarmHits:       c.warmHits,
 	}
 }
 
@@ -516,13 +441,6 @@ func (c *Cache) LangStats() map[string]LangCacheStats {
 		out[lang] = *ls
 	}
 	return out
-}
-
-// Entries reports the number of distinct cached (language, text) pairs.
-func (c *Cache) Entries() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
 }
 
 // View returns a per-run accounting view of the cache bound to one
@@ -542,9 +460,6 @@ type View struct {
 	// Hits and Misses count this view's requests only.
 	Hits, Misses int64
 }
-
-// Cache returns the underlying shared cache.
-func (v *View) Cache() *Cache { return v.c }
 
 func (v *View) observe(hit bool) {
 	if hit {

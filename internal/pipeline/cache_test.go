@@ -1,13 +1,10 @@
 package pipeline
 
 // Tests for the shared cache tier: language namespacing, LRU recency,
-// global entry/byte budgets, singleflight exactly-once and
-// poison-safety, warm-restart preloading, snapshot encode/decode round
-// trips, and corruption handling.
+// global entry/byte budgets, and singleflight exactly-once and
+// poison-safety.
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -38,7 +35,7 @@ func TestCacheShardedLangNamespacing(t *testing.T) {
 	if _, err := c.Parse(js, src); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Entries(); got != 2 {
+	if got := c.Stats().Entries; got != 2 {
 		t.Errorf("identical bytes under two langs: %d entries, want 2", got)
 	}
 	if ps.parses.Load() != 1 || js.parses.Load() != 1 {
@@ -282,36 +279,6 @@ func TestCacheLeaderPanicDoesNotPoison(t *testing.T) {
 	}
 }
 
-func TestCachePreloadAndWarmHits(t *testing.T) {
-	c := NewCache(0, 0)
-	l := newFakeLang()
-	if !c.Preload(l, "warm me") {
-		t.Fatal("Preload returned false on a fresh entry")
-	}
-	st := c.Stats()
-	if st.Hits != 0 || st.Misses != 0 {
-		t.Errorf("Preload counted traffic: %+v, want 0 hits / 0 misses", st)
-	}
-	if st.Warmed != 1 {
-		t.Errorf("Warmed = %d, want 1", st.Warmed)
-	}
-	parsesAfterPreload := l.parses.Load()
-	if _, err := c.Parse(l, "warm me"); err != nil {
-		t.Fatal(err)
-	}
-	if l.parses.Load() != parsesAfterPreload {
-		t.Error("Parse after Preload re-derived the artifact")
-	}
-	st = c.Stats()
-	if st.Hits != 1 || st.WarmHits != 1 {
-		t.Errorf("stats after warm hit = %+v, want Hits=1 WarmHits=1", st)
-	}
-	// Preloading a live entry is a no-op, not a reset.
-	if c.Preload(l, "warm me") {
-		t.Error("Preload overwrote a live entry")
-	}
-}
-
 // TestEvalCacheShardedLangNamespacing is the eval-cache sibling of
 // TestCacheShardedLangNamespacing (same naming history).
 func TestEvalCacheShardedLangNamespacing(t *testing.T) {
@@ -337,116 +304,4 @@ func TestEvalCacheShardedLangNamespacing(t *testing.T) {
 			t.Errorf("%s stats = %+v, want 1 hit / 1 miss", lang, ls)
 		}
 	}
-}
-
-func TestEvalPreloadAndSnapshotSnippets(t *testing.T) {
-	c := NewEvalCache(0, 0)
-	ops := testOps()
-	if !c.PreloadEval(ops, "'warm'", []any{"warm"}) {
-		t.Fatal("PreloadEval refused a fresh zero-binding entry")
-	}
-	st := c.Stats()
-	if st.Hits != 0 || st.Misses != 0 || st.Warmed != 1 {
-		t.Errorf("stats after preload = %+v, want no traffic, Warmed=1", st)
-	}
-	v := c.View(ops)
-	out, ok := v.Lookup("'warm'", func(string) (string, bool) { return "", false })
-	if !ok || out[0] != "warm" {
-		t.Fatalf("lookup of preloaded entry = %v ok=%t", out, ok)
-	}
-	if got := c.Stats().WarmHits; got != 1 {
-		t.Errorf("WarmHits = %d, want 1", got)
-	}
-	// Snapshot excludes binding-dependent entries.
-	v.Insert("$a", []Binding{{Name: "a", FP: "s:x"}}, []any{"bound"})
-	snaps := c.SnapshotSnippets()
-	if len(snaps) != 1 || snaps[0].Text != "'warm'" || snaps[0].Lang != "fake" {
-		t.Errorf("SnapshotSnippets = %+v, want only the zero-binding entry", snaps)
-	}
-}
-
-func TestSnapshotRoundTrip(t *testing.T) {
-	data := SnapshotData{
-		Parse: []SnapshotEntry{
-			{Lang: "powershell", Text: "Write-Host 'hi'"},
-			{Lang: "javascript", Text: "console.log(1)"},
-			{Lang: "powershell", Text: strings.Repeat("x", 4096)},
-		},
-		Eval: []SnapshotEntry{
-			{Lang: "powershell", Text: "'a'+'b'"},
-		},
-	}
-	var buf bytes.Buffer
-	if err := EncodeSnapshot(&buf, data); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Parse) != len(data.Parse) || len(got.Eval) != len(data.Eval) {
-		t.Fatalf("round trip lost records: %d/%d parse, %d/%d eval",
-			len(got.Parse), len(data.Parse), len(got.Eval), len(data.Eval))
-	}
-	for i := range data.Parse {
-		if got.Parse[i] != data.Parse[i] {
-			t.Errorf("parse record %d = %+v, want %+v", i, got.Parse[i], data.Parse[i])
-		}
-	}
-	if got.Eval[0] != data.Eval[0] {
-		t.Errorf("eval record = %+v, want %+v", got.Eval[0], data.Eval[0])
-	}
-}
-
-func TestSnapshotEmptyRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeSnapshot(&buf, SnapshotData{}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Parse) != 0 || len(got.Eval) != 0 {
-		t.Errorf("empty snapshot decoded to %+v", got)
-	}
-}
-
-// TestSnapshotCorruptionRejected mutilates a valid snapshot every way
-// the loader must survive: truncation at each boundary, bad magic, bad
-// version, insane counts, flipped payload bytes, trailing garbage. All
-// must yield ErrSnapshotCorrupt — the caller then starts cold.
-func TestSnapshotCorruptionRejected(t *testing.T) {
-	var buf bytes.Buffer
-	err := EncodeSnapshot(&buf, SnapshotData{
-		Parse: []SnapshotEntry{{Lang: "powershell", Text: "Write-Host 'hi'"}},
-		Eval:  []SnapshotEntry{{Lang: "powershell", Text: "'a'+'b'"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
-
-	mutate := func(name string, f func([]byte) []byte) {
-		t.Run(name, func(t *testing.T) {
-			b := append([]byte(nil), valid...)
-			b = f(b)
-			if _, err := DecodeSnapshot(bytes.NewReader(b)); !errors.Is(err, ErrSnapshotCorrupt) {
-				t.Errorf("corrupt variant decoded without ErrSnapshotCorrupt: %v", err)
-			}
-		})
-	}
-	mutate("empty", func(b []byte) []byte { return nil })
-	mutate("truncated-magic", func(b []byte) []byte { return b[:4] })
-	mutate("truncated-header", func(b []byte) []byte { return b[:10] })
-	mutate("truncated-mid-record", func(b []byte) []byte { return b[:len(b)/2] })
-	mutate("truncated-checksum", func(b []byte) []byte { return b[:len(b)-2] })
-	mutate("bad-magic", func(b []byte) []byte { b[0] ^= 0xFF; return b })
-	mutate("bad-version", func(b []byte) []byte { b[8] = 0xEE; return b })
-	mutate("insane-count", func(b []byte) []byte {
-		b[12], b[13], b[14], b[15] = 0xFF, 0xFF, 0xFF, 0xFF
-		return b
-	})
-	mutate("flipped-payload-byte", func(b []byte) []byte { b[len(b)-8] ^= 0x01; return b })
-	mutate("trailing-garbage", func(b []byte) []byte { return append(b, 0xAA) })
 }

@@ -65,9 +65,6 @@ type evalEntry struct {
 	values   []any
 	bytes    int64 // retained-size share charged to the cache budget
 	snippet  string
-	// warm marks an entry preloaded from a warm-restart snapshot; hits
-	// on it are counted separately as WarmHits.
-	warm bool
 	// elem is the entry's node in the cache's LRU list.
 	elem *list.Element
 }
@@ -89,10 +86,6 @@ type EvalCacheStats struct {
 	Entries int
 	// Bytes is the current estimated retained size.
 	Bytes int64
-	// Warmed counts entries preloaded from a warm-restart snapshot.
-	Warmed int64
-	// WarmHits counts hits served by snapshot-preloaded entries.
-	WarmHits int64
 }
 
 // HitRate returns Hits / (Hits + Misses), or 0 with no traffic. Skips
@@ -144,7 +137,6 @@ type EvalCache struct {
 	lru        *list.List // front = most recently used
 
 	hits, misses, skips, evictions int64
-	warmed, warmHits               int64
 	perLang                        map[string]*LangEvalStats
 }
 
@@ -191,9 +183,6 @@ func (c *EvalCache) lookup(ops EvalOps, snippet string, visible func(name string
 		c.lru.MoveToFront(e.elem)
 		c.hits++
 		c.langStatsLocked(lang).Hits++
-		if e.warm {
-			c.warmHits++
-		}
 		return out, true
 	}
 	return nil, false
@@ -237,7 +226,7 @@ func copyValues(ops EvalOps, values []any) ([]any, bool) {
 // evaluation. The values are deep-copied before retention; the result
 // is refused when the snippet is oversize, the copier refuses a value,
 // or the snippet's binding-set chain is full.
-func (c *EvalCache) insert(ops EvalOps, snippet string, bindings []Binding, values []any, warm bool) bool {
+func (c *EvalCache) insert(ops EvalOps, snippet string, bindings []Binding, values []any) bool {
 	if len(snippet) > maxCacheableSnippet {
 		return false
 	}
@@ -275,7 +264,7 @@ func (c *EvalCache) insert(ops EvalOps, snippet string, bindings []Binding, valu
 	if len(chain) >= maxEntriesPerSnippet {
 		return false
 	}
-	e := &evalEntry{lang: lang, snippet: snippet, bindings: bindings, values: stored, bytes: size, warm: warm}
+	e := &evalEntry{lang: lang, snippet: snippet, bindings: bindings, values: stored, bytes: size}
 	c.chains[key] = append(chain, e)
 	e.elem = c.lru.PushFront(e)
 	c.bytes += size
@@ -344,41 +333,6 @@ func (c *EvalCache) record(lang string, cached bool) {
 	c.mu.Unlock()
 }
 
-// PreloadEval inserts a snapshot-derived zero-binding result, flagged
-// warm. Unlike Insert it counts nothing, not even a refusal (a restart
-// is not traffic). Only environment-independent results are ever
-// preloaded: a snapshot carries no binding environment, so results
-// whose replay depends on one cannot be safely re-derived at load.
-func (c *EvalCache) PreloadEval(ops EvalOps, snippet string, values []any) bool {
-	if c == nil || ops == nil {
-		return false
-	}
-	if !c.insert(ops, snippet, nil, values, true) {
-		return false
-	}
-	c.mu.Lock()
-	c.warmed++
-	c.mu.Unlock()
-	return true
-}
-
-// SnapshotSnippets returns the (language, snippet) pairs of every
-// cached zero-binding result, oldest first, for warm-restart
-// persistence. Entries with binding fingerprints are excluded: their
-// replay depends on an environment the snapshot does not carry.
-func (c *EvalCache) SnapshotSnippets() []SnapshotEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []SnapshotEntry
-	for el := c.lru.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*evalEntry)
-		if len(e.bindings) == 0 {
-			out = append(out, SnapshotEntry{Lang: e.lang, Text: e.snippet})
-		}
-	}
-	return out
-}
-
 // Stats snapshots the eval-cache counters.
 func (c *EvalCache) Stats() EvalCacheStats {
 	c.mu.Lock()
@@ -390,8 +344,6 @@ func (c *EvalCache) Stats() EvalCacheStats {
 		Evictions: c.evictions,
 		Entries:   c.lru.Len(),
 		Bytes:     c.bytes,
-		Warmed:    c.warmed,
-		WarmHits:  c.warmHits,
 	}
 }
 
@@ -430,14 +382,6 @@ type EvalView struct {
 // Enabled reports whether a cache backs this view.
 func (v *EvalView) Enabled() bool { return v != nil && v.c != nil && v.ops != nil }
 
-// Cache returns the underlying shared cache (nil when disabled).
-func (v *EvalView) Cache() *EvalCache {
-	if v == nil {
-		return nil
-	}
-	return v.c
-}
-
 // Lookup searches for a cached result of snippet under the currently
 // visible bindings. visible maps a normalized variable name to its
 // value fingerprint. On a hit the returned values are fresh deep
@@ -462,7 +406,7 @@ func (v *EvalView) Insert(snippet string, bindings []Binding, values []any) {
 	if !v.Enabled() {
 		return
 	}
-	cached := v.c.insert(v.ops, snippet, bindings, values, false)
+	cached := v.c.insert(v.ops, snippet, bindings, values)
 	if cached {
 		v.Misses++
 	} else {

@@ -204,13 +204,6 @@ func TestEvalCountsEachEvaluationOnce(t *testing.T) {
 	if ls := c.LangStats()["fake"]; ls.Misses != st.Misses || ls.Skips != st.Skips {
 		t.Errorf("per-lang = %+v, want the cache totals", ls)
 	}
-	// A refused preload is not traffic.
-	if c.PreloadEval(testOps(), "y", []any{opaque{}}) {
-		t.Error("preload of an uncopyable value succeeded")
-	}
-	if got := c.Stats(); got.Misses != st.Misses || got.Skips != st.Skips {
-		t.Errorf("refused preload counted: %+v", got)
-	}
 }
 
 func TestEvalCacheEntryAndByteBounds(t *testing.T) {
@@ -284,9 +277,6 @@ func TestEvalViewNilReceiverSafe(t *testing.T) {
 	}
 	v.Insert("x", nil, []any{"v"}) // must not panic
 	v.Skip()                       // must not panic
-	if v.Cache() != nil {
-		t.Error("nil view has a cache")
-	}
 	var c *EvalCache
 	if c.View(testOps()) != nil {
 		t.Error("nil cache yields non-nil view")

@@ -153,7 +153,7 @@ func TestCacheLangNamespacing(t *testing.T) {
 	if a1 == a2 {
 		t.Error("identical bytes under two languages shared one artifact")
 	}
-	if got := c.Entries(); got != 2 {
+	if got := c.Stats().Entries; got != 2 {
 		t.Errorf("entries = %d, want 2 (one per language)", got)
 	}
 	// Both were first requests for their language: two global misses.
@@ -251,9 +251,6 @@ func TestViewAccounting(t *testing.T) {
 	}
 	if v2.Hits != 1 || v2.Misses != 0 {
 		t.Errorf("v2 = %d hits / %d misses, want 1/0", v2.Hits, v2.Misses)
-	}
-	if v1.Cache() != c || v2.Cache() != c {
-		t.Error("View.Cache() should return the shared cache")
 	}
 }
 

@@ -70,12 +70,7 @@ func (PS) Evaluate(ctx context.Context, snippet string, vars map[string]any, bud
 	if err != nil {
 		return frontend.EvalResult{}, err
 	}
-	p := in.Purity()
-	return frontend.EvalResult{
-		Values:   out,
-		Pure:     p.Pure,
-		ReadVars: p.ReadVars,
-	}, nil
+	return frontend.EvalResult{Values: out}, nil
 }
 
 // CopyValue deep-copies an interpreter value for the shared eval cache.

@@ -35,7 +35,8 @@
 // Endpoints: POST /v1/deobfuscate (one script), POST /v1/batch (many
 // scripts, DeobfuscateBatch semantics), GET /healthz (liveness + drain
 // state), GET /statsz (aggregated run stats, pass trace, cache hit
-// rates).
+// rates), GET /metrics (the same counters in the Prometheus text
+// format).
 package server
 
 import (
@@ -111,15 +112,6 @@ type Config struct {
 	// at or above which heavy requests are shed. Zero means 0.75;
 	// negative disables cost-aware shedding.
 	ShedHighWater float64
-	// SnapshotPath, when non-empty, enables warm-restart persistence:
-	// the shared caches are loaded from this file at startup (missing
-	// or corrupt files mean a cold start, never a failure) and saved
-	// back on graceful drain and on the SnapshotInterval ticker.
-	SnapshotPath string
-	// SnapshotInterval is the periodic snapshot cadence. Zero means 5m
-	// when SnapshotPath is set; negative disables periodic saves (the
-	// drain-time save still happens).
-	SnapshotInterval time.Duration
 	// Engine configures the underlying deobfuscator shared by all
 	// requests.
 	Engine core.Options
@@ -166,9 +158,6 @@ func (c Config) withDefaults() Config {
 	if c.ShedHighWater == 0 {
 		c.ShedHighWater = 0.75
 	}
-	if c.SnapshotPath != "" && c.SnapshotInterval == 0 {
-		c.SnapshotInterval = 5 * time.Minute
-	}
 	return c
 }
 
@@ -207,11 +196,6 @@ type Server struct {
 	draining bool
 	inflight sync.WaitGroup
 
-	// snap tracks warm-restart persistence (nil when SnapshotPath is
-	// unset): startup load outcome, save counters, and the periodic
-	// saver's lifecycle.
-	snap *snapshotState
-
 	stats *serverStats
 
 	// runSingle / runBatch execute engine work; tests substitute
@@ -247,19 +231,6 @@ func New(cfg Config) *Server {
 	}
 	if !cfg.Engine.DisableEvalCache {
 		s.evalCache = core.NewEvalCache(0, 0)
-	}
-	if cfg.SnapshotPath != "" {
-		s.snap = &snapshotState{
-			path: cfg.SnapshotPath,
-			stop: make(chan struct{}),
-			done: make(chan struct{}),
-		}
-		s.loadSnapshot()
-		if cfg.SnapshotInterval > 0 {
-			go s.snapshotLoop(cfg.SnapshotInterval)
-		} else {
-			close(s.snap.done)
-		}
 	}
 	s.runSingle = func(ctx context.Context, lang, script string) (*core.Result, error) {
 		return s.eng.DeobfuscateSharedLang(ctx, script, lang, s.cache, s.evalCache)
@@ -308,10 +279,7 @@ func (s *Server) Draining() bool {
 // in-flight request to complete (bounded by ctx). In-flight work is
 // never interrupted: a request admitted before the flip finishes and
 // its response is delivered. Drain is idempotent; concurrent calls all
-// wait for the same quiesce. When warm-restart persistence is enabled,
-// the quiesced caches are saved to the snapshot file exactly once (on
-// timeout the save still runs — a slightly stale snapshot beats a cold
-// restart).
+// wait for the same quiesce.
 func (s *Server) Drain(ctx context.Context) error {
 	s.drainMu.Lock()
 	s.draining = true
@@ -321,19 +289,12 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.inflight.Wait()
 		close(done)
 	}()
-	var err error
 	select {
 	case <-done:
+		return nil
 	case <-ctx.Done():
-		err = ctx.Err()
+		return ctx.Err()
 	}
-	if s.snap != nil {
-		s.snap.saveOnDrain.Do(func() {
-			s.stopSnapshotLoop()
-			s.saveSnapshot()
-		})
-	}
-	return err
 }
 
 // requestContext derives the per-request processing deadline: the

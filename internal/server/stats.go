@@ -200,10 +200,6 @@ type cacheStatsBody struct {
 	// identical in-flight parse instead of duplicating it (parse cache
 	// only).
 	CoalescedWaits int64 `json:"coalesced_waits,omitempty"`
-	// Warmed / WarmHits are the warm-restart payoff: entries preloaded
-	// from the snapshot, and hits served by them.
-	Warmed   int64 `json:"warmed,omitempty"`
-	WarmHits int64 `json:"warm_hits,omitempty"`
 	// ByLang attributes the cache's traffic to language frontends
 	// (entries are namespaced per frontend), so a mixed-language fleet
 	// can see each frontend's amortization payoff separately.
@@ -251,9 +247,6 @@ type statszBody struct {
 	// request boundaries.
 	ParseCache cacheStatsBody  `json:"parse_cache"`
 	EvalCache  *cacheStatsBody `json:"eval_cache,omitempty"`
-	// Snapshot reports the warm-restart lifecycle (load outcome, save
-	// counters), when persistence is enabled.
-	Snapshot *snapshotStatsBody `json:"snapshot,omitempty"`
 }
 
 // quotaStatsBody is the wire shape of the per-tenant limiter's state.
@@ -324,7 +317,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		Hits: pc.Hits, Misses: pc.Misses, Evictions: pc.Evictions,
 		Entries: pc.Entries, Bytes: pc.Bytes, HitRate: pc.HitRate(),
 		CoalescedWaits: pc.CoalescedWaits,
-		Warmed:         pc.Warmed, WarmHits: pc.WarmHits,
 	}
 	if byLang := s.cache.LangStats(); len(byLang) > 0 {
 		body.ParseCache.ByLang = make(map[string]langCacheStatsBody, len(byLang))
@@ -340,7 +332,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			Hits: ec.Hits, Misses: ec.Misses, Skips: ec.Skips,
 			Evictions: ec.Evictions, Entries: ec.Entries, Bytes: ec.Bytes,
 			HitRate: ec.HitRate(),
-			Warmed:  ec.Warmed, WarmHits: ec.WarmHits,
 		}
 		if byLang := s.evalCache.LangStats(); len(byLang) > 0 {
 			body.EvalCache.ByLang = make(map[string]langCacheStatsBody, len(byLang))
@@ -352,7 +343,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	body.Snapshot = s.snapshotStats()
 	writeJSON(w, http.StatusOK, body)
 }
 
