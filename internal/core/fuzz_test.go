@@ -8,7 +8,8 @@ import (
 
 // Native fuzz targets. `go test` runs the seed corpus; `go test -fuzz`
 // explores further. The invariants: no panics, extents in bounds, and
-// the deobfuscator's output parses whenever its input did.
+// the deobfuscator's output parses whenever its input did, under the
+// language frontend that handled the run.
 
 func fuzzSeeds(f *testing.F) {
 	seeds := []string{
@@ -35,6 +36,7 @@ func fuzzSeeds(f *testing.F) {
 
 func FuzzDeobfuscate(f *testing.F) {
 	fuzzSeeds(f)
+	f.Add("function()") // not PowerShell: detected, and kept, as JavaScript
 	d := New(Options{MaxIterations: 3, StepBudget: 50_000})
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 4096 {
@@ -44,8 +46,8 @@ func FuzzDeobfuscate(f *testing.F) {
 		if err != nil {
 			return // invalid input is fine
 		}
-		if perr := psParseErr(res.Script); perr != nil {
-			t.Fatalf("output does not parse for input %q:\n%s\n%v", src, res.Script, perr)
+		if perr := parseErr(res.Lang, res.Script); perr != nil {
+			t.Fatalf("%s output does not parse for input %q:\n%s\n%v", res.Lang, src, res.Script, perr)
 		}
 	})
 }

@@ -11,8 +11,11 @@ import (
 // psParseErr parses src under the registered PowerShell frontend,
 // letting driver-level tests assert "output still parses" without a
 // direct dependency on the PowerShell parser packages.
-func psParseErr(src string) error {
-	fe, err := frontend.Get("powershell")
+func psParseErr(src string) error { return parseErr("powershell", src) }
+
+// parseErr parses src under the registered frontend named lang.
+func parseErr(lang, src string) error {
+	fe, err := frontend.Get(lang)
 	if err != nil {
 		return err
 	}
