@@ -75,6 +75,7 @@ fuzz-smoke:
 	$(GO) test ./internal/psinterp -run '^$$' -fuzz FuzzEvalSnippet -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/psinterp -run '^$$' -fuzz FuzzSplitOperator -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/psparser -run '^$$' -fuzz FuzzParseNumber -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/obfuscate -run '^$$' -fuzz FuzzProfileStack -fuzztime $(FUZZTIME)
 
 # serve-smoke is the end-to-end binary check for the HTTP service:
 # build deobserver, bind an ephemeral port, round-trip a script via
