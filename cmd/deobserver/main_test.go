@@ -122,24 +122,28 @@ func TestRunLifecycle(t *testing.T) {
 // Those calls get an already-canceled context: a run that accepted the
 // flag would bind, drain and return nil instead of serving.
 func TestRunFlagErrors(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	if err := run(context.Background(), []string{"-no-such-flag"}, &out, &errBuf); err == nil {
-		t.Error("unknown flag did not error")
-	}
-	if err := run(context.Background(), []string{"-addr", "256.0.0.1:bogus"}, &out, &errBuf); err == nil {
-		t.Error("unlistenable address did not error")
-	}
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, removed := range [][]string{
-		{"-cache-snapshot", filepath.Join(t.TempDir(), "caches.snap")},
-		{"-snapshot-interval", "1m"},
-	} {
-		args := append([]string{"-addr", "127.0.0.1:0"}, removed...)
-		err := run(canceled, args, &out, &errBuf)
-		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
-			t.Errorf("run with %s = %v, want the unknown-flag error", removed[0], err)
-		}
+	const unknownFlag = "flag provided but not defined"
+	tests := []struct {
+		name string
+		ctx  context.Context
+		args []string
+		want string // a substring of the error; "" accepts any error
+	}{
+		{"unknown flag", context.Background(), []string{"-no-such-flag"}, unknownFlag},
+		{"unlistenable address", context.Background(), []string{"-addr", "256.0.0.1:bogus"}, ""},
+		{"removed cache-snapshot", canceled, []string{"-addr", "127.0.0.1:0", "-cache-snapshot", filepath.Join(t.TempDir(), "caches.snap")}, unknownFlag},
+		{"removed snapshot-interval", canceled, []string{"-addr", "127.0.0.1:0", "-snapshot-interval", "1m"}, unknownFlag},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			var out, errBuf bytes.Buffer
+			err := run(tt.ctx, tt.args, &out, &errBuf)
+			if err == nil || !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("run(%q) = %v, want an error containing %q", tt.args, err, tt.want)
+			}
+		})
 	}
 }
 

@@ -319,6 +319,35 @@ func TestGracefulDrain(t *testing.T) {
 	release2()
 }
 
+// TestRestartStartsCold: a server's caches live as long as it does. A
+// server built after another one drained starts with empty caches, so
+// the script the first one served is a parse miss again (DESIGN §10).
+func TestRestartStartsCold(t *testing.T) {
+	const script = `Write-Host ('re' + 'start')`
+	var misses [2]int64
+	for life := range misses {
+		s := New(Config{})
+		ts := httptest.NewServer(s.Handler())
+		var sb statszBody
+		getJSON(t, ts, "/statsz", &sb)
+		if sb.ParseCache.Entries != 0 || sb.EvalCache != nil && sb.EvalCache.Entries != 0 {
+			t.Errorf("life %d starts with cached entries: parse %+v, eval %+v", life, sb.ParseCache, sb.EvalCache)
+		}
+		if pr := postJSON(t, ts.Client(), ts.URL+"/v1/deobfuscate", scriptBody(script), nil); pr.status != http.StatusOK {
+			t.Fatalf("life %d: deobfuscate = %d: %s", life, pr.status, pr.raw)
+		}
+		getJSON(t, ts, "/statsz", &sb)
+		misses[life] = sb.ParseCache.Misses
+		if err := s.Drain(context.Background()); err != nil {
+			t.Fatalf("life %d: drain: %v", life, err)
+		}
+		ts.Close()
+	}
+	if misses[0] == 0 || misses[1] != misses[0] {
+		t.Errorf("parse misses per life = %v, want the same non-zero count twice", misses)
+	}
+}
+
 // TestRequestValidation is the table-driven bad-input suite: every
 // admission-side rejection must carry the right status and stable
 // error name, with size violations mapped onto ErrInputBudget.
