@@ -29,6 +29,11 @@ type visitCtx struct {
 	assignLHS   bool
 	assignRHS   bool
 	isStatement bool
+	// argMode marks nodes the parser read in command-argument mode: a
+	// command's name and arguments, and the targets of the member and
+	// index chains built on them. There a literal glued to the next
+	// character re-lexes as part of a bare word.
+	argMode bool
 }
 
 type astState struct {
@@ -274,6 +279,7 @@ func (s *astState) visit(n psast.Node, ctx visitCtx) {
 		// A pipeline that is itself a statement passes statement-ness to
 		// unwrapping; its children are expressions.
 		for _, c := range n.Children() {
+			childCtx.argMode = argModeChild(n, c, ctx.argMode)
 			s.visit(c, childCtx)
 		}
 	}
@@ -323,7 +329,7 @@ func (s *astState) processVariable(v *psast.VariableExpression, ctx visitCtx) {
 	if !ok {
 		return
 	}
-	s.setRepl(v, lit)
+	s.setRepl(v, s.inPlace(v, lit, ctx))
 	s.r.Stats.VariablesInlined++
 }
 
@@ -464,8 +470,63 @@ func (s *astState) tryRecover(n psast.Node, ctx visitCtx) {
 	if !ok || lit == text || len(lit) > maxPieceLen {
 		return
 	}
-	s.setRepl(n, lit)
+	s.setRepl(n, s.inPlace(n, lit, ctx))
 	s.r.Stats.PiecesRecovered++
+}
+
+// argModeChild reports whether the parser read child c of n in
+// command-argument mode, given whether it read n so.
+func argModeChild(n, c psast.Node, argMode bool) bool {
+	switch x := n.(type) {
+	case *psast.Command, *psast.CommandParameter:
+		return true
+	case *psast.ArrayLiteral:
+		return argMode
+	case *psast.MemberExpression:
+		return argMode && c == x.Target
+	case *psast.InvokeMemberExpression:
+		return argMode && c == x.Target
+	case *psast.IndexExpression:
+		return argMode && c == x.Target
+	}
+	return false
+}
+
+// inPlace returns a rendered literal as it must be spliced over n so
+// that the new text re-parses with the literal as one primary. It
+// parenthesizes the literal only where the bare rendering would re-lex
+// with its neighbours: a number before a member access (`3.length` is
+// one bare word), a negative number after a minus (`5--3` is a postfix
+// decrement), and, in command-argument mode, any literal glued to the
+// next or previous character (`Write-Output 'abc'.length` is three
+// arguments). Everywhere else the bare literal is what the paper
+// splices.
+func (s *astState) inPlace(n psast.Node, lit string, ctx visitCtx) string {
+	ext := n.Extent()
+	prev, next, after := byte(' '), byte(' '), byte(' ')
+	if ext.Start > 0 {
+		prev = s.src[ext.Start-1]
+	}
+	if ext.End < len(s.src) {
+		next = s.src[ext.End]
+	}
+	if ext.End+1 < len(s.src) {
+		after = s.src[ext.End+1]
+	}
+	glued := false
+	switch {
+	case ctx.argMode:
+		glued = !strings.ContainsRune(" \t\r\n,:(|;&", rune(prev)) ||
+			!strings.ContainsRune(" \t\r\n,)}|;&>", rune(next))
+	case lit[0] == '-':
+		glued = prev == '-' || next == '.' && after != '.'
+	case lit[0] >= '0' && lit[0] <= '9':
+		glued = next == '.' && after != '.'
+	}
+	if glued {
+		return "(" + lit + ")"
+	}
+	return lit
 }
 
 // bindingsFor snapshots the traced variables visible from ctx — exactly
