@@ -496,11 +496,11 @@ func argModeChild(n, c psast.Node, argMode bool) bool {
 // that the new text re-parses with the literal as one primary. It
 // parenthesizes the literal only where the bare rendering would re-lex
 // with its neighbours: a number before a member access (`3.length` is
-// one bare word), a negative number after a minus (`5--3` is a postfix
-// decrement), and, in command-argument mode, any literal glued to the
-// next or previous character (`Write-Output 'abc'.length` is three
-// arguments). Everywhere else the bare literal is what the paper
-// splices.
+// one bare word) or after a word character (`-bxor5` is one word), a
+// negative number after a minus (`5--3` is a postfix decrement), and,
+// in command-argument mode, any literal glued to the next or previous
+// character (`Write-Output 'abc'.length` is three arguments).
+// Everywhere else the bare literal is what the paper splices.
 func (s *astState) inPlace(n psast.Node, lit string, ctx visitCtx) string {
 	ext := n.Extent()
 	prev, next, after := byte(' '), byte(' '), byte(' ')
@@ -521,12 +521,17 @@ func (s *astState) inPlace(n psast.Node, lit string, ctx visitCtx) string {
 	case lit[0] == '-':
 		glued = prev == '-' || next == '.' && after != '.'
 	case lit[0] >= '0' && lit[0] <= '9':
-		glued = next == '.' && after != '.'
+		glued = next == '.' && after != '.' || isIdentByte(prev) || isIdentByte(next)
 	}
 	if glued {
 		return "(" + lit + ")"
 	}
 	return lit
+}
+
+// isIdentByte reports a byte the lexer can read as part of a word.
+func isIdentByte(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_' || c >= 0x80
 }
 
 // bindingsFor snapshots the traced variables visible from ctx — exactly

@@ -34,6 +34,8 @@ func TestSplicedLiteralReparsesInPlace(t *testing.T) {
 		{"string member in nested argument", "$a = 'abc'\n$b = [string](Write-Output $a.Length)\n$b\n", "3"},
 		{"string member in nested argument, unfolded", "$a = 'abc'\n$b = [string](Write-Output $a.Length $u)\n$b\n", "abc"},
 		{"adjacent strings in argument", "$a = 'x'\n$b = 'y'\nWrite-Output $a$b\n", "x"},
+		{"number after an operator word", "$k = 5\n$r = 'a' -bxor$k\n$r\n", 5},
+		{"number after an operator word, unfolded", "$k = 5\n$r = $u -bxor$k\n$r\n", 5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
