@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// The evalText-level cache integration tests live with the PowerShell
+// The piece-level cache integration tests live with the PowerShell
 // frontend (internal/psfront), which owns astState; the tests here
 // exercise the memoization layer through the driver's public surface.
 

@@ -65,14 +65,25 @@ var ErrNoLang = errors.New("pipeline: no language frontend attached")
 const (
 	// DefaultMaxEntries bounds the number of distinct cached texts.
 	DefaultMaxEntries = 4096
-	// DefaultMaxBytes bounds the total bytes of cached source text
-	// (the dominant memory term; ASTs and token slices are proportional).
+	// DefaultMaxBytes bounds the total bytes the cached entries hold,
+	// as entryBytes charges them.
 	DefaultMaxBytes = 16 << 20
-	// maxCacheableText is the largest single text worth caching; bigger
-	// texts are parsed directly so one giant layer cannot evict the
-	// whole working set.
-	maxCacheableText = 4 << 20
+	// bytesPerSourceByte is what an entry is charged per byte of its
+	// text: the text itself plus its token stream and AST. Measured over
+	// 200 corpus scripts, an obfuscated text's tokens take 5.6 and its
+	// AST 9.0 bytes per source byte (a clean text's 4.0 and 8.6).
+	bytesPerSourceByte = 16
+	// maxCacheableText is the largest single text worth caching: its
+	// entry may take a quarter of the default byte budget. Bigger texts
+	// are parsed directly so one giant layer cannot evict the whole
+	// working set.
+	maxCacheableText = DefaultMaxBytes / 4 / bytesPerSourceByte
 )
+
+// entryBytes is the byte-budget charge of an entry caching text.
+func entryBytes(text string) int64 {
+	return int64(len(text)) * bytesPerSourceByte
+}
 
 // cacheKey identifies one cached text: the language namespace plus the
 // exact bytes. Both caches key their maps by it, so hash collisions are
@@ -92,7 +103,8 @@ type CacheStats struct {
 	Evictions int64
 	// Entries is the current number of cached texts.
 	Entries int
-	// Bytes is the current total of cached source-text bytes.
+	// Bytes is the current total the byte budget charges: text, tokens
+	// and AST, estimated at bytesPerSourceByte per cached source byte.
 	Bytes int64
 	// CoalescedWaits counts requests that blocked on another request's
 	// in-flight computation of the same artifact instead of computing a
@@ -184,7 +196,8 @@ type Cache struct {
 }
 
 // NewCache returns a Cache bounded by maxEntries texts and maxBytes of
-// cached source. Non-positive arguments select the defaults.
+// cached entries, as entryBytes charges them. Non-positive arguments
+// select the defaults.
 func NewCache(maxEntries int, maxBytes int64) *Cache {
 	if maxEntries <= 0 {
 		maxEntries = DefaultMaxEntries
@@ -203,7 +216,9 @@ func NewCache(maxEntries int, maxBytes int64) *Cache {
 
 // entryLocked returns the entry for key, creating (and bounding) it as
 // needed, and bumps it to most-recently-used. Callers hold c.mu and
-// have already rejected oversize texts.
+// have already rejected oversize texts. An entry that alone exceeds a
+// small byte budget is evicted at once; the caller still computes into
+// it, as into any entry evicted mid-flight, but nothing retains it.
 func (c *Cache) entryLocked(key cacheKey) *cacheEntry {
 	if e := c.entries[key]; e != nil {
 		c.lru.MoveToFront(e.elem)
@@ -212,11 +227,11 @@ func (c *Cache) entryLocked(key cacheKey) *cacheEntry {
 	e := &cacheEntry{key: key}
 	c.entries[key] = e
 	e.elem = c.lru.PushFront(e)
-	c.bytes += int64(len(key.text))
-	for (c.lru.Len() > c.maxEntries || c.bytes > c.maxBytes) && c.lru.Len() > 1 {
+	c.bytes += entryBytes(key.text)
+	for c.lru.Len() > c.maxEntries || c.bytes > c.maxBytes {
 		victim := c.lru.Remove(c.lru.Back()).(*cacheEntry)
 		delete(c.entries, victim.key)
-		c.bytes -= int64(len(victim.key.text))
+		c.bytes -= entryBytes(victim.key.text)
 		c.evictions++
 	}
 	return e

@@ -187,30 +187,30 @@ func TestCacheHotKeyCoalescedExactlyOnce(t *testing.T) {
 }
 
 // TestCacheBudgetsAreGlobal pins that both caches enforce one entry
-// budget and one byte budget over all keys: entries whose total stays
-// under maxBytes are never evicted, whatever their content (and hence
-// whatever their hash). A few large texts — each bigger than a
-// sixteenth of the budget — plus many small ones stay resident.
+// budget and one byte budget over all keys: entries whose total charge
+// stays under maxBytes are never evicted, whatever their content (and
+// hence whatever their hash). A few large texts — each charged more
+// than a sixteenth of the budget — plus many small ones stay resident.
 func TestCacheBudgetsAreGlobal(t *testing.T) {
 	t.Run("parse", func(t *testing.T) {
 		c := NewCache(0, 0)
 		l := newFakeLang()
 		var texts []string
-		var total int
-		for i := 0; i < 3; i++ { // 3 x 3 MiB: each under maxCacheableText
-			texts = append(texts, fmt.Sprintf("%d", i)+strings.Repeat("x", 3<<20))
+		var total int64
+		for i := 0; i < 3; i++ { // 3 x 3/4 of maxCacheableText, charged 3 MiB each
+			texts = append(texts, fmt.Sprintf("%d", i)+strings.Repeat("x", maxCacheableText*3/4))
 		}
 		for i := 0; i < 200; i++ {
-			texts = append(texts, fmt.Sprintf("small-%d-", i)+strings.Repeat("y", 4<<10))
+			texts = append(texts, fmt.Sprintf("small-%d-", i)+strings.Repeat("y", 1<<10))
 		}
 		for _, text := range texts {
-			total += len(text)
+			total += entryBytes(text)
 			if _, err := c.Parse(l, text); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if total >= DefaultMaxBytes {
-			t.Fatalf("fixture totals %d bytes, must stay under %d", total, DefaultMaxBytes)
+			t.Fatalf("fixture charges %d bytes, must stay under %d", total, DefaultMaxBytes)
 		}
 		st := c.Stats()
 		if st.Evictions != 0 || st.Entries != len(texts) {

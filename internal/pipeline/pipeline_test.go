@@ -195,7 +195,8 @@ func TestCacheEntryBound(t *testing.T) {
 }
 
 func TestCacheByteBound(t *testing.T) {
-	// 64-byte budget: each ~40-byte script evicts its predecessor.
+	// 64-byte budget: each ~40-byte script's entry is charged more than
+	// that, so each is evicted as soon as it is cached.
 	c := NewCache(0, 64)
 	l := newFakeLang()
 	for i := 0; i < 10; i++ {

@@ -4,216 +4,241 @@ package psast
 // the splice path's tool for reusing an already-parsed subtree at a new
 // byte position instead of reparsing its text. With delta == 0 the node
 // itself is returned: cached ASTs are immutable by convention, so an
-// unshifted reuse can share structure freely.
+// unshifted reuse can share structure freely. An unknown node kind
+// shifts to nil, which Splice callers treat as a synthesis failure.
 func Shift(n Node, delta int) Node {
 	if n == nil || delta == 0 {
 		return n
 	}
+	return rebuild(n, &shifter{delta: delta})
+}
+
+// Substitute returns n with subtrees replaced as f directs. f is called
+// top-down on each node reached: (m, true) puts m in the node's place —
+// m may be the node itself, which keeps its whole subtree — and
+// (_, false) descends into the node's children. Only the nodes on a
+// path to a replacement are copied; every other subtree is shared with
+// n, which is never modified (cached ASTs are shared across runs and
+// goroutines). Extents are kept as they are. Substitute returns nil when
+// f returns (nil, true), which abandons the substitution, when a field
+// that holds one node type (a statement block, say) would receive
+// another, or for an unknown node kind.
+func Substitute(n Node, f func(Node) (Node, bool)) Node {
+	s := &substituter{f: f}
+	out := s.node(n)
+	if s.failed {
+		return nil
+	}
+	return out
+}
+
+// mapper drives rebuild: it maps each extent and each child of the node
+// being copied, and is told when a typed field cannot hold the node its
+// child was mapped to.
+type mapper interface {
+	ext(Extent) Extent
+	node(Node) Node
+	fail()
+}
+
+type shifter struct{ delta int }
+
+func (s *shifter) ext(e Extent) Extent {
+	return Extent{Start: e.Start + s.delta, End: e.End + s.delta}
+}
+
+func (s *shifter) node(n Node) Node {
+	if n == nil {
+		return nil
+	}
+	return rebuild(n, s)
+}
+
+func (s *shifter) fail() {}
+
+type substituter struct {
+	f      func(Node) (Node, bool)
+	failed bool
+}
+
+func (s *substituter) ext(e Extent) Extent { return e }
+
+func (s *substituter) node(n Node) Node {
+	if n == nil || s.failed {
+		return n
+	}
+	if m, done := s.f(n); done {
+		if m == nil {
+			s.failed = true
+		}
+		return m
+	}
+	out := rebuild(n, s)
+	if out == nil {
+		s.failed = true
+	}
+	return out
+}
+
+func (s *substituter) fail() { s.failed = true }
+
+// rebuild returns a copy of n with its extents mapped by m.ext and each
+// child mapped by m.node: the one per-kind walk behind Shift and
+// Substitute. It returns nil for an unknown node kind.
+func rebuild(n Node, m mapper) Node {
 	switch x := n.(type) {
 	case *ScriptBlock:
-		return ShiftScriptBlock(x, delta)
+		return &ScriptBlock{Ext: m.ext(x.Ext), Params: typed(m, x.Params), Body: typed(m, x.Body)}
 	case *ParamBlock:
-		return shiftParamBlock(x, delta)
+		return &ParamBlock{Ext: m.ext(x.Ext), Parameters: typedSlice(m, x.Parameters)}
 	case *Parameter:
-		return shiftParameter(x, delta)
+		return &Parameter{Ext: m.ext(x.Ext), Name: x.Name, Default: m.node(x.Default)}
 	case *NamedBlock:
-		return shiftNamedBlock(x, delta)
+		return &NamedBlock{Ext: m.ext(x.Ext), Statements: nodeSlice(m, x.Statements)}
 	case *StatementBlock:
-		return shiftStatementBlock(x, delta)
+		return &StatementBlock{Ext: m.ext(x.Ext), Statements: nodeSlice(m, x.Statements)}
 	case *Pipeline:
-		return &Pipeline{Ext: shiftExt(x.Ext, delta), Elements: shiftSlice(x.Elements, delta), Background: x.Background}
+		return &Pipeline{Ext: m.ext(x.Ext), Elements: nodeSlice(m, x.Elements), Background: x.Background}
 	case *Command:
 		return &Command{
-			Ext:                shiftExt(x.Ext, delta),
+			Ext:                m.ext(x.Ext),
 			InvocationOperator: x.InvocationOperator,
-			Name:               Shift(x.Name, delta),
-			Args:               shiftSlice(x.Args, delta),
+			Name:               m.node(x.Name),
+			Args:               nodeSlice(m, x.Args),
 			Redirections:       x.Redirections,
 		}
 	case *CommandParameter:
-		return &CommandParameter{Ext: shiftExt(x.Ext, delta), Name: x.Name, Argument: Shift(x.Argument, delta)}
+		return &CommandParameter{Ext: m.ext(x.Ext), Name: x.Name, Argument: m.node(x.Argument)}
 	case *CommandExpression:
-		return &CommandExpression{Ext: shiftExt(x.Ext, delta), Expression: Shift(x.Expression, delta)}
+		return &CommandExpression{Ext: m.ext(x.Ext), Expression: m.node(x.Expression)}
 	case *Assignment:
-		return &Assignment{Ext: shiftExt(x.Ext, delta), Left: Shift(x.Left, delta), Operator: x.Operator, Right: Shift(x.Right, delta)}
+		return &Assignment{Ext: m.ext(x.Ext), Left: m.node(x.Left), Operator: x.Operator, Right: m.node(x.Right)}
 	case *If:
-		out := &If{Ext: shiftExt(x.Ext, delta), Else: shiftStatementBlock(x.Else, delta)}
+		out := &If{Ext: m.ext(x.Ext), Else: typed(m, x.Else)}
 		if x.Clauses != nil {
 			out.Clauses = make([]IfClause, len(x.Clauses))
 			for i, cl := range x.Clauses {
-				out.Clauses[i] = IfClause{Cond: Shift(cl.Cond, delta), Body: shiftStatementBlock(cl.Body, delta)}
+				out.Clauses[i] = IfClause{Cond: m.node(cl.Cond), Body: typed(m, cl.Body)}
 			}
 		}
 		return out
 	case *While:
-		return &While{Ext: shiftExt(x.Ext, delta), Cond: Shift(x.Cond, delta), Body: shiftStatementBlock(x.Body, delta), Label: x.Label}
+		return &While{Ext: m.ext(x.Ext), Cond: m.node(x.Cond), Body: typed(m, x.Body), Label: x.Label}
 	case *DoLoop:
-		return &DoLoop{Ext: shiftExt(x.Ext, delta), Body: shiftStatementBlock(x.Body, delta), Cond: Shift(x.Cond, delta), Until: x.Until}
+		return &DoLoop{Ext: m.ext(x.Ext), Body: typed(m, x.Body), Cond: m.node(x.Cond), Until: x.Until}
 	case *For:
 		return &For{
-			Ext:  shiftExt(x.Ext, delta),
-			Init: Shift(x.Init, delta), Cond: Shift(x.Cond, delta), Iter: Shift(x.Iter, delta),
-			Body: shiftStatementBlock(x.Body, delta),
+			Ext:  m.ext(x.Ext),
+			Init: m.node(x.Init), Cond: m.node(x.Cond), Iter: m.node(x.Iter),
+			Body: typed(m, x.Body),
 		}
 	case *ForEach:
-		out := &ForEach{Ext: shiftExt(x.Ext, delta), Collection: Shift(x.Collection, delta), Body: shiftStatementBlock(x.Body, delta)}
-		if x.Variable != nil {
-			out.Variable = Shift(x.Variable, delta).(*VariableExpression)
-		}
-		return out
+		return &ForEach{Ext: m.ext(x.Ext), Variable: typed(m, x.Variable), Collection: m.node(x.Collection), Body: typed(m, x.Body)}
 	case *Switch:
-		out := &Switch{Ext: shiftExt(x.Ext, delta), Cond: Shift(x.Cond, delta), Default: shiftStatementBlock(x.Default, delta)}
+		out := &Switch{Ext: m.ext(x.Ext), Cond: m.node(x.Cond), Default: typed(m, x.Default)}
 		if x.Cases != nil {
 			out.Cases = make([]SwitchCase, len(x.Cases))
 			for i, c := range x.Cases {
-				out.Cases[i] = SwitchCase{Pattern: Shift(c.Pattern, delta), Body: shiftStatementBlock(c.Body, delta)}
+				out.Cases[i] = SwitchCase{Pattern: m.node(c.Pattern), Body: typed(m, c.Body)}
 			}
 		}
 		return out
 	case *FunctionDefinition:
-		out := &FunctionDefinition{Ext: shiftExt(x.Ext, delta), Name: x.Name, IsFilter: x.IsFilter, Body: ShiftScriptBlock(x.Body, delta)}
-		if x.Params != nil {
-			out.Params = make([]*Parameter, len(x.Params))
-			for i, p := range x.Params {
-				out.Params[i] = shiftParameter(p, delta)
-			}
+		return &FunctionDefinition{
+			Ext: m.ext(x.Ext), Name: x.Name, IsFilter: x.IsFilter,
+			Params: typedSlice(m, x.Params), Body: typed(m, x.Body),
 		}
-		return out
 	case *Try:
-		out := &Try{Ext: shiftExt(x.Ext, delta), Body: shiftStatementBlock(x.Body, delta), Finally: shiftStatementBlock(x.Finally, delta)}
-		if x.Catches != nil {
-			out.Catches = make([]*CatchClause, len(x.Catches))
-			for i, c := range x.Catches {
-				out.Catches[i] = &CatchClause{Ext: shiftExt(c.Ext, delta), Types: c.Types, Body: shiftStatementBlock(c.Body, delta)}
-			}
+		return &Try{
+			Ext: m.ext(x.Ext), Body: typed(m, x.Body),
+			Catches: typedSlice(m, x.Catches), Finally: typed(m, x.Finally),
 		}
-		return out
 	case *CatchClause:
-		return &CatchClause{Ext: shiftExt(x.Ext, delta), Types: x.Types, Body: shiftStatementBlock(x.Body, delta)}
+		return &CatchClause{Ext: m.ext(x.Ext), Types: x.Types, Body: typed(m, x.Body)}
 	case *FlowStatement:
-		return &FlowStatement{Ext: shiftExt(x.Ext, delta), Keyword: x.Keyword, Value: Shift(x.Value, delta)}
+		return &FlowStatement{Ext: m.ext(x.Ext), Keyword: x.Keyword, Value: m.node(x.Value)}
 	case *BinaryExpression:
-		return &BinaryExpression{Ext: shiftExt(x.Ext, delta), Operator: x.Operator, Left: Shift(x.Left, delta), Right: Shift(x.Right, delta)}
+		return &BinaryExpression{Ext: m.ext(x.Ext), Operator: x.Operator, Left: m.node(x.Left), Right: m.node(x.Right)}
 	case *UnaryExpression:
-		return &UnaryExpression{Ext: shiftExt(x.Ext, delta), Operator: x.Operator, Operand: Shift(x.Operand, delta), Postfix: x.Postfix}
+		return &UnaryExpression{Ext: m.ext(x.Ext), Operator: x.Operator, Operand: m.node(x.Operand), Postfix: x.Postfix}
 	case *ConvertExpression:
-		return &ConvertExpression{Ext: shiftExt(x.Ext, delta), TypeName: x.TypeName, Operand: Shift(x.Operand, delta)}
+		return &ConvertExpression{Ext: m.ext(x.Ext), TypeName: x.TypeName, Operand: m.node(x.Operand)}
 	case *TypeExpression:
-		return &TypeExpression{Ext: shiftExt(x.Ext, delta), TypeName: x.TypeName}
+		return &TypeExpression{Ext: m.ext(x.Ext), TypeName: x.TypeName}
 	case *ConstantExpression:
-		return &ConstantExpression{Ext: shiftExt(x.Ext, delta), Value: x.Value, Text: x.Text}
+		return &ConstantExpression{Ext: m.ext(x.Ext), Value: x.Value, Text: x.Text}
 	case *StringConstant:
-		return &StringConstant{Ext: shiftExt(x.Ext, delta), Value: x.Value, Bare: x.Bare, SingleQuoted: x.SingleQuoted, HereString: x.HereString}
+		return &StringConstant{Ext: m.ext(x.Ext), Value: x.Value, Bare: x.Bare, SingleQuoted: x.SingleQuoted, HereString: x.HereString}
 	case *ExpandableString:
-		return &ExpandableString{Ext: shiftExt(x.Ext, delta), Raw: x.Raw, Parts: shiftSlice(x.Parts, delta)}
+		return &ExpandableString{Ext: m.ext(x.Ext), Raw: x.Raw, Parts: nodeSlice(m, x.Parts)}
 	case *VariableExpression:
-		return &VariableExpression{Ext: shiftExt(x.Ext, delta), Name: x.Name, Splatted: x.Splatted}
+		return &VariableExpression{Ext: m.ext(x.Ext), Name: x.Name, Splatted: x.Splatted}
 	case *MemberExpression:
-		return &MemberExpression{Ext: shiftExt(x.Ext, delta), Target: Shift(x.Target, delta), Member: Shift(x.Member, delta), Static: x.Static}
+		return &MemberExpression{Ext: m.ext(x.Ext), Target: m.node(x.Target), Member: m.node(x.Member), Static: x.Static}
 	case *InvokeMemberExpression:
 		return &InvokeMemberExpression{
-			Ext:    shiftExt(x.Ext, delta),
-			Target: Shift(x.Target, delta), Member: Shift(x.Member, delta),
-			Static: x.Static, Args: shiftSlice(x.Args, delta),
+			Ext:    m.ext(x.Ext),
+			Target: m.node(x.Target), Member: m.node(x.Member),
+			Static: x.Static, Args: nodeSlice(m, x.Args),
 		}
 	case *IndexExpression:
-		return &IndexExpression{Ext: shiftExt(x.Ext, delta), Target: Shift(x.Target, delta), Index: Shift(x.Index, delta)}
+		return &IndexExpression{Ext: m.ext(x.Ext), Target: m.node(x.Target), Index: m.node(x.Index)}
 	case *ArrayLiteral:
-		return &ArrayLiteral{Ext: shiftExt(x.Ext, delta), Elements: shiftSlice(x.Elements, delta)}
+		return &ArrayLiteral{Ext: m.ext(x.Ext), Elements: nodeSlice(m, x.Elements)}
 	case *ArrayExpression:
-		return &ArrayExpression{Ext: shiftExt(x.Ext, delta), Statements: shiftSlice(x.Statements, delta)}
+		return &ArrayExpression{Ext: m.ext(x.Ext), Statements: nodeSlice(m, x.Statements)}
 	case *SubExpression:
-		return &SubExpression{Ext: shiftExt(x.Ext, delta), Statements: shiftSlice(x.Statements, delta)}
+		return &SubExpression{Ext: m.ext(x.Ext), Statements: nodeSlice(m, x.Statements)}
 	case *ParenExpression:
-		return &ParenExpression{Ext: shiftExt(x.Ext, delta), Pipeline: Shift(x.Pipeline, delta)}
+		return &ParenExpression{Ext: m.ext(x.Ext), Pipeline: m.node(x.Pipeline)}
 	case *ScriptBlockExpression:
-		return &ScriptBlockExpression{Ext: shiftExt(x.Ext, delta), Body: ShiftScriptBlock(x.Body, delta), Source: x.Source}
+		return &ScriptBlockExpression{Ext: m.ext(x.Ext), Body: typed(m, x.Body), Source: x.Source}
 	case *Hashtable:
-		out := &Hashtable{Ext: shiftExt(x.Ext, delta)}
+		out := &Hashtable{Ext: m.ext(x.Ext)}
 		if x.Entries != nil {
 			out.Entries = make([]HashEntry, len(x.Entries))
 			for i, e := range x.Entries {
-				out.Entries[i] = HashEntry{Key: Shift(e.Key, delta), Value: Shift(e.Value, delta)}
+				out.Entries[i] = HashEntry{Key: m.node(e.Key), Value: m.node(e.Value)}
 			}
 		}
 		return out
 	default:
-		// Unknown node kind: shifting would silently corrupt extents, so
-		// refuse by returning nil; Splice callers treat that as a
-		// synthesis failure and fall back to a full reparse.
 		return nil
 	}
 }
 
-// ShiftScriptBlock is Shift specialized to the root node type.
-func ShiftScriptBlock(x *ScriptBlock, delta int) *ScriptBlock {
-	if x == nil {
+// typed maps a child held in a field of one node type, keeping nil as
+// nil. A child mapped to another type is reported to m.
+func typed[T Node](m mapper, x T) T {
+	var zero T
+	if Node(x) == Node(zero) {
+		return zero
+	}
+	out, ok := m.node(x).(T)
+	if !ok {
+		m.fail()
+	}
+	return out
+}
+
+func typedSlice[T Node](m mapper, xs []T) []T {
+	if xs == nil {
 		return nil
 	}
-	if delta == 0 {
-		return x
+	out := make([]T, len(xs))
+	for i, x := range xs {
+		out[i] = typed(m, x)
 	}
-	return &ScriptBlock{Ext: shiftExt(x.Ext, delta), Params: shiftParamBlock(x.Params, delta), Body: shiftNamedBlock(x.Body, delta)}
+	return out
 }
 
-func shiftExt(e Extent, delta int) Extent {
-	return Extent{Start: e.Start + delta, End: e.End + delta}
-}
-
-func shiftSlice(ns []Node, delta int) []Node {
+func nodeSlice(m mapper, ns []Node) []Node {
 	if ns == nil {
 		return nil
 	}
 	out := make([]Node, len(ns))
 	for i, n := range ns {
-		out[i] = Shift(n, delta)
+		out[i] = m.node(n)
 	}
 	return out
-}
-
-func shiftParamBlock(x *ParamBlock, delta int) *ParamBlock {
-	if x == nil {
-		return nil
-	}
-	if delta == 0 {
-		return x
-	}
-	out := &ParamBlock{Ext: shiftExt(x.Ext, delta)}
-	if x.Parameters != nil {
-		out.Parameters = make([]*Parameter, len(x.Parameters))
-		for i, p := range x.Parameters {
-			out.Parameters[i] = shiftParameter(p, delta)
-		}
-	}
-	return out
-}
-
-func shiftParameter(x *Parameter, delta int) *Parameter {
-	if x == nil {
-		return nil
-	}
-	if delta == 0 {
-		return x
-	}
-	return &Parameter{Ext: shiftExt(x.Ext, delta), Name: x.Name, Default: Shift(x.Default, delta)}
-}
-
-func shiftNamedBlock(x *NamedBlock, delta int) *NamedBlock {
-	if x == nil {
-		return nil
-	}
-	if delta == 0 {
-		return x
-	}
-	return &NamedBlock{Ext: shiftExt(x.Ext, delta), Statements: shiftSlice(x.Statements, delta)}
-}
-
-func shiftStatementBlock(x *StatementBlock, delta int) *StatementBlock {
-	if x == nil {
-		return nil
-	}
-	if delta == 0 {
-		return x
-	}
-	return &StatementBlock{Ext: shiftExt(x.Ext, delta), Statements: shiftSlice(x.Statements, delta)}
 }

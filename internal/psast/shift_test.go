@@ -95,3 +95,97 @@ func TestShiftDoesNotMutateInput(t *testing.T) {
 		}
 	}
 }
+
+// shape renders a tree's kinds and literal values without extents.
+func shape(n psast.Node) string {
+	var sb strings.Builder
+	psast.Walk(n, func(x psast.Node) bool {
+		sb.WriteString("(" + x.Kind().String())
+		switch v := x.(type) {
+		case *psast.StringConstant:
+			sb.WriteString(" " + v.Value)
+		case *psast.VariableExpression:
+			sb.WriteString(" $" + v.Name)
+		case *psast.ConstantExpression:
+			sb.WriteString(" " + v.Text)
+		}
+		return true
+	}, func(psast.Node) { sb.WriteString(")") })
+	return sb.String()
+}
+
+// TestSubstituteCopiesOnlyTheSpine pins Substitute's copy-on-write: the
+// replacement lands in place, the nodes on the path to it are copies,
+// every other subtree is the input's own node, and the input is left
+// as it was.
+func TestSubstituteCopiesOnlyTheSpine(t *testing.T) {
+	const src = "$a = ('x' + $v) * 2\n$b = 'untouched'"
+	root, err := psparser.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := psast.FindAll(root, func(n psast.Node) bool {
+		x, ok := n.(*psast.VariableExpression)
+		return ok && x.Name == "v"
+	})[0]
+	before := shape(root)
+	lit := &psast.StringConstant{Value: "y", SingleQuoted: true}
+	var copied []psast.Node
+	out := psast.Substitute(root, func(n psast.Node) (psast.Node, bool) {
+		switch {
+		case n == v:
+			return lit, true
+		case !n.Extent().Contains(v.Extent()):
+			return n, true
+		}
+		copied = append(copied, n)
+		return nil, false
+	})
+	want, err := psparser.Parse("$a = ('x' + 'y') * 2\n$b = 'untouched'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := shape(out); got != shape(want) {
+		t.Errorf("substituted tree\n%s\nwant\n%s", got, shape(want))
+	}
+	if shape(root) != before {
+		t.Error("Substitute modified its input")
+	}
+	kept := out.(*psast.ScriptBlock).Body.Statements[1]
+	if kept != root.Body.Statements[1] {
+		t.Error("an untouched statement was copied, want it shared")
+	}
+	for _, n := range copied {
+		if psast.FindAll(out, func(x psast.Node) bool { return x == n }) != nil {
+			t.Errorf("%s on the path to the replacement was not copied", n.Kind())
+		}
+	}
+	if len(copied) == 0 {
+		t.Fatal("walked no spine")
+	}
+}
+
+// TestSubstituteAbandons pins the two ways a substitution yields nil:
+// the callback gives up, or a typed field would receive another kind.
+func TestSubstituteAbandons(t *testing.T) {
+	root, err := psparser.Parse("if ($c) { 'a' } else { 'b' }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := psast.Substitute(root, func(n psast.Node) (psast.Node, bool) {
+		if _, ok := n.(*psast.VariableExpression); ok {
+			return nil, true
+		}
+		return nil, false
+	}); out != nil {
+		t.Errorf("abandoned substitution returned %s", shape(out))
+	}
+	if out := psast.Substitute(root, func(n psast.Node) (psast.Node, bool) {
+		if _, ok := n.(*psast.StatementBlock); ok {
+			return &psast.Pipeline{}, true
+		}
+		return nil, false
+	}); out != nil {
+		t.Errorf("a pipeline in a statement-block field returned %s", shape(out))
+	}
+}

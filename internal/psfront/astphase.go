@@ -1,9 +1,11 @@
 package psfront
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"github.com/invoke-deobfuscation/invokedeob/internal/frontend"
 	"github.com/invoke-deobfuscation/invokedeob/internal/pipeline"
@@ -31,9 +33,12 @@ type visitCtx struct {
 	isStatement bool
 	// argMode marks nodes the parser read in command-argument mode: a
 	// command's name and arguments, and the targets of the member and
-	// index chains built on them. There a literal glued to the next
-	// character re-lexes as part of a bare word.
+	// index chains built on them. There a literal glued to the next or
+	// previous character re-lexes as part of a bare word.
 	argMode bool
+	// minusRight marks the right operand of a binary minus, where the
+	// lexer reads a minus before a number as the operator.
+	minusRight bool
 }
 
 type astState struct {
@@ -42,10 +47,14 @@ type astState struct {
 	doc *pipeline.Document
 	// view is the run's parse-cache view; literal detection, payload
 	// parsing and piece evaluation all draw their parses from it.
-	view    *pipeline.View
-	src     string
-	depth   int
-	repl    map[psast.Node]string
+	view  *pipeline.View
+	src   string
+	depth int
+	repl  map[psast.Node]replacement
+	// starts holds the start offset of every replaced node, sorted, so
+	// piece evaluation can tell exactly which subtrees hold a
+	// replacement (replacedWithin).
+	starts  []int
 	vars    map[string]varEntry
 	scopeID int
 	// safeFuncs holds pure user-defined functions whose calls may be
@@ -60,6 +69,9 @@ type astState struct {
 	// the evaluation-cache key: two layers defining different decoders
 	// can never share a cached result.
 	prelude string
+	// preludeDefs are the safe functions' own definition nodes, in the
+	// prelude's order: the statements Parse(prelude) yields.
+	preludeDefs []psast.Node
 	// replMin/replMax bound the source extents of all recorded
 	// replacements. textOf uses them to return a node's raw source
 	// slice — zero reconstruction, zero allocation — whenever no
@@ -74,9 +86,94 @@ type astState struct {
 // spliced in.
 const maxPieceLen = 1 << 20
 
-// setRepl records a replacement for n and widens the replacement
-// extent bounds used by textOf's fast path.
+// replacement is the text recorded for a replaced node, with what is
+// known about it statically, worked out once when it is recorded.
+type replacement struct {
+	text string
+	// value, isLit and certain are staticReplLiteral(text).
+	value          any
+	isLit, certain bool
+	// lit is the node the text parses to in the replaced node's place,
+	// for piece evaluation on the parsed subtree; nil where there is none
+	// (see spliceLiteral). A number literal may lex together with the
+	// character before it (gluedBefore) or after it (gluedAfter); lit
+	// stands for the text only in a piece that ends there.
+	lit                     psast.Node
+	gluedBefore, gluedAfter bool
+}
+
+// setRepl records unwrapped payload code as n's replacement. Payload
+// code has no literal node.
 func (s *astState) setRepl(n psast.Node, text string) {
+	s.record(n, newReplacement(text))
+}
+
+func newReplacement(text string) replacement {
+	r := replacement{text: text}
+	r.value, r.isLit, r.certain = staticReplLiteral(text)
+	return r
+}
+
+// spliceLiteral records a rendered literal as n's replacement, written
+// as inPlace says, with the node Parse reads it as in n's place: a
+// single-quoted string, or a non-negative integer typed by ParseNumber
+// as the parser types it. A replaced pipeline reads as a pipeline
+// around the literal. Negative, float and parenthesized renderings have
+// no literal node.
+func (s *astState) spliceLiteral(n psast.Node, lit string, ctx visitCtx) {
+	r := newReplacement(s.inPlace(n, lit, ctx))
+	if r.isLit && r.text == lit {
+		if v, ok := r.value.(string); ok {
+			r.lit = &psast.StringConstant{Value: v, SingleQuoted: true}
+		} else if lit[0] != '-' {
+			r.lit = &psast.ConstantExpression{Value: r.value, Text: lit}
+			r.gluedBefore, r.gluedAfter = s.numberGlue(n, ctx)
+		}
+		if _, ok := n.(*psast.Pipeline); ok && r.lit != nil {
+			r.lit = &psast.Pipeline{Elements: []psast.Node{&psast.CommandExpression{Expression: r.lit}}}
+		}
+	}
+	s.record(n, r)
+}
+
+// numberGlue reports whether a number spliced over n could lex together
+// with the character before or after it. Before: an identifier
+// character (`-bxor5` is one word), a member dot (`$a.3` reads 3 as a
+// member name) or a minus that is not the binary operator whose right
+// operand n is (`-3` and `*-3` read one number token). After: an
+// identifier character or a member dot. Range dots are fine either way.
+func (s *astState) numberGlue(n psast.Node, ctx visitCtx) (before, after bool) {
+	ext := n.Extent()
+	if i := ext.Start - 1; i >= 0 {
+		switch c := s.src[i]; {
+		case isIdentByte(c):
+			before = true
+		case c == '.':
+			before = i == 0 || s.src[i-1] != '.'
+		case c == '-':
+			before = !ctx.minusRight
+		}
+	}
+	if i := ext.End; i < len(s.src) {
+		switch c := s.src[i]; {
+		case isIdentByte(c):
+			after = true
+		case c == '.':
+			after = i+1 == len(s.src) || s.src[i+1] != '.'
+		}
+	}
+	return before, after
+}
+
+// isIdentByte reports a byte the lexer can read as part of a word.
+func isIdentByte(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_' || c >= 0x80
+}
+
+// record stores n's replacement, widens the replacement extent bounds
+// used by textOf's fast path and adds n's start to the sorted replaced
+// starts.
+func (s *astState) record(n psast.Node, r replacement) {
 	ext := n.Extent()
 	if len(s.repl) == 0 || ext.Start < s.replMin {
 		s.replMin = ext.Start
@@ -84,7 +181,15 @@ func (s *astState) setRepl(n psast.Node, text string) {
 	if ext.End > s.replMax {
 		s.replMax = ext.End
 	}
-	s.repl[n] = text
+	s.repl[n] = r
+	i, _ := slices.BinarySearch(s.starts, ext.Start)
+	s.starts = slices.Insert(s.starts, i, ext.Start)
+}
+
+// replacedWithin reports whether a replaced node starts inside ext.
+func (s *astState) replacedWithin(ext psast.Extent) bool {
+	i, _ := slices.BinarySearch(s.starts, ext.Start)
+	return i < len(s.starts) && s.starts[i] < ext.End
 }
 
 // astPhase runs recovery based on AST over one script layer under the
@@ -103,7 +208,7 @@ func (r *run) astPhase(pc *pipeline.PassContext, doc *pipeline.Document, depth i
 		view:      doc.View(),
 		src:       doc.Text(),
 		depth:     depth,
-		repl:      make(map[psast.Node]string),
+		repl:      make(map[psast.Node]replacement),
 		vars:      make(map[string]varEntry),
 		safeFuncs: make(map[string]*psast.FunctionDefinition),
 	}
@@ -280,6 +385,8 @@ func (s *astState) visit(n psast.Node, ctx visitCtx) {
 		// unwrapping; its children are expressions.
 		for _, c := range n.Children() {
 			childCtx.argMode = argModeChild(n, c, ctx.argMode)
+			b, isBinary := n.(*psast.BinaryExpression)
+			childCtx.minusRight = isBinary && b.Operator == "-" && c == b.Right
 			s.visit(c, childCtx)
 		}
 	}
@@ -329,7 +436,7 @@ func (s *astState) processVariable(v *psast.VariableExpression, ctx visitCtx) {
 	if !ok {
 		return
 	}
-	s.setRepl(v, s.inPlace(v, lit, ctx))
+	s.spliceLiteral(v, lit, ctx)
 	s.r.Stats.VariablesInlined++
 }
 
@@ -460,7 +567,7 @@ func (s *astState) tryRecover(n psast.Node, ctx visitCtx) {
 		return
 	}
 	s.r.Stats.PiecesAttempted++
-	out, err := s.evalPiece(s.snippetFor(text), s.bindingsForNode(n, ctx))
+	out, err := s.evalPiece(n, s.snippetFor(text), s.bindingsForNode(n, ctx))
 	if err != nil {
 		frontend.ClassifyEvalFailure(s.r.Stats, err)
 		return
@@ -470,7 +577,7 @@ func (s *astState) tryRecover(n psast.Node, ctx visitCtx) {
 	if !ok || lit == text || len(lit) > maxPieceLen {
 		return
 	}
-	s.setRepl(n, s.inPlace(n, lit, ctx))
+	s.spliceLiteral(n, lit, ctx)
 	s.r.Stats.PiecesRecovered++
 }
 
@@ -529,13 +636,7 @@ func (s *astState) inPlace(n psast.Node, lit string, ctx visitCtx) string {
 	return lit
 }
 
-// isIdentByte reports a byte the lexer can read as part of a word.
-func isIdentByte(c byte) bool {
-	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_' || c >= 0x80
-}
-
-// bindingsFor snapshots the traced variables visible from ctx — exactly
-// the set evalText preloads.
+// bindingsFor snapshots the traced variables visible from ctx.
 func (s *astState) bindingsFor(ctx visitCtx) map[string]any {
 	if ctx.inFunc || s.r.Opts.DisableVariableTracing || len(s.vars) == 0 {
 		return nil
@@ -609,6 +710,7 @@ func (s *astState) bindingsForNode(n psast.Node, ctx visitCtx) map[string]any {
 func (s *astState) buildPrelude() {
 	if len(s.safeFuncs) == 0 {
 		s.prelude = ""
+		s.preludeDefs = nil
 		return
 	}
 	names := make([]string, 0, len(s.safeFuncs))
@@ -617,9 +719,12 @@ func (s *astState) buildPrelude() {
 	}
 	sort.Strings(names)
 	var defs strings.Builder
+	s.preludeDefs = make([]psast.Node, 0, len(names))
 	for _, name := range names {
-		defs.WriteString(s.safeFuncs[name].Extent().Text(s.src))
+		fd := s.safeFuncs[name]
+		defs.WriteString(fd.Extent().Text(s.src))
 		defs.WriteByte('\n')
+		s.preludeDefs = append(s.preludeDefs, fd)
 	}
 	s.prelude = defs.String()
 }
@@ -651,33 +756,12 @@ func valueFP(v any) (string, bool) {
 	return "", false
 }
 
-// evalText runs a piece in a fresh bounded interpreter preloaded with
-// the traced symbol table (and, when the extension is on, the pure
-// decoder functions the script defines). The interpreter inherits the
-// run's context (deadline / cancelation) and memory budget.
-//
-// Evaluation is memoized through the run's EvalView (paper Recovery
-// phase, §III-B, made incremental): before interpreting, the cache is
-// consulted under the key (snippet text, fingerprints of the visible
-// bindings a previous pure run read). On a hit the memoized output is
-// replayed — deep-copied, so splices can never alias cached state — and
-// no interpreter is constructed at all. On a miss the piece is
-// interpreted; if the interpreter's purity report confirms the run was
-// deterministic and side-effect-free, the result is inserted keyed by
-// the exact variables it read. Impure, failed or budget-violating runs
-// are never cached — they are recorded as skips. The piece's parse
-// still comes from the run's parse cache, so even uncacheable
-// evaluations skip re-parsing.
-func (s *astState) evalText(text string, ctx visitCtx) ([]any, error) {
-	return s.evalPiece(s.snippetFor(text), s.bindingsFor(ctx))
-}
-
-// evalNode is evalText with node-aware restricted bindings: the piece's
-// subtree is statically scanned for the variables it can read, so the
-// evaluation binds (and fingerprints) only those instead of the whole
-// visible snapshot.
+// evalNode evaluates piece n with node-aware restricted bindings: the
+// piece's subtree is statically scanned for the variables it can read,
+// so the evaluation binds (and fingerprints) only those instead of the
+// whole visible snapshot.
 func (s *astState) evalNode(n psast.Node, ctx visitCtx) ([]any, error) {
-	return s.evalPiece(s.snippetFor(s.textOf(n)), s.bindingsForNode(n, ctx))
+	return s.evalPiece(n, s.snippetFor(s.textOf(n)), s.bindingsForNode(n, ctx))
 }
 
 // snippetFor prepends the memoized safe-function prelude to a piece.
@@ -688,12 +772,49 @@ func (s *astState) snippetFor(text string) string {
 	return s.prelude + text
 }
 
-// evalPiece evaluates one snippet under the given bindings, through
-// the run's evaluation cache. The interpreter is drawn from a pool and
-// reset per piece, so a hostile corpus's thousands of evaluations
-// recycle a handful of interpreter shells instead of allocating one
-// each.
-func (s *astState) evalPiece(snippet string, binds map[string]any) ([]any, error) {
+// pieceEval is one interpreted piece, as pieceEvalHook sees it.
+type pieceEval struct {
+	snippet string
+	binds   map[string]any
+	opts    psinterp.Options
+	// node reports that the piece ran on its parsed subtree rather than
+	// on a parse of snippet.
+	node bool
+	// in is the interpreter that ran it, still holding its purity
+	// report and step count.
+	in  *psinterp.Interp
+	out []any
+	err error
+}
+
+// pieceEvalHook, when set, observes every interpreted piece. Tests use
+// it to check the subtree path against the text path; it is nil
+// otherwise.
+var pieceEvalHook atomic.Pointer[func(*pieceEval)]
+
+// evalPiece evaluates piece n, whose snippet (text with any prelude) is
+// given, in a fresh bounded interpreter preloaded with binds. The
+// interpreter inherits the run's context (deadline / cancelation) and
+// memory budget, and is drawn from a pool and reset per piece, so a
+// hostile corpus's thousands of evaluations recycle a handful of
+// interpreter shells instead of allocating one each.
+//
+// Evaluation is memoized through the run's EvalView (paper Recovery
+// phase, §III-B, made incremental): before interpreting, the cache is
+// consulted under the key (snippet text, fingerprints of the visible
+// bindings a previous pure run read). On a hit the memoized output is
+// replayed — deep-copied, so splices can never alias cached state — and
+// no interpreter is constructed at all. On a miss the piece is
+// interpreted; if the interpreter's purity report confirms the run was
+// deterministic and side-effect-free, the result is inserted keyed by
+// the exact variables it read. Impure, failed or budget-violating runs
+// are never cached — they are recorded as skips.
+//
+// The paper hands the piece's text to Invoke. A miss here runs the
+// script that text parses to, built from the subtree the run already
+// holds (pieceScript); only where that is not shown to equal the parse
+// is the snippet parsed, through the run's parse cache.
+func (s *astState) evalPiece(n psast.Node, snippet string, binds map[string]any) ([]any, error) {
 	if err := s.r.Env.Check(); err != nil {
 		return nil, err
 	}
@@ -708,24 +829,31 @@ func (s *astState) evalPiece(snippet string, binds map[string]any) ([]any, error
 	if ok {
 		return values, nil
 	}
+	sb := s.pieceScript(n)
+	node := sb != nil
+	if !node {
+		var err error
+		if sb, err = viewParse(s.view, snippet); err != nil {
+			eval.Skip()
+			return nil, err
+		}
+	}
 	opts := psinterp.Options{
 		MaxSteps:      s.r.Opts.StepBudget,
 		StrictVars:    true,
-		Blocklist:     s.blocklistForEval(),
+		Blocklist:     s.r.Blocklist,
 		MaxAllocBytes: s.r.Opts.MaxAllocBytes,
+		Ctx:           s.r.Env.Context(),
 	}
-	opts.Ctx = s.r.Env.Context()
 	in := psinterp.Acquire(opts)
 	defer psinterp.Release(in)
 	for name, v := range binds {
 		in.SetVar(name, v)
 	}
-	sb, err := viewParse(s.view, snippet)
-	if err != nil {
-		eval.Skip()
-		return nil, err
-	}
 	out, err := in.EvalScript(sb)
+	if hook := pieceEvalHook.Load(); hook != nil {
+		(*hook)(&pieceEval{snippet, binds, opts, node, in, out, err})
+	}
 	if err != nil {
 		// Failed runs are never cached: the purity report of an aborted
 		// evaluation is incomplete by construction.
@@ -734,6 +862,111 @@ func (s *astState) evalPiece(snippet string, binds map[string]any) ([]any, error
 	}
 	s.memoizeEval(snippet, binds, in, out)
 	return out, nil
+}
+
+// pieceScript returns the script Parse(snippetFor(textOf(n))) yields,
+// built from n's already-parsed subtree (a DESIGN §3 substitution):
+// each replaced node is swapped for its literal node, the piece becomes
+// the one statement its text parses to, and the safe functions'
+// definitions go first, as in the prelude. Only the spine above a
+// replacement is copied. It returns nil where that equality is not
+// shown and the snippet must be parsed instead: a statement other than
+// a pipeline, a replacement that substitute refuses, or a piece whose
+// first token lexes by what precedes it (leadLexedInContext).
+func (s *astState) pieceScript(n psast.Node) *psast.ScriptBlock {
+	if leadLexedInContext(n) {
+		return nil
+	}
+	piece := n.Extent()
+	if s.replacedWithin(piece) {
+		if n = psast.Substitute(n, s.substitute(piece)); n == nil {
+			return nil
+		}
+	}
+	switch n.(type) {
+	case *psast.Pipeline:
+	case *psast.UnaryExpression, *psast.BinaryExpression, *psast.ConvertExpression,
+		*psast.InvokeMemberExpression, *psast.SubExpression,
+		*psast.StringConstant, *psast.ConstantExpression:
+		n = &psast.Pipeline{Elements: []psast.Node{&psast.CommandExpression{Expression: n}}}
+	default:
+		return nil
+	}
+	stmts := make([]psast.Node, 0, len(s.preludeDefs)+1)
+	stmts = append(append(stmts, s.preludeDefs...), n)
+	return &psast.ScriptBlock{Body: &psast.NamedBlock{Statements: stmts}}
+}
+
+// leadLexedInContext reports whether n's text begins with a token the
+// lexer read by what came before it, so that the text alone, lexed at
+// statement start, may read otherwise: a bare word, which an expression
+// reads as a string but a statement as a command name, or a prefix ++
+// or --, which leaves the lexer's state for the next token as it found
+// it.
+func leadLexedInContext(n psast.Node) bool {
+	for {
+		switch x := n.(type) {
+		case *psast.StringConstant:
+			return x.Bare
+		case *psast.Pipeline:
+			n = x.Elements[0]
+		case *psast.CommandExpression:
+			n = x.Expression
+		case *psast.BinaryExpression:
+			n = x.Left
+		case *psast.UnaryExpression:
+			if !x.Postfix {
+				return x.Operator == "++" || x.Operator == "--"
+			}
+			n = x.Operand
+		case *psast.MemberExpression:
+			n = x.Target
+		case *psast.InvokeMemberExpression:
+			n = x.Target
+		case *psast.IndexExpression:
+			n = x.Target
+		case *psast.ArrayLiteral:
+			n = x.Elements[0]
+		default:
+			return false
+		}
+	}
+}
+
+// substitute is pieceScript's psast.Substitute callback for the piece
+// spanning piece. Subtrees holding no replacement are shared; a replaced
+// node becomes its literal node. It abandons the substitution, so the
+// snippet is parsed, where the literal could read differently in the
+// piece's text:
+//   - a replacement with no literal node (unwrapped payload code,
+//     negative, float or parenthesized renderings);
+//   - a replacement inside a script block literal, whose Source (the
+//     value's .ToString()) still holds the old text;
+//   - a replacement inside a command, parsed in argument mode, where a
+//     literal can merge with its neighbours into a bare word;
+//   - a number that could lex together with a neighbour inside the
+//     piece (see numberGlue).
+func (s *astState) substitute(piece psast.Extent) func(psast.Node) (psast.Node, bool) {
+	return func(c psast.Node) (psast.Node, bool) {
+		ext := c.Extent()
+		if !s.replacedWithin(ext) {
+			return c, true
+		}
+		if !piece.Contains(ext) {
+			return nil, true
+		}
+		if r, ok := s.repl[c]; ok {
+			if r.lit == nil || r.gluedBefore && ext.Start > piece.Start || r.gluedAfter && ext.End < piece.End {
+				return nil, true
+			}
+			return r.lit, true
+		}
+		switch c.(type) {
+		case *psast.Command, *psast.ScriptBlockExpression:
+			return nil, true
+		}
+		return nil, false
+	}
 }
 
 // memoizeEval inserts a completed evaluation into the cache when the
@@ -866,10 +1099,6 @@ func assignedWithin(root psast.Node, lower string) bool {
 		return !found
 	}, nil)
 	return found
-}
-
-func (s *astState) blocklistForEval() map[string]bool {
-	return s.r.Blocklist
 }
 
 // isTrivialPiece reports pieces whose recovery cannot simplify anything:
@@ -1024,7 +1253,7 @@ func (s *astState) variableKnown(name string, ctx visitCtx, inScriptBlock bool) 
 // §III-B5).
 func (s *astState) textOf(n psast.Node) string {
 	if r, ok := s.repl[n]; ok {
-		return r
+		return r.text
 	}
 	ext := n.Extent()
 	// Fast path: no recorded replacement can fall inside this node, so
@@ -1045,7 +1274,7 @@ func (s *astState) textOf(n psast.Node) string {
 // every tree level.
 func (s *astState) writeTextOf(sb *strings.Builder, n psast.Node) {
 	if r, ok := s.repl[n]; ok {
-		sb.WriteString(r)
+		sb.WriteString(r.text)
 		return
 	}
 	ext := n.Extent()
@@ -1211,7 +1440,7 @@ func (s *astState) literalOfNode(n psast.Node) (any, bool) {
 // expression position, so constant nodes re-lex to themselves.
 func (s *astState) staticLiteral(n psast.Node) (v any, isLit, certain bool) {
 	if r, ok := s.repl[n]; ok {
-		return staticReplLiteral(r)
+		return r.value, r.isLit, r.certain
 	}
 	switch x := n.(type) {
 	case *psast.Pipeline:
@@ -1330,7 +1559,7 @@ func (s *astState) buildEdits(root psast.Node) []edit {
 	walk = func(n psast.Node) {
 		if r, ok := s.repl[n]; ok {
 			ext := n.Extent()
-			edits = append(edits, edit{Start: ext.Start, End: ext.End, New: r})
+			edits = append(edits, edit{Start: ext.Start, End: ext.End, New: r.text})
 			return
 		}
 		ext := n.Extent()

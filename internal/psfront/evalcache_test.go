@@ -9,11 +9,12 @@ import (
 	"github.com/invoke-deobfuscation/invokedeob/internal/psast"
 	"github.com/invoke-deobfuscation/invokedeob/internal/psinterp"
 	"github.com/invoke-deobfuscation/invokedeob/internal/psnames"
+	"github.com/invoke-deobfuscation/invokedeob/internal/psparser"
 )
 
 // newEvalState builds a minimal astState wired to the given eval view,
-// mirroring astPhase's construction, so tests can drive evalText
-// directly and observe exactly when the interpreter runs.
+// mirroring astPhase's construction, so tests can drive piece
+// evaluation directly and observe exactly when the interpreter runs.
 func newEvalState(t *testing.T, src string, view *pipeline.EvalView) *astState {
 	t.Helper()
 	opts := &frontend.Options{MaxIterations: 10, StepBudget: 500_000}
@@ -30,13 +31,26 @@ func newEvalState(t *testing.T, src string, view *pipeline.EvalView) *astState {
 		doc:       doc,
 		view:      doc.View(),
 		src:       doc.Text(),
-		repl:      make(map[psast.Node]string),
+		repl:      make(map[psast.Node]replacement),
 		vars:      make(map[string]varEntry),
 		safeFuncs: make(map[string]*psast.FunctionDefinition),
 	}
 }
 
 func rootCtx() visitCtx { return visitCtx{scope: []int{0}} }
+
+// evalPieceText parses piece and evaluates its one statement through
+// evalNode, the path the ast phase runs, with the piece as the state's
+// source text.
+func evalPieceText(t *testing.T, s *astState, piece string, ctx visitCtx) ([]any, error) {
+	t.Helper()
+	root, err := psparser.Parse(piece)
+	if err != nil || len(root.Body.Statements) != 1 {
+		t.Fatalf("piece %q does not parse to one statement: %v", piece, err)
+	}
+	s.src = piece
+	return s.evalNode(root.Body.Statements[0], ctx)
+}
 
 // TestEvalTextImpurityBypassesCache proves the determinism gate: a
 // piece whose evaluation consults a nondeterminism source must run the
@@ -52,7 +66,7 @@ func TestEvalTextImpurityBypassesCache(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		// The result (or DenyHost error) is irrelevant; what matters is
 		// that the evaluation was attempted and never memoized.
-		s.evalText(piece, rootCtx())
+		evalPieceText(t, s, piece, rootCtx())
 	}
 	if v.Hits != 0 || v.Misses != 0 || v.Skips != 2 {
 		t.Errorf("trace = %d hits / %d misses / %d skips, want 0/0/2 (two real interpreter runs)",
@@ -71,11 +85,11 @@ func TestEvalTextPureResultIsMemoized(t *testing.T) {
 	v := c.View(PS{})
 	s := newEvalState(t, "x", v)
 	const piece = "'ab' + 'cd' * 2"
-	first, err := s.evalText(piece, rootCtx())
+	first, err := evalPieceText(t, s, piece, rootCtx())
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := s.evalText(piece, rootCtx())
+	second, err := evalPieceText(t, s, piece, rootCtx())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +112,7 @@ func TestEvalTextBindingSensitivity(t *testing.T) {
 	const piece = "$key + '!'"
 
 	s.vars["key"] = varEntry{value: "alpha", scope: []int{0}}
-	out, err := s.evalText(piece, rootCtx())
+	out, err := evalPieceText(t, s, piece, rootCtx())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +123,7 @@ func TestEvalTextBindingSensitivity(t *testing.T) {
 	// Same text, different value of the read variable: the cached
 	// result must NOT replay.
 	s.vars["key"] = varEntry{value: "beta", scope: []int{0}}
-	out, err = s.evalText(piece, rootCtx())
+	out, err = evalPieceText(t, s, piece, rootCtx())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +136,7 @@ func TestEvalTextBindingSensitivity(t *testing.T) {
 
 	// Restoring the original value restores the original cached entry.
 	s.vars["key"] = varEntry{value: "alpha", scope: []int{0}}
-	out, err = s.evalText(piece, rootCtx())
+	out, err = evalPieceText(t, s, piece, rootCtx())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +160,7 @@ func TestEvalTextScopeVisibilityGatesCache(t *testing.T) {
 	s.vars["inner"] = varEntry{value: "seen", scope: []int{0, 1}}
 	const piece = "'' + $inner"
 
-	out, err := s.evalText(piece, visitCtx{scope: []int{0, 1}})
+	out, err := evalPieceText(t, s, piece, visitCtx{scope: []int{0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +169,7 @@ func TestEvalTextScopeVisibilityGatesCache(t *testing.T) {
 	}
 	// From the sibling scope the variable is invisible: StrictVars makes
 	// the evaluation fail, and crucially it must not hit the cache.
-	if _, err := s.evalText(piece, visitCtx{scope: []int{0, 2}}); err == nil {
+	if _, err := evalPieceText(t, s, piece, visitCtx{scope: []int{0, 2}}); err == nil {
 		t.Error("invisible binding evaluated successfully (cache leaked across scopes?)")
 	}
 	if v.Hits != 0 {

@@ -92,8 +92,9 @@ const lexBudget = 9
 // of the equivalence suite, one fresh Deobfuscator per script: the
 // number of distinct texts its runs lex. The count includes the
 // sub-texts the parser and the interpreter lex directly (expandable
-// string subexpressions, evaluated snippets).
-const corpusLexBudget = 1541
+// string subexpressions, the snippets of pieces that parse their
+// text). It was 1541 while every evaluated piece parsed its text.
+const corpusLexBudget = 254
 
 func TestLexCountBudget(t *testing.T) {
 	script := threeLayerScript()
@@ -120,6 +121,33 @@ func TestLexCountBudget(t *testing.T) {
 	}
 	if lexes > corpusLexBudget {
 		t.Errorf("the corpus lexed %d times, budget %d (one per distinct text)", lexes, corpusLexBudget)
+	}
+}
+
+// corpusParseBudget is the ceiling on psparser parses summed over the
+// same corpus, one fresh Deobfuscator per script. Pieces evaluate on
+// the subtree the run already parsed, so the parses left are the
+// layers, the rewritten texts the passes validate, and the pieces that
+// fall back to parsing their text. It was 1509 while every evaluated
+// piece parsed its text.
+const corpusParseBudget = 222
+
+// TestParseCountCorpusBudget holds the corpus to corpusParseBudget: a
+// change that makes evaluated pieces parse their text again, or that
+// adds a parse per piece or per replacement, fails it.
+func TestParseCountCorpusBudget(t *testing.T) {
+	var parses int64
+	for i, s := range corpus.Generate(corpus.Config{Seed: 20220627, N: 24, MaxL3Layers: 3}) {
+		d := core.New(core.Options{Lang: "powershell"})
+		before := psparser.ParseCalls()
+		if _, err := d.Deobfuscate(s.Source); err != nil {
+			t.Fatalf("corpus_%02d: %v", i, err)
+		}
+		parses += psparser.ParseCalls() - before
+	}
+	t.Logf("the corpus parsed %d times", parses)
+	if parses > corpusParseBudget {
+		t.Errorf("the corpus parsed %d times, budget %d (evaluated pieces parsing their text again?)", parses, corpusParseBudget)
 	}
 }
 

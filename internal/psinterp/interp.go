@@ -218,6 +218,10 @@ func (in *Interp) reset(opts Options) {
 // evaluation.
 func (in *Interp) Console() string { return in.console.String() }
 
+// Steps returns the evaluation steps taken so far, the count MaxSteps
+// bounds.
+func (in *Interp) Steps() int { return in.steps }
+
 // SetVar defines a variable in the global scope. Variables defined
 // this way — before evaluation, by the embedding caller — are the
 // "preloaded" set whose reads the purity tracker records for the

@@ -126,7 +126,7 @@ func (in *Interp) noteVarRead(name string) {
 // are deterministic, host-free and console-free. Dispatching any other
 // command marks the run impure. The set intentionally mirrors (and
 // slightly extends) the deobfuscator's safe-piece command list: those
-// are the commands that reach evalText in practice.
+// are the commands that reach piece evaluation in practice.
 var pureBuiltins = map[string]bool{
 	"foreach-object":           true,
 	"where-object":             true,
