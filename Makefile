@@ -43,9 +43,9 @@ soak:
 
 # equivalence re-runs the refactor guards explicitly (they are also in
 # the plain suite): byte-identical output against the frozen goldens of
-# both language frontends, the parses-per-run budget on the fixed
-# 3-layer script, the lexes-per-run budget (one lex per distinct
-# text) on that script and the 24-sample corpus, the interpreter's
+# both language frontends, the parses-per-run budgets on the fixed
+# 3-layer script and the 24-sample corpus, the lexes-per-run budget
+# (one lex per distinct text) on both, the interpreter's
 # pinned output and step count for every level-3 decoder and
 # ForEach-Object body shape, and its allocations-per-character bound
 # on the hot decoders.
@@ -64,11 +64,13 @@ goldens:
 
 # fuzz-smoke gives each native fuzz target a short budget. Any panic,
 # envelope violation or differential mismatch (FuzzSplitOperator against
-# the regex split, FuzzParseNumber against the full number grammar)
-# found within the budget fails the gate.
+# the regex split, FuzzParseNumber against the full number grammar,
+# FuzzPieceNodeEval's piece evaluations on the parsed subtree against
+# a parse of their text) found within the budget fails the gate.
 fuzz-smoke:
 	$(GO) test ./internal/psfront -run '^$$' -fuzz FuzzTokenize -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/psfront -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/psfront -run '^$$' -fuzz FuzzPieceNodeEval -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/frontend -run '^$$' -fuzz FuzzDetect -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDeobfuscate$$ -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDeobfuscateEnvelope -fuzztime $(FUZZTIME)
