@@ -51,9 +51,12 @@ type astState struct {
 	src   string
 	depth int
 	repl  map[psast.Node]replacement
-	// starts holds the start offset of every replaced node, sorted, so
-	// piece evaluation can tell exactly which subtrees hold a
-	// replacement (replacedWithin).
+	// starts holds the start offset of every replaced node, sorted:
+	// textOf, the splice edits and piece evaluation use it to tell
+	// exactly which subtrees hold a replacement (replacedWithin) and
+	// share every other one as it is. On typical layers only a handful
+	// of nodes are rewritten, so this prunes almost the entire
+	// post-order splice.
 	starts  []int
 	vars    map[string]varEntry
 	scopeID int
@@ -72,13 +75,6 @@ type astState struct {
 	// preludeDefs are the safe functions' own definition nodes, in the
 	// prelude's order: the statements Parse(prelude) yields.
 	preludeDefs []psast.Node
-	// replMin/replMax bound the source extents of all recorded
-	// replacements. textOf uses them to return a node's raw source
-	// slice — zero reconstruction, zero allocation — whenever no
-	// replacement can possibly fall inside the node. On typical layers
-	// only a handful of nodes are rewritten, so this prunes almost the
-	// entire post-order splice.
-	replMin, replMax int
 }
 
 // maxPieceLen bounds recoverable pieces, in bytes: larger pieces are
@@ -170,20 +166,13 @@ func isIdentByte(c byte) bool {
 	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_' || c >= 0x80
 }
 
-// record stores n's replacement, widens the replacement extent bounds
-// used by textOf's fast path and adds n's start to the sorted replaced
-// starts.
+// record stores n's replacement and adds n's start to the sorted
+// replaced starts.
 func (s *astState) record(n psast.Node, r replacement) {
-	ext := n.Extent()
-	if len(s.repl) == 0 || ext.Start < s.replMin {
-		s.replMin = ext.Start
-	}
-	if ext.End > s.replMax {
-		s.replMax = ext.End
-	}
 	s.repl[n] = r
-	i, _ := slices.BinarySearch(s.starts, ext.Start)
-	s.starts = slices.Insert(s.starts, i, ext.Start)
+	start := n.Extent().Start
+	i, _ := slices.BinarySearch(s.starts, start)
+	s.starts = slices.Insert(s.starts, i, start)
 }
 
 // replacedWithin reports whether a replaced node starts inside ext.
@@ -1256,10 +1245,11 @@ func (s *astState) textOf(n psast.Node) string {
 		return r.text
 	}
 	ext := n.Extent()
-	// Fast path: no recorded replacement can fall inside this node, so
-	// its text is exactly its source slice. This covers every node on
-	// unmodified layers and all untouched subtrees on modified ones.
-	if len(s.repl) == 0 || ext.End <= s.replMin || ext.Start >= s.replMax {
+	// Fast path: no recorded replacement falls inside this node, so its
+	// text is exactly its source slice — zero reconstruction, zero
+	// allocation. This covers every node on unmodified layers and all
+	// untouched subtrees on modified ones.
+	if !s.replacedWithin(ext) {
 		return ext.Text(s.src)
 	}
 	var sb strings.Builder
@@ -1278,7 +1268,7 @@ func (s *astState) writeTextOf(sb *strings.Builder, n psast.Node) {
 		return
 	}
 	ext := n.Extent()
-	if len(s.repl) == 0 || ext.End <= s.replMin || ext.Start >= s.replMax {
+	if !s.replacedWithin(ext) {
 		sb.WriteString(ext.Text(s.src))
 		return
 	}
@@ -1563,7 +1553,7 @@ func (s *astState) buildEdits(root psast.Node) []edit {
 			return
 		}
 		ext := n.Extent()
-		if ext.End <= s.replMin || ext.Start >= s.replMax {
+		if !s.replacedWithin(ext) {
 			return
 		}
 		if _, isExpandable := n.(*psast.ExpandableString); isExpandable {
