@@ -36,9 +36,6 @@ type visitCtx struct {
 	// index chains built on them. There a literal glued to the next or
 	// previous character re-lexes as part of a bare word.
 	argMode bool
-	// minusRight marks the right operand of a binary minus, where the
-	// lexer reads a minus before a number as the operator.
-	minusRight bool
 }
 
 type astState struct {
@@ -123,7 +120,7 @@ func (s *astState) spliceLiteral(n psast.Node, lit string, ctx visitCtx) {
 			r.lit = &psast.StringConstant{Value: v, SingleQuoted: true}
 		} else if lit[0] != '-' {
 			r.lit = &psast.ConstantExpression{Value: r.value, Text: lit}
-			r.gluedBefore, r.gluedAfter = s.numberGlue(n, ctx)
+			r.gluedBefore, r.gluedAfter = s.numberGlue(n)
 		}
 		if _, ok := n.(*psast.Pipeline); ok && r.lit != nil {
 			r.lit = &psast.Pipeline{Elements: []psast.Node{&psast.CommandExpression{Expression: r.lit}}}
@@ -135,28 +132,18 @@ func (s *astState) spliceLiteral(n psast.Node, lit string, ctx visitCtx) {
 // numberGlue reports whether a number spliced over n could lex together
 // with the character before or after it. Before: an identifier
 // character (`-bxor5` is one word), a member dot (`$a.3` reads 3 as a
-// member name) or a minus that is not the binary operator whose right
-// operand n is (`-3` and `*-3` read one number token). After: an
+// member name) or a minus, which unless it is a binary operator reads
+// as the number's sign (`-3` and `*-3` are one number token). After: an
 // identifier character or a member dot. Range dots are fine either way.
-func (s *astState) numberGlue(n psast.Node, ctx visitCtx) (before, after bool) {
+func (s *astState) numberGlue(n psast.Node) (before, after bool) {
 	ext := n.Extent()
 	if i := ext.Start - 1; i >= 0 {
-		switch c := s.src[i]; {
-		case isIdentByte(c):
-			before = true
-		case c == '.':
-			before = i == 0 || s.src[i-1] != '.'
-		case c == '-':
-			before = !ctx.minusRight
-		}
+		c := s.src[i]
+		before = isIdentByte(c) || c == '-' || c == '.' && (i == 0 || s.src[i-1] != '.')
 	}
 	if i := ext.End; i < len(s.src) {
-		switch c := s.src[i]; {
-		case isIdentByte(c):
-			after = true
-		case c == '.':
-			after = i+1 == len(s.src) || s.src[i+1] != '.'
-		}
+		c := s.src[i]
+		after = isIdentByte(c) || c == '.' && (i+1 == len(s.src) || s.src[i+1] != '.')
 	}
 	return before, after
 }
@@ -374,8 +361,6 @@ func (s *astState) visit(n psast.Node, ctx visitCtx) {
 		// unwrapping; its children are expressions.
 		for _, c := range n.Children() {
 			childCtx.argMode = argModeChild(n, c, ctx.argMode)
-			b, isBinary := n.(*psast.BinaryExpression)
-			childCtx.minusRight = isBinary && b.Operator == "-" && c == b.Right
 			s.visit(c, childCtx)
 		}
 	}
