@@ -21,28 +21,47 @@ var (
 	// signals holds six PowerShell and six JavaScript signals, cheapest
 	// first. A pattern that begins with a literal is found by substring
 	// scan; one that begins with \b or a case-folded word is matched at
-	// every offset, so when it misses it walks the whole window. Those
-	// run last, and usually the vote is decided before they run.
+	// every offset, so when it misses it walks the whole window. The
+	// case-sensitive ones list the literals one of which every match
+	// contains, and a text that holds none of them skips the regexp.
 	signals = []signal{
-		{regexp.MustCompile(`\$[A-Za-z_{][A-Za-z0-9_]*`), false}, // $-sigil variables
-		{regexp.MustCompile("`[a-zA-Z]"), false},                 // backtick ticking
-		{regexp.MustCompile(`=>`), true},
-		{regexp.MustCompile(`(?i)-(join|split|replace|bxor|enc|encodedcommand|nop)\b`), false},
-		{regexp.MustCompile(`(?i)\[(char|int|string|byte|convert|text\.encoding)\]`), false},
-		{regexp.MustCompile(`\.(join|split|charCodeAt|charAt)\s*\(`), true},
-		{regexp.MustCompile(`\bString\.fromCharCode\b`), true},
-		{regexp.MustCompile(`\bfunction\s*\(`), true},
-		{regexp.MustCompile(`\b(var|let|const)\s+[A-Za-z_$][A-Za-z0-9_$]*\s*=`), true},
-		{regexp.MustCompile(`\b(document|window|console|eval|unescape|atob)\s*[.(]`), true},
-		{regexp.MustCompile(`(?i)\bparam\s*\(`), false},
-		{regexp.MustCompile(`(?i)\b(Write-Host|Invoke-Expression|iex|New-Object|Get-ChildItem|Start-Process|Invoke-WebRequest)\b`), false},
+		{regexp.MustCompile(`\$[A-Za-z_{][A-Za-z0-9_]*`), false, nil}, // $-sigil variables
+		{regexp.MustCompile("`[a-zA-Z]"), false, nil},                 // backtick ticking
+		{regexp.MustCompile(`=>`), true, nil},
+		{regexp.MustCompile(`(?i)-(join|split|replace|bxor|enc|encodedcommand|nop)\b`), false, nil},
+		{regexp.MustCompile(`(?i)\[(char|int|string|byte|convert|text\.encoding)\]`), false, nil},
+		{regexp.MustCompile(`\.(join|split|charCodeAt|charAt)\s*\(`), true, []string{".join", ".split", ".charAt", ".charCodeAt"}},
+		{regexp.MustCompile(`\bString\.fromCharCode\b`), true, []string{"String.fromCharCode"}},
+		{regexp.MustCompile(`\bfunction\s*\(`), true, []string{"function"}},
+		{regexp.MustCompile(`\b(var|let|const)\s+[A-Za-z_$][A-Za-z0-9_$]*\s*=`), true, []string{"var", "let", "const"}},
+		{regexp.MustCompile(`\b(document|window|console|eval|unescape|atob)\s*[.(]`), true, []string{"document", "window", "console", "eval", "unescape", "atob"}},
+		{regexp.MustCompile(`(?i)\bparam\s*\(`), false, nil},
+		{regexp.MustCompile(`(?i)\b(Write-Host|Invoke-Expression|iex|New-Object|Get-ChildItem|Start-Process|Invoke-WebRequest)\b`), false, nil},
 	}
 )
 
-// signal is one vote: a pattern and the language it speaks for.
+// signal is one vote: a pattern, the language it speaks for, and, when
+// not nil, the literals one of which every match of the pattern
+// contains.
 type signal struct {
-	re *regexp.Regexp
-	js bool
+	re   *regexp.Regexp
+	js   bool
+	lits []string
+}
+
+// match reports whether the signal's pattern matches src. It tries the
+// regexp only when one of the required literals occurs: a text that
+// lacks them all cannot match, so the answer is the regexp's.
+func (s signal) match(src string) bool {
+	if s.lits == nil {
+		return s.re.MatchString(src)
+	}
+	for _, lit := range s.lits {
+		if strings.Contains(src, lit) {
+			return s.re.MatchString(src)
+		}
+	}
+	return false
 }
 
 // Detect guesses the language of src with cheap lexical heuristics and
@@ -85,7 +104,7 @@ func vote(src string) (js bool, tried int) {
 			break
 		}
 		tried++
-		hit := s.re.MatchString(src)
+		hit := s.match(src)
 		if s.js {
 			jsLeft--
 			if hit {

@@ -152,6 +152,19 @@ func TestDetect(t *testing.T) {
 	if ps != 6 || js != 6 {
 		t.Errorf("vote has %d PowerShell and %d JavaScript signals, want 6 and 6", ps, js)
 	}
+	// The special-character style reaches three \b-led signals, and
+	// holds none of their literals, so no \b-led regexp runs.
+	special := specialCharText()
+	if js, tried := vote(special); js || tried != 9 {
+		t.Errorf("special-character text: vote = (js %v, %d signals tried), want (js false, 9)", js, tried)
+	}
+	for _, s := range signals {
+		for _, lit := range s.lits {
+			if strings.Contains(special, lit) {
+				t.Errorf("special-character text holds %q", lit)
+			}
+		}
+	}
 	// Oversize input: only the window is scanned (no crash, a result).
 	big := strings.Repeat(" ", detectWindow) + "var x = String.fromCharCode(1)"
 	if got := Detect(big); got != "powershell" {
@@ -177,8 +190,16 @@ func fullVote(src string) bool {
 	return js > ps
 }
 
+// specialCharText is a 64 KiB script in the special-character style,
+// where every character is computed from punctuation and a cast.
+func specialCharText() string {
+	const piece = "[char](('!!'+'!!').Length*25+4)+"
+	return strings.Repeat(piece, detectWindow/len(piece)+1)[:detectWindow]
+}
+
 // FuzzDetect checks that Detect's early-stopping vote always agrees
-// with the full twelve-signal count.
+// with the full twelve-signal count, and that every signal's
+// required-literal skip agrees with its regexp.
 func FuzzDetect(f *testing.F) {
 	for _, s := range []string{
 		"",
@@ -189,6 +210,12 @@ func FuzzDetect(f *testing.F) {
 		"$v = 'function(' + $x -join ''",
 		"$x = 'a'.split(',') => `t",
 		"function(a){ return [char]a }; param($p) => 1",
+		// A required literal without a match.
+		"functionx (",
+		"String.fromCharCodeX",
+		"a.joinx(",
+		"vars = 1",
+		specialCharText(),
 	} {
 		f.Add(s)
 	}
@@ -196,6 +223,11 @@ func FuzzDetect(f *testing.F) {
 		js, tried := vote(src)
 		if want := fullVote(src); js != want {
 			t.Fatalf("vote(%q) = js %v after %d signals, the full count says js %v", src, js, tried, want)
+		}
+		for _, s := range signals {
+			if got, want := s.match(src), s.re.MatchString(src); got != want {
+				t.Fatalf("signal %s on %q: match = %v, regexp = %v", s.re, src, got, want)
+			}
 		}
 	})
 }
