@@ -1129,14 +1129,20 @@ var safeCommands = map[string]bool{
 // isSafePiece checks that every command in the subtree is a safe pure
 // transformation and that every free variable is known, so executing
 // the piece can neither cause side effects nor produce wrong results
-// from missing context.
+// from missing context. It does not enter a descendant already replaced
+// by a literal: the piece's text holds the literal, not that subtree.
+// Payload code and parenthesized replacements are still walked.
 func (s *astState) isSafePiece(n psast.Node, ctx visitCtx) bool {
-	safe := true
+	safe, visits := true, 0
 	var inspect func(node psast.Node, inScriptBlock bool)
 	inspect = func(node psast.Node, inScriptBlock bool) {
 		if node == nil || !safe {
 			return
 		}
+		if r, ok := s.repl[node]; ok && r.isLit && r.certain {
+			return
+		}
+		visits++
 		switch x := node.(type) {
 		case *psast.Command:
 			name, ok := s.commandLiteralName(x)
@@ -1176,8 +1182,16 @@ func (s *astState) isSafePiece(n psast.Node, ctx visitCtx) bool {
 		}
 	}
 	inspect(n, false)
+	if hook := safeWalkHook.Load(); hook != nil {
+		(*hook)(s, n, ctx, safe, visits)
+	}
 	return safe
 }
+
+// safeWalkHook, when set, observes every safety walk: the piece, its
+// context, the answer and the number of nodes visited. Tests use it to
+// check the walk against the full one; it is nil otherwise.
+var safeWalkHook atomic.Pointer[func(s *astState, n psast.Node, ctx visitCtx, safe bool, visits int)]
 
 // commandLiteralName resolves a command's name when it is statically
 // known: a bare word, a quoted literal, or an expression already

@@ -75,18 +75,7 @@ func TestPieceNodeEvalMatchesText(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential run over the goldens, corpus and gauntlet grid")
 	}
-	var scripts []string
-	files, err := filepath.Glob(filepath.Join("..", "core", "testdata", "*.ps1"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("golden testdata: %v (%d files)", err, len(files))
-	}
-	for _, f := range files {
-		src, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scripts = append(scripts, string(src))
-	}
+	scripts := goldenInputs(t)
 	for _, cfg := range []corpus.Config{
 		{Seed: 20220627, N: 24, MaxL3Layers: 3}, // the golden corpus
 		{Seed: 1, N: 24},
@@ -116,6 +105,23 @@ func TestPieceNodeEvalMatchesText(t *testing.T) {
 		}
 		d.stop(t)
 	})
+}
+
+// goldenInputs returns the inputs of the PowerShell golden suite.
+func goldenInputs(t *testing.T) []string {
+	files, err := filepath.Glob(filepath.Join("..", "core", "testdata", "*.ps1"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("golden testdata: %v (%d files)", err, len(files))
+	}
+	scripts := make([]string, 0, len(files))
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scripts = append(scripts, string(src))
+	}
+	return scripts
 }
 
 // differential counts the pieces evaluated each way and checks every
