@@ -45,13 +45,14 @@ soak:
 # the plain suite): byte-identical output against the frozen goldens of
 # both language frontends, the parses-per-run budgets on the fixed
 # 3-layer script and the 24-sample corpus, the lexes-per-run budget
-# (one lex per distinct text) on both, the interpreter's
+# (one lex per distinct text) on both, the safety walk's visit budget
+# on the corpus and its agreement with the full walk, the interpreter's
 # pinned output and step count for every level-3 decoder and
 # ForEach-Object body shape, and its allocations-per-character bound
 # on the hot decoders.
 equivalence:
 	$(GO) test ./internal/core -run TestEquivalenceGolden -count=1
-	$(GO) test ./internal/psfront -run 'TestParseCount|TestLexCountBudget' -count=1
+	$(GO) test ./internal/psfront -run 'TestParseCount|TestLexCountBudget|TestSafeWalkMatchesFullWalk' -count=1
 	$(GO) test ./internal/jsfront -run TestJSGolden -count=1
 	$(GO) test ./internal/psinterp -run 'TestDecoderStepsPinned|TestDecoderAllocations' -count=1
 
@@ -66,7 +67,8 @@ goldens:
 # envelope violation or differential mismatch (FuzzSplitOperator against
 # the regex split, FuzzParseNumber against the full number grammar,
 # FuzzPieceNodeEval's piece evaluations on the parsed subtree against
-# a parse of their text) found within the budget fails the gate.
+# a parse of their text, FuzzDetect's vote against the full regexp
+# count) found within the budget fails the gate.
 fuzz-smoke:
 	$(GO) test ./internal/psfront -run '^$$' -fuzz FuzzTokenize -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/psfront -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
