@@ -87,7 +87,7 @@ func Detect(src string) string {
 }
 
 // vote reports whether strictly more JavaScript than PowerShell
-// signals match src, and how many signals it matched to decide. It
+// signals match src, and how many signals it tried to decide. It
 // stops as soon as the signals not yet matched cannot change the
 // outcome, so the answer is always that of matching all twelve.
 func vote(src string) (js bool, tried int) {
