@@ -89,10 +89,10 @@ type replacement struct {
 	// lit is the node the text parses to in the replaced node's place,
 	// for piece evaluation on the parsed subtree; nil where there is none
 	// (see spliceLiteral). A number literal may lex together with the
-	// character before it (gluedBefore) or after it (gluedAfter); lit
-	// stands for the text only in a piece that ends there.
-	lit                     psast.Node
-	gluedBefore, gluedAfter bool
+	// character before it (gluedBefore); lit then stands for the text
+	// only in a piece that starts with it.
+	lit         psast.Node
+	gluedBefore bool
 }
 
 // setRepl records unwrapped payload code as n's replacement. Payload
@@ -120,7 +120,7 @@ func (s *astState) spliceLiteral(n psast.Node, lit string, ctx visitCtx) {
 			r.lit = &psast.StringConstant{Value: v, SingleQuoted: true}
 		} else if lit[0] != '-' {
 			r.lit = &psast.ConstantExpression{Value: r.value, Text: lit}
-			r.gluedBefore, r.gluedAfter = s.numberGlue(n)
+			r.gluedBefore = s.numberGlued(n)
 		}
 		if _, ok := n.(*psast.Pipeline); ok && r.lit != nil {
 			r.lit = &psast.Pipeline{Elements: []psast.Node{&psast.CommandExpression{Expression: r.lit}}}
@@ -129,23 +129,20 @@ func (s *astState) spliceLiteral(n psast.Node, lit string, ctx visitCtx) {
 	s.record(n, r)
 }
 
-// numberGlue reports whether a number spliced over n could lex together
-// with the character before or after it. Before: an identifier
-// character (`-bxor5` is one word), a member dot (`$a.3` reads 3 as a
-// member name) or a minus, which unless it is a binary operator reads
-// as the number's sign (`-3` and `*-3` are one number token). After: an
-// identifier character or a member dot. Range dots are fine either way.
-func (s *astState) numberGlue(n psast.Node) (before, after bool) {
-	ext := n.Extent()
-	if i := ext.Start - 1; i >= 0 {
-		c := s.src[i]
-		before = isIdentByte(c) || c == '-' || c == '.' && (i == 0 || s.src[i-1] != '.')
+// numberGlued reports whether a number spliced bare over n could lex
+// together with the character before it: a minus, which unless it is a
+// binary operator reads as the number's sign (`-3` and `*-3` are one
+// number token), or a member dot (`$a.3` reads 3 as a member name).
+// inPlace parenthesizes a number next to a word character or before a
+// member dot, so a bare one has no other neighbour to lex with. Range
+// dots are fine.
+func (s *astState) numberGlued(n psast.Node) bool {
+	i := n.Extent().Start - 1
+	if i < 0 {
+		return false
 	}
-	if i := ext.End; i < len(s.src) {
-		c := s.src[i]
-		after = isIdentByte(c) || c == '.' && (i+1 == len(s.src) || s.src[i+1] != '.')
-	}
-	return before, after
+	c := s.src[i]
+	return c == '-' || c == '.' && (i == 0 || s.src[i-1] != '.')
 }
 
 // isIdentByte reports a byte the lexer can read as part of a word.
@@ -919,7 +916,7 @@ func leadLexedInContext(n psast.Node) bool {
 //   - a replacement inside a command, parsed in argument mode, where a
 //     literal can merge with its neighbours into a bare word;
 //   - a number that could lex together with a neighbour inside the
-//     piece (see numberGlue).
+//     piece (see numberGlued).
 func (s *astState) substitute(piece psast.Extent) func(psast.Node) (psast.Node, bool) {
 	return func(c psast.Node) (psast.Node, bool) {
 		ext := c.Extent()
@@ -930,7 +927,7 @@ func (s *astState) substitute(piece psast.Extent) func(psast.Node) (psast.Node, 
 			return nil, true
 		}
 		if r, ok := s.repl[c]; ok {
-			if r.lit == nil || r.gluedBefore && ext.Start > piece.Start || r.gluedAfter && ext.End < piece.End {
+			if r.lit == nil || r.gluedBefore && ext.Start > piece.Start {
 				return nil, true
 			}
 			return r.lit, true
