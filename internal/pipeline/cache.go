@@ -73,11 +73,12 @@ const (
 	// 200 corpus scripts, an obfuscated text's tokens take 5.6 and its
 	// AST 9.0 bytes per source byte (a clean text's 4.0 and 8.6).
 	bytesPerSourceByte = 16
-	// maxCacheableText is the largest single text worth caching: its
-	// entry may take a quarter of the default byte budget. Bigger texts
-	// are parsed directly so one giant layer cannot evict the whole
-	// working set.
-	maxCacheableText = DefaultMaxBytes / 4 / bytesPerSourceByte
+	// maxCacheableText is the largest single text worth caching; bigger
+	// texts are parsed directly. A smaller text charged more than the
+	// whole byte budget (over 1 MiB under the default) evicts every
+	// other entry and is kept alone, so a layer of the largest script
+	// the server accepts still parses once.
+	maxCacheableText = 4 << 20
 )
 
 // entryBytes is the byte-budget charge of an entry caching text.
@@ -216,9 +217,7 @@ func NewCache(maxEntries int, maxBytes int64) *Cache {
 
 // entryLocked returns the entry for key, creating (and bounding) it as
 // needed, and bumps it to most-recently-used. Callers hold c.mu and
-// have already rejected oversize texts. An entry that alone exceeds a
-// small byte budget is evicted at once; the caller still computes into
-// it, as into any entry evicted mid-flight, but nothing retains it.
+// have already rejected oversize texts.
 func (c *Cache) entryLocked(key cacheKey) *cacheEntry {
 	if e := c.entries[key]; e != nil {
 		c.lru.MoveToFront(e.elem)
@@ -228,7 +227,7 @@ func (c *Cache) entryLocked(key cacheKey) *cacheEntry {
 	c.entries[key] = e
 	e.elem = c.lru.PushFront(e)
 	c.bytes += entryBytes(key.text)
-	for c.lru.Len() > c.maxEntries || c.bytes > c.maxBytes {
+	for (c.lru.Len() > c.maxEntries || c.bytes > c.maxBytes) && c.lru.Len() > 1 {
 		victim := c.lru.Remove(c.lru.Back()).(*cacheEntry)
 		delete(c.entries, victim.key)
 		c.bytes -= entryBytes(victim.key.text)

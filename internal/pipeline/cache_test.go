@@ -197,8 +197,8 @@ func TestCacheBudgetsAreGlobal(t *testing.T) {
 		l := newFakeLang()
 		var texts []string
 		var total int64
-		for i := 0; i < 3; i++ { // 3 x 3/4 of maxCacheableText, charged 3 MiB each
-			texts = append(texts, fmt.Sprintf("%d", i)+strings.Repeat("x", maxCacheableText*3/4))
+		for i := 0; i < 3; i++ { // 3 texts charged 3 MiB each
+			texts = append(texts, fmt.Sprintf("%d", i)+strings.Repeat("x", (3<<20)/bytesPerSourceByte))
 		}
 		for i := 0; i < 200; i++ {
 			texts = append(texts, fmt.Sprintf("small-%d-", i)+strings.Repeat("y", 1<<10))

@@ -195,23 +195,43 @@ func TestCacheEntryBound(t *testing.T) {
 }
 
 func TestCacheByteBound(t *testing.T) {
-	// 64-byte budget: each ~40-byte script's entry is charged more than
-	// that, so each is evicted as soon as it is cached.
-	c := NewCache(0, 64)
+	// A budget of 64 source bytes: each ~40-byte script evicts its
+	// predecessor.
+	const budget = 64 * bytesPerSourceByte
+	c := NewCache(0, budget)
 	l := newFakeLang()
 	for i := 0; i < 10; i++ {
 		c.Parse(l, fmt.Sprintf("Write-Host %030d", i))
 	}
 	st := c.Stats()
-	if st.Bytes > 64 {
-		t.Errorf("bytes = %d, want <= 64", st.Bytes)
+	if st.Bytes > budget {
+		t.Errorf("bytes = %d, want <= %d", st.Bytes, budget)
 	}
 	if st.Evictions == 0 {
-		t.Error("no evictions under a 64-byte budget")
+		t.Error("no evictions under a 64-source-byte budget")
 	}
 	// Evicted texts still parse correctly (re-inserted as new entries).
 	if _, err := c.Parse(l, fmt.Sprintf("Write-Host %030d", 0)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOverBudgetEntryIsKept pins that a text charged more than the
+// whole byte budget evicts the other entries but stays cached itself,
+// so asking for it again does not parse it again.
+func TestOverBudgetEntryIsKept(t *testing.T) {
+	c := NewCache(0, 64*bytesPerSourceByte)
+	l := newFakeLang()
+	c.Parse(l, "Write-Host 1")
+	big := "Write-Host " + strings.Repeat("a", 100)
+	c.Parse(l, big)
+	if st := c.Stats(); st.Entries != 1 || st.Evictions != 1 {
+		t.Errorf("stats = %+v, want the over-budget entry alone after 1 eviction", st)
+	}
+	parses := l.parses.Load()
+	c.Parse(l, big)
+	if n := l.parses.Load() - parses; n != 0 {
+		t.Errorf("re-parsing the over-budget text cost %d parses, want 0", n)
 	}
 }
 

@@ -93,7 +93,7 @@ const lexBudget = 9
 // number of distinct texts its runs lex. The count includes the
 // sub-texts the parser and the interpreter lex directly (expandable
 // string subexpressions, the snippets of pieces that parse their
-// text). It was 1541 while every evaluated piece parsed its text.
+// text).
 const corpusLexBudget = 254
 
 func TestLexCountBudget(t *testing.T) {
@@ -128,8 +128,7 @@ func TestLexCountBudget(t *testing.T) {
 // same corpus, one fresh Deobfuscator per script. Pieces evaluate on
 // the subtree the run already parsed, so the parses left are the
 // layers, the rewritten texts the passes validate, and the pieces that
-// fall back to parsing their text. It was 1509 while every evaluated
-// piece parsed its text.
+// fall back to parsing their text.
 const corpusParseBudget = 222
 
 // TestParseCountCorpusBudget holds the corpus to corpusParseBudget: a

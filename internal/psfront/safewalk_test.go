@@ -15,7 +15,7 @@ import (
 // corpusSafeWalkBudget is the ceiling on the nodes the safety walk
 // visits over the 24-sample corpus of the equivalence suite, one fresh
 // Deobfuscator per script. The walk does not enter subtrees already
-// replaced by a literal; the full walk, which did, visited 56,797.
+// replaced by a literal.
 const corpusSafeWalkBudget = 20_000
 
 // TestSafeWalkMatchesFullWalk checks the safety walk against the full
