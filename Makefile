@@ -68,18 +68,22 @@ goldens:
 # the regex split, FuzzParseNumber against the full number grammar,
 # FuzzPieceNodeEval's piece evaluations on the parsed subtree against
 # a parse of their text, FuzzDetect's vote against the full regexp
-# count) found within the budget fails the gate.
+# count) found within the budget fails the gate. -fuzzminimizetime 0
+# keeps the budget for fuzzing: Go's default spends up to 60 s
+# minimizing each new interesting input, which stalls a 10 s run. A
+# failing input is still reported and written to testdata/fuzz, just
+# not shrunk.
 fuzz-smoke:
-	$(GO) test ./internal/psfront -run '^$$' -fuzz FuzzTokenize -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/psfront -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/psfront -run '^$$' -fuzz FuzzPieceNodeEval -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/frontend -run '^$$' -fuzz FuzzDetect -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDeobfuscate$$ -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDeobfuscateEnvelope -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/psinterp -run '^$$' -fuzz FuzzEvalSnippet -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/psinterp -run '^$$' -fuzz FuzzSplitOperator -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/psparser -run '^$$' -fuzz FuzzParseNumber -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/obfuscate -run '^$$' -fuzz FuzzProfileStack -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/psfront -run '^$$' -fuzz FuzzTokenize -fuzztime $(FUZZTIME) -fuzzminimizetime 0
+	$(GO) test ./internal/psfront -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) -fuzzminimizetime 0
+	$(GO) test ./internal/psfront -run '^$$' -fuzz FuzzPieceNodeEval -fuzztime $(FUZZTIME) -fuzzminimizetime 0
+	$(GO) test ./internal/frontend -run '^$$' -fuzz FuzzDetect -fuzztime $(FUZZTIME) -fuzzminimizetime 0
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDeobfuscate$$ -fuzztime $(FUZZTIME) -fuzzminimizetime 0
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDeobfuscateEnvelope -fuzztime $(FUZZTIME) -fuzzminimizetime 0
+	$(GO) test ./internal/psinterp -run '^$$' -fuzz FuzzEvalSnippet -fuzztime $(FUZZTIME) -fuzzminimizetime 0
+	$(GO) test ./internal/psinterp -run '^$$' -fuzz FuzzSplitOperator -fuzztime $(FUZZTIME) -fuzzminimizetime 0
+	$(GO) test ./internal/psparser -run '^$$' -fuzz FuzzParseNumber -fuzztime $(FUZZTIME) -fuzzminimizetime 0
+	$(GO) test ./internal/obfuscate -run '^$$' -fuzz FuzzProfileStack -fuzztime $(FUZZTIME) -fuzzminimizetime 0
 
 # serve-smoke is the end-to-end binary check for the HTTP service:
 # build deobserver, bind an ephemeral port, round-trip a script via

@@ -51,7 +51,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		timeout     = fs.Duration("timeout", 0, "wall-clock deadline for the whole run (0 = none), e.g. 30s")
 		maxOutput   = fs.Int("max-output", 0, "total output byte cap across unwrapped layers (0 = 64 MiB default)")
 		jobs        = fs.Int("jobs", 0, "worker-pool size for multi-file runs (0 = GOMAXPROCS)")
-		noSplice    = fs.Bool("no-splice", false, "disable batched subtree splicing, forcing full reparses (ablation)")
 		noEvalCache = fs.Bool("no-eval-cache", false, "disable piece-evaluation memoization (ablation)")
 		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile  = fs.String("memprofile", "", "write an allocation profile to this file at exit")
@@ -68,7 +67,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		MaxIterations:          *iterations,
 		MaxOutputBytes:         *maxOutput,
 		Jobs:                   *jobs,
-		DisableSplice:          *noSplice,
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

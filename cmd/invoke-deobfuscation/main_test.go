@@ -90,6 +90,32 @@ func TestRunInvalidInput(t *testing.T) {
 	}
 }
 
+// TestRunFlagErrors pins the command-line errors: an unknown flag and
+// the removed ablation flags fail at startup, before any input is read.
+func TestRunFlagErrors(t *testing.T) {
+	const unknownFlag = "flag provided but not defined"
+	tests := []struct {
+		name string
+		args []string
+	}{
+		{"unknown flag", []string{"-no-such-flag"}},
+		{"removed no-splice", []string{"-no-splice"}},
+		{"removed piece-workers", []string{"-piece-workers", "2"}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			err := run(tt.args, strings.NewReader("Write-Host 1"), &stdout, &stderr)
+			if err == nil || !strings.Contains(err.Error(), unknownFlag) {
+				t.Errorf("run(%q) = %v, want an error containing %q", tt.args, err, unknownFlag)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("run(%q) wrote %q to stdout", tt.args, stdout.String())
+			}
+		})
+	}
+}
+
 func TestRunBatchMissingFile(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if err := run([]string{"a.ps1", "b.ps1"}, strings.NewReader(""), &stdout, &stderr); err == nil {

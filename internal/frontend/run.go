@@ -57,11 +57,6 @@ type Options struct {
 	// Jobs bounds DeobfuscateBatch worker-pool concurrency. Zero means
 	// GOMAXPROCS.
 	Jobs int
-	// DisableSplice turns off batched subtree splicing with incremental
-	// reparse (ablation): every ast-phase replacement round re-renders
-	// the whole script and re-validates it with a full parse, the
-	// pre-splice behavior. Outputs are byte-identical either way.
-	DisableSplice bool
 	// ScriptTimeout, when positive, gives each script in a
 	// DeobfuscateBatch run its own wall-clock deadline (derived from the
 	// batch context), so one pathological script cannot starve its
@@ -112,12 +107,13 @@ type Stats struct {
 	// EvalCacheSkips counts piece evaluations that ran but were not
 	// cached (impure, failed, or refused by the cache).
 	EvalCacheSkips int64
-	// SplicesApplied counts ast-phase replacement batches applied as an
-	// incremental splice (statement-extent reparse only).
+	// SplicesApplied is always zero: every replacement batch rebuilds
+	// its layer's text and parses it once, and none is spliced in by
+	// re-parsing only the statements it touched. It stays because
+	// perfbench reads it, and /statsz, which serializes Stats, reports
+	// it as 0; it goes once perfbench no longer reads it.
 	SplicesApplied int
-	// SpliceFallbacks counts replacement batches where the splice was
-	// attempted but failed validation and the engine fell back to a full
-	// re-render + reparse.
+	// SpliceFallbacks is always zero, and stays, as SplicesApplied does.
 	SpliceFallbacks int
 }
 

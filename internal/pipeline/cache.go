@@ -14,11 +14,11 @@
 // different languages can never collide.
 //
 // The cache is the amortization foothold: the fixpoint loop, the
-// per-splice validity checks, literal detection, piece evaluation,
-// unwrap, rename and reformat all ask the same cache, so identical text
-// is tokenized and parsed at most once per run instead of once per
-// consumer. A text's AST is parsed from its cached token stream, so a
-// text that is both tokenized and parsed is lexed once.
+// validity check of each rebuilt layer, literal detection, piece
+// evaluation, unwrap, rename and reformat all ask the same cache, so
+// identical text is tokenized and parsed at most once per run instead
+// of once per consumer. A text's AST is parsed from its cached token
+// stream, so a text that is both tokenized and parsed is lexed once.
 //
 // For serving workloads one cache is shared by every request. It holds
 // one mutex, one map keyed by (language, text), one LRU list and global
@@ -396,42 +396,6 @@ func (c *Cache) Valid(l Lang, src string) bool {
 	return err == nil
 }
 
-// Insert publishes synthesized artifacts for (l, text) without running
-// the language's tokenizer or parser — the incremental-splice path,
-// where the frontend assembles the new text's token stream and AST from
-// already-validated slices and shifted reuse of the old artifacts.
-// Artifacts must be exactly what Tokenize/Parse would produce for text;
-// the cache trusts the frontend on this (the splice fuzz suite checks
-// it against full-reparse ground truth). Either artifact may be nil to
-// skip that slot. Existing or in-flight artifacts are never overwritten
-// — splice synthesis and a concurrent fresh parse of the same text
-// describe the same bytes, so first-writer-wins is safe — and no hits
-// or misses are recorded (synthesis is not traffic). Reports whether at
-// least one artifact was installed (false also for oversize texts,
-// which are never cached).
-func (c *Cache) Insert(l Lang, text string, tokens, ast any) bool {
-	if l == nil || len(text) > maxCacheableText {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e := c.entryLocked(cacheKey{l.Name(), text})
-	installedTok := publishLocked(&e.tok, tokens)
-	installedAST := publishLocked(&e.ast, ast)
-	return installedTok || installedAST
-}
-
-// publishLocked installs a synthesized artifact into an empty slot;
-// a nil artifact is skipped. Callers hold the cache lock.
-func publishLocked(slot *artifactSlot, val any) bool {
-	if val == nil || slot.state != slotEmpty {
-		return false
-	}
-	slot.state = slotDone
-	slot.val, slot.err = val, nil
-	return true
-}
-
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
@@ -501,13 +465,6 @@ func (v *View) Parse(src string) (any, error) {
 func (v *View) Valid(src string) bool {
 	_, err := v.Parse(src)
 	return err == nil
-}
-
-// Insert is Cache.Insert under this view's language. Like the Cache
-// method it records no hits or misses; subsequent Tokenize/Parse calls
-// on the same text count as ordinary hits.
-func (v *View) Insert(text string, tokens, ast any) bool {
-	return v.c.Insert(v.lang, text, tokens, ast)
 }
 
 // defaultCache backs package-level conveniences (facade ValidSyntax):

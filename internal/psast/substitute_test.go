@@ -1,6 +1,7 @@
 package psast_test
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,90 +10,93 @@ import (
 	"github.com/invoke-deobfuscation/invokedeob/internal/psparser"
 )
 
-// shiftScript exercises a broad slice of node kinds: assignments,
-// pipelines, commands with parameters, member and index access,
-// operators, conditionals, loops, functions, try/catch, arrays,
-// hashtables, sub-expressions and expandable strings.
-const shiftScript = `$a = 'x' + 'y'
+// substituteScript holds every node kind rebuild copies, with the
+// optional fields set where the parser sets them: a param block,
+// assignments, pipelines run in the background, commands with
+// invocation operators, parameters and redirections, member and index
+// access, unary, binary and parenthesized expressions, casts,
+// conditionals, every loop kind, switch, functions and filters,
+// try/catch/finally, arrays, hashtables, script blocks, sub-expressions,
+// here-strings and expandable strings.
+const substituteScript = `param($p = 1, [int]$q)
+$a = 'x' + 'y'
 $b = @(1, 2, 3)
 $h = @{k = 'v'; n = 42}
 $s = "pre $a post"
-if ($a -eq 'xy') { Write-Output $a } else { Write-Output 'no' }
-foreach ($i in $b) { $sum += $i }
+$hs = @'
+here
+'@
+if ($a -eq 'xy') { Write-Output $a } elseif ($q) { 'q' } else { Write-Output 'no' }
+:outer foreach ($i in $b) { $sum += $i; break outer }
 while ($sum -gt 100) { $sum = $sum - 1 }
+do { $n++ } until ($n -ge 3)
+for ($j = 0; $j -lt 3; $j++) { continue }
+switch ($a) { 'xy' { 'match' } default { 'none' } }
 function Get-Thing($p) { return $p.Length }
-try { $r = [math]::Max(1, 2) } catch { $r = 0 }
+filter Only-Odd { if ($_ % 2) { $_ } }
+try { $r = [math]::Max(1, 2) } catch [System.Exception] { $r = 0 } finally { $done = $true }
 $t = $h['k'].ToUpper()
-$u = $(Get-Thing 'abc') * 2
+$u = $(Get-Thing 'abc') * -2
+$c = ([int]'5' + [math]::PI) * 2
+$sb = { param($z) -not $z }
 & cmd /c echo hi | Out-Null
+Get-Item -Path x 2> err.txt
+Invoke-Thing @args
+Start-Sleep 1 &
 `
 
-// TestShiftMatchesReparseAtOffset pins Shift's one job: a subtree
-// parsed at offset zero and shifted by delta must be deep-equal to the
-// same source parsed at byte offset delta. Prefixing whitespace-only
-// lines moves every extent without changing structure, which gives the
-// parser-built ground truth.
-func TestShiftMatchesReparseAtOffset(t *testing.T) {
-	pad := strings.Repeat("\n", 7)
-	base, err := psparser.Parse(shiftScript)
+// TestSubstituteCopiesEveryField pins rebuild's per-kind copy, which
+// Substitute runs on every node on a path to a replacement: a
+// substitution that replaces nothing returns a tree deep-equal to the
+// parsed input that shares no node with it. A field a rebuild case
+// leaves out shows as a difference, and a child it does not map as a
+// shared node. Each top-level statement is compared on its own, so a
+// failure names the statement that lost a field.
+func TestSubstituteCopiesEveryField(t *testing.T) {
+	root, err := psparser.Parse(substituteScript)
 	if err != nil {
-		t.Fatalf("parse base: %v", err)
+		t.Fatalf("parse: %v", err)
 	}
-	moved, err := psparser.Parse(pad + shiftScript)
-	if err != nil {
-		t.Fatalf("parse padded: %v", err)
-	}
-	if len(base.Body.Statements) != len(moved.Body.Statements) {
-		t.Fatalf("statement count changed under padding: %d vs %d",
-			len(base.Body.Statements), len(moved.Body.Statements))
-	}
-	for i, st := range base.Body.Statements {
-		shifted := psast.Shift(st, len(pad))
-		if shifted == nil {
-			t.Fatalf("Shift returned nil for statement %d (%T)", i, st)
-		}
-		if !reflect.DeepEqual(shifted, moved.Body.Statements[i]) {
-			t.Errorf("statement %d (%T): shifted copy diverges from reparse at offset\nshift: %#v\nparse: %#v",
-				i, st, shifted, moved.Body.Statements[i])
+	in := make(map[psast.Node]bool)
+	kinds := make(map[psast.Kind]bool)
+	psast.Walk(root, func(n psast.Node) bool {
+		in[n] = true
+		kinds[n.Kind()] = true
+		return true
+	}, nil)
+	for k := psast.KindScriptBlock; k <= psast.KindHashtable; k++ {
+		if !kinds[k] {
+			t.Errorf("substituteScript has no %s", k)
 		}
 	}
-}
-
-// TestShiftZeroSharesStructure pins the delta-zero fast path: cached
-// ASTs are immutable, so an unshifted reuse may alias the input.
-func TestShiftZeroSharesStructure(t *testing.T) {
-	root, err := psparser.Parse(shiftScript)
-	if err != nil {
-		t.Fatal(err)
+	out, ok := psast.Substitute(root, func(psast.Node) (psast.Node, bool) { return nil, false }).(*psast.ScriptBlock)
+	if !ok || out == nil {
+		t.Fatal("Substitute replacing nothing did not return a script block")
 	}
-	for _, st := range root.Body.Statements {
-		if got := psast.Shift(st, 0); got != st {
-			t.Fatalf("Shift(%T, 0) returned a copy, want the same node", st)
+	shared := 0
+	psast.Walk(out, func(n psast.Node) bool {
+		if in[n] {
+			shared++
 		}
+		return true
+	}, nil)
+	if shared != 0 {
+		t.Errorf("the copy shares %d nodes with its input, want none", shared)
 	}
-	if psast.Shift(nil, 3) != nil {
-		t.Fatal("Shift(nil) != nil")
-	}
-}
-
-// TestShiftDoesNotMutateInput verifies Shift is a copy, not an in-place
-// offset: the original extents must be untouched afterwards.
-func TestShiftDoesNotMutateInput(t *testing.T) {
-	root, err := psparser.Parse(shiftScript)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := make([]psast.Extent, len(root.Body.Statements))
+	t.Run("params", func(t *testing.T) {
+		if !reflect.DeepEqual(out.Params, root.Params) {
+			t.Errorf("param block copy diverges from the parse\ncopy:  %#v\nparse: %#v", out.Params, root.Params)
+		}
+	})
 	for i, st := range root.Body.Statements {
-		before[i] = st.Extent()
+		t.Run(fmt.Sprintf("%02d_%s", i, st.Kind()), func(t *testing.T) {
+			if got := out.Body.Statements[i]; !reflect.DeepEqual(got, st) {
+				t.Errorf("copy diverges from the parse\ncopy:  %#v\nparse: %#v", got, st)
+			}
+		})
 	}
-	for _, st := range root.Body.Statements {
-		psast.Shift(st, 1000)
-	}
-	for i, st := range root.Body.Statements {
-		if st.Extent() != before[i] {
-			t.Fatalf("statement %d extent mutated: %v -> %v", i, before[i], st.Extent())
-		}
+	if !reflect.DeepEqual(out, root) {
+		t.Error("the copied tree diverges from the parse")
 	}
 }
 

@@ -49,11 +49,10 @@ type astState struct {
 	depth int
 	repl  map[psast.Node]replacement
 	// starts holds the start offset of every replaced node, sorted:
-	// textOf, the splice edits and piece evaluation use it to tell
-	// exactly which subtrees hold a replacement (replacedWithin) and
-	// share every other one as it is. On typical layers only a handful
-	// of nodes are rewritten, so this prunes almost the entire
-	// post-order splice.
+	// textOf and piece evaluation use it to tell exactly which subtrees
+	// hold a replacement (replacedWithin) and share every other one as
+	// it is. On typical layers only a handful of nodes are rewritten, so
+	// this prunes almost the entire post-order splice.
 	starts  []int
 	vars    map[string]varEntry
 	scopeID int
@@ -192,20 +191,6 @@ func (r *run) astPhase(pc *pipeline.PassContext, doc *pipeline.Document, depth i
 	s.visit(root, visitCtx{scope: []int{0}})
 	if len(s.repl) == 0 {
 		return
-	}
-	// Batched splice first: apply all replacements as one extent-sorted
-	// edit set, reparsing only the touched statements and publishing the
-	// synthesized artifacts. Validation parses per iteration drop from
-	// O(replacement batches) toward O(layers); anything the splicer
-	// cannot prove safe falls back to the classic full-text rebuild with
-	// a whole-document validation parse.
-	if !r.Opts.DisableSplice {
-		if text, ok := splice(s.view, s.src, s.buildEdits(root)); ok {
-			doc.SetText(text)
-			r.Stats.SplicesApplied++
-			return
-		}
-		r.Stats.SpliceFallbacks++
 	}
 	out := s.textOf(root)
 	doc.SetText(pc.ValidOrRevert(s.view, out, s.src))
@@ -1532,55 +1517,4 @@ func unquoteSingle(r string) (string, bool) {
 		b.WriteByte(body[i])
 	}
 	return b.String(), true
-}
-
-// buildEdits flattens the replacement map into a batch of byte edits
-// against the layer's source: exactly the outermost replaced nodes, in
-// source order, under the same containment/overlap filtering writeTextOf
-// applies — so splicing the edits into the source yields byte-for-byte
-// the text the full rebuild would produce.
-func (s *astState) buildEdits(root psast.Node) []edit {
-	var edits []edit
-	var walk func(n psast.Node)
-	walk = func(n psast.Node) {
-		if r, ok := s.repl[n]; ok {
-			ext := n.Extent()
-			edits = append(edits, edit{Start: ext.Start, End: ext.End, New: r.text})
-			return
-		}
-		ext := n.Extent()
-		if !s.replacedWithin(ext) {
-			return
-		}
-		if _, isExpandable := n.(*psast.ExpandableString); isExpandable {
-			return
-		}
-		children := n.Children()
-		if len(children) == 0 {
-			return
-		}
-		sorted := make([]psast.Node, 0, len(children))
-		for _, c := range children {
-			ce := c.Extent()
-			if ce.Start >= ext.Start && ce.End <= ext.End {
-				sorted = append(sorted, c)
-			}
-		}
-		for i := 1; i < len(sorted); i++ {
-			for j := i; j > 0 && sorted[j].Extent().Start < sorted[j-1].Extent().Start; j-- {
-				sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-			}
-		}
-		last := ext.Start
-		for _, c := range sorted {
-			ce := c.Extent()
-			if ce.Start < last {
-				continue // overlapping (defensive; writeTextOf skips these too)
-			}
-			walk(c)
-			last = ce.End
-		}
-	}
-	walk(root)
-	return edits
 }

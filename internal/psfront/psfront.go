@@ -84,8 +84,8 @@ func (PS) DefaultBlocklist() map[string]bool { return psnames.DefaultBlocklist()
 
 // LayerPasses returns the passes of the fixpoint loop (phases 1–2) in
 // order, honoring the ablation switches. Nested payload layers call the
-// phase implementations directly on forked Documents; their work is
-// attributed to the enclosing ast pass.
+// phase implementations directly on forked Documents (see
+// deobfuscateLayer for how the trace accounts for them).
 func (PS) LayerPasses(fr *frontend.Run) []pipeline.Pass {
 	r := &run{fr}
 	var passes []pipeline.Pass

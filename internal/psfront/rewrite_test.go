@@ -14,6 +14,11 @@ import (
 	"github.com/invoke-deobfuscation/invokedeob/internal/pstoken"
 )
 
+// newView returns a view onto a fresh parse cache.
+func newView() *pipeline.View {
+	return pipeline.NewCache(0, 0).View(PS{})
+}
+
 // textPassInputs are the scripts the text-pass reference tests run on:
 // the 29 PowerShell golden inputs of the core equivalence suite, the
 // deterministic 24-sample corpus (obfuscated and clean), and a few
@@ -85,7 +90,7 @@ func TestRewriteTokensMatchesReverseSplice(t *testing.T) {
 			varMap[n] = fmt.Sprintf("var%d", i)
 		}
 		funcMap := make(map[string]string)
-		for i, n := range collectFunctionNames(pipeline.NewDocument(src, spliceView())) {
+		for i, n := range collectFunctionNames(pipeline.NewDocument(src, newView())) {
 			funcMap[n] = fmt.Sprintf("func%d", i)
 		}
 		for _, pass := range []struct {
@@ -182,7 +187,7 @@ func referenceReindent(src string, literal, multiline []span) string {
 func TestReindentMatchesReference(t *testing.T) {
 	multilines := 0
 	for name, src := range textPassInputs(t) {
-		view := spliceView()
+		view := newView()
 		collapsed := collapseWhitespace(view, src)
 		toks, err := viewTokenize(view, collapsed)
 		if err != nil {

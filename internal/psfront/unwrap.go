@@ -220,9 +220,11 @@ func (s *astState) deobPayload(code string) (string, int, bool) {
 // deobfuscateLayer runs token parsing and AST recovery on a nested
 // payload layer (multi-layer obfuscation), without rename/reformat,
 // which only apply to the final script. It drives the same phase
-// implementations as the registered passes, on a forked Document; its
-// work (time, reverts, cache traffic) is attributed to the enclosing
-// ast pass in the trace.
+// implementations as the registered passes, on a forked Document. Its
+// reverts and cache traffic count toward the enclosing ast pass in the
+// trace, and its time toward that pass's cumulative Duration only: the
+// caller brackets it with BeginNested, which takes the time out of the
+// pass's SelfDuration, so no pass's self time holds it.
 func (r *run) deobfuscateLayer(pc *pipeline.PassContext, doc *pipeline.Document, depth int) string {
 	for iter := 0; iter < r.Opts.MaxIterations; iter++ {
 		if r.Env.Violated() {

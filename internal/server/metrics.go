@@ -114,8 +114,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"invokedeob_tokens_normalized_total", "Tokens normalized by the token phase.", float64(a.TokensNormalized)},
 		{"invokedeob_pieces_attempted_total", "Recoverable pieces whose evaluation was attempted.", float64(a.PiecesAttempted)},
 		{"invokedeob_pieces_recovered_total", "Recoverable pieces replaced by their literal value.", float64(a.PiecesRecovered)},
-		{"invokedeob_splices_applied_total", "Replacement batches applied as incremental document splices.", float64(a.SplicesApplied)},
-		{"invokedeob_splice_fallbacks_total", "Replacement batches that fell back to a full re-render and reparse.", float64(a.SpliceFallbacks)},
 		{"invokedeob_variables_traced_total", "Variable assignments recorded by tracing.", float64(a.VariablesTraced)},
 		{"invokedeob_variables_inlined_total", "Variable reads replaced by traced values.", float64(a.VariablesInlined)},
 		{"invokedeob_layers_unwrapped_total", "Obfuscation layers unwrapped.", float64(a.LayersUnwrapped)},

@@ -10,8 +10,7 @@ import (
 
 // TestMetricsExposition drives one script through the server and checks
 // the /metrics scrape: content type, counter families fed by the run,
-// per-pass histogram series, splice counters, and the parse-only
-// coalesced-wait series.
+// per-pass histogram series, and the parse-only coalesced-wait series.
 func TestMetricsExposition(t *testing.T) {
 	s := New(Config{Workers: 2})
 	ts := httptest.NewServer(s.Handler())
@@ -49,8 +48,6 @@ func TestMetricsExposition(t *testing.T) {
 		"# TYPE invokedeob_requests_total counter",
 		`invokedeob_requests_total{endpoint="deobfuscate"} 1`,
 		"# TYPE invokedeob_pieces_recovered_total counter",
-		"# TYPE invokedeob_splices_applied_total counter",
-		"# TYPE invokedeob_splice_fallbacks_total counter",
 		"# TYPE invokedeob_pass_duration_seconds histogram",
 		`invokedeob_pass_duration_seconds_bucket{pass="`,
 		`,le="+Inf"}`,

@@ -173,8 +173,6 @@ func (st *serverStats) observeRun(res *core.Result) {
 	a.EvalCacheHits += s.EvalCacheHits
 	a.EvalCacheMisses += s.EvalCacheMisses
 	a.EvalCacheSkips += s.EvalCacheSkips
-	a.SplicesApplied += s.SplicesApplied
-	a.SpliceFallbacks += s.SpliceFallbacks
 	for _, p := range res.PassTrace {
 		h, ok := st.passLat[p.Pass]
 		if !ok {
