@@ -46,13 +46,17 @@ soak:
 # both language frontends, the parses-per-run budgets on the fixed
 # 3-layer script and the 24-sample corpus, the lexes-per-run budget
 # (one lex per distinct text) on both, the safety walk's visit budget
-# on the corpus and its agreement with the full walk, the interpreter's
+# on the corpus and its agreement with the full walk, the corpus's
+# budget of interpreter steps executed (a piece replays the recorded
+# value of a descendant instead of evaluating it again) with the steps
+# charged unchanged, every piece run on its parsed subtree, replays
+# included, against a run on a parse of its text, the interpreter's
 # pinned output and step count for every level-3 decoder and
 # ForEach-Object body shape, and its allocations-per-character bound
 # on the hot decoders.
 equivalence:
 	$(GO) test ./internal/core -run TestEquivalenceGolden -count=1
-	$(GO) test ./internal/psfront -run 'TestParseCount|TestLexCountBudget|TestSafeWalkMatchesFullWalk' -count=1
+	$(GO) test ./internal/psfront -run 'TestParseCount|TestLexCountBudget|TestSafeWalkMatchesFullWalk|TestEvalStepsCorpusBudget|TestPieceNodeEvalMatchesText' -count=1
 	$(GO) test ./internal/jsfront -run TestJSGolden -count=1
 	$(GO) test ./internal/psinterp -run 'TestDecoderStepsPinned|TestDecoderAllocations' -count=1
 
@@ -68,7 +72,9 @@ goldens:
 # the regex split, FuzzParseNumber against the full number grammar,
 # FuzzPieceNodeEval's piece evaluations on the parsed subtree against
 # a parse of their text, FuzzDetect's vote against the full regexp
-# count) found within the budget fails the gate. -fuzzminimizetime 0
+# count) found within the budget fails the gate. FuzzPieceNodeEval's
+# subtree runs include replays of recorded descendants, also under step
+# and memory budgets small enough to trip inside one. -fuzzminimizetime 0
 # keeps the budget for fuzzing: Go's default spends up to 60 s
 # minimizing each new interesting input, which stalls a 10 s run. A
 # failing input is still reported and written to testdata/fuzz, just

@@ -109,6 +109,26 @@ func TestBlocklistPreventsExecution(t *testing.T) {
 	}
 }
 
+// TestLabelledFlowNotFolded: the interpreter's loops stop at the
+// innermost one, so a piece whose break or continue names an outer
+// loop's label must be kept, not folded to what the innermost loop
+// gives. The $i and $j assignments make the loop variables known, so
+// the pieces pass the safety walk; sort is a safe command's alias,
+// which used to parse as a command after an unlabelled break.
+func TestLabelledFlowNotFolded(t *testing.T) {
+	for _, tc := range []struct{ src, wrong string }{
+		{"$i = 1; $j = 1\n$r = $(:outer foreach ($i in 1..3) { foreach ($j in 1..3) { 'x'; break outer } }) -join ','\nWrite-Host $r", "'x,x,x'"},
+		{"$i = 1; $j = 1\n$r = $(:outer foreach ($i in 1..3) { foreach ($j in 1..3) { 'x'; continue outer } }) -join ','\nWrite-Host $r", "'x,x,x,x,x,x,x,x,x'"},
+		{"$i = 1; $j = 1\n$r = $(:sort foreach ($i in 1..3) { foreach ($j in 1..3) { 'x'; break sort } }) -join ','\nWrite-Host $r", "'x,x,x'"},
+		{"$i = 1; $j = 1\n$r = $(:sort foreach ($i in 1..3) { foreach ($j in 1..3) { 'x'; continue sort } }) -join ','\nWrite-Host $r", "'x,x,x,x,x,x,x,x,x'"},
+	} {
+		got := deob(t, tc.src)
+		if strings.Contains(got, tc.wrong) || !strings.Contains(got, "foreach") {
+			t.Errorf("labelled loop folded:\n%s\n->\n%s", tc.src, got)
+		}
+	}
+}
+
 func TestFunctionBodiesAreConservative(t *testing.T) {
 	// Globals must not be inlined inside function bodies (parameters
 	// may shadow them at run time).

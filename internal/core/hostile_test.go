@@ -7,13 +7,17 @@ import (
 	"encoding/base64"
 	"errors"
 	"math/rand"
+	"reflect"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 	"unicode"
 	"unicode/utf16"
 
 	"github.com/invoke-deobfuscation/invokedeob/internal/frontend"
+	"github.com/invoke-deobfuscation/invokedeob/internal/psfront"
 )
 
 // encodeCommand renders script as a powershell -EncodedCommand layer
@@ -177,6 +181,55 @@ func TestHostileCorpus(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRecordCapHolds drives the cap on the values an ast pass records
+// for enclosing pieces to replay: one statement whose 24 array-valued
+// pieces, distinct so the eval cache answers none of them, hold about
+// 11.5 MiB together. The bytes the records hold must never exceed the
+// cap, some pieces must go unrecorded for it, and the result must be
+// that of a run that records nothing.
+func TestRecordCapHolds(t *testing.T) {
+	terms := make([]string, 24)
+	for i := range terms {
+		terms[i] = "(1.." + strconv.Itoa(30000+i) + ").Count"
+	}
+	src := "$n = " + strings.Join(terms, " + ") + "\nWrite-Host $n"
+	var mu sync.Mutex
+	kept, peak, limit := 0, 0, 0
+	stop := psfront.WatchRecords(true, func(held, cap int) {
+		mu.Lock()
+		defer mu.Unlock()
+		kept++
+		peak, limit = max(peak, held), cap
+	})
+	res, err := New(Options{}).Deobfuscate(src)
+	stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop = psfront.WatchRecords(false, nil)
+	plain, err := New(Options{}).Deobfuscate(src)
+	stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d records kept, at most %d bytes held, cap %d", kept, peak, limit)
+	if peak > limit {
+		t.Errorf("the records held %d bytes, cap %d", peak, limit)
+	}
+	if kept == 0 || kept >= len(terms) {
+		t.Errorf("%d of the %d ranges were recorded; want the cap to refuse some", kept, len(terms))
+	}
+	if res.Script != plain.Script || !reflect.DeepEqual(res.Layers, plain.Layers) {
+		t.Errorf("the output differs from a run without records\n--- with ---\n%s\n--- without ---\n%s", res.Script, plain.Script)
+	}
+	if a, b := engineCounters(res.Stats), engineCounters(plain.Stats); a != b {
+		t.Errorf("counters diverge\nwith:    %+v\nwithout: %+v", a, b)
+	}
+	if !strings.Contains(res.Script, "Write-Host 720276") {
+		t.Errorf("the sum was not recovered:\n%s", res.Script)
 	}
 }
 

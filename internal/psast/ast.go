@@ -76,6 +76,9 @@ const (
 	KindParenExpression
 	KindScriptBlockExpression
 	KindHashtable
+	// KindEvaluated marks a subtree an earlier evaluation already
+	// computed; it never comes from the parser.
+	KindEvaluated
 )
 
 var kindNames = map[Kind]string{
@@ -117,6 +120,7 @@ var kindNames = map[Kind]string{
 	KindParenExpression:        "ParenExpressionAst",
 	KindScriptBlockExpression:  "ScriptBlockExpressionAst",
 	KindHashtable:              "HashtableAst",
+	KindEvaluated:              "Evaluated",
 }
 
 // String returns the System.Management.Automation.Language-style name.
@@ -229,10 +233,9 @@ type If struct {
 
 // While is a while or until loop.
 type While struct {
-	Ext   Extent
-	Cond  Node
-	Body  *StatementBlock
-	Label string
+	Ext  Extent
+	Cond Node
+	Body *StatementBlock
 }
 
 // DoLoop is a do {} while/until () loop.
@@ -302,6 +305,9 @@ type FlowStatement struct {
 	Ext     Extent
 	Keyword string
 	Value   Node
+	// Label is the loop label a break or continue names (`break outer`),
+	// without the colon; empty when it names none.
+	Label string
 }
 
 // BinaryExpression is left <op> right with a PowerShell operator
@@ -439,4 +445,15 @@ type HashEntry struct {
 type Hashtable struct {
 	Ext     Extent
 	Entries []HashEntry
+}
+
+// Evaluated stands for Node in a tree built for the interpreter. Record
+// is opaque here: it belongs to the interpreter, which either replays
+// what an earlier evaluation of Node computed and charged, or, when
+// Record is nil, evaluates Node and records that. The parser never
+// produces one.
+type Evaluated struct {
+	Ext    Extent
+	Node   Node
+	Record any
 }

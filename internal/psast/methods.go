@@ -425,3 +425,12 @@ func (n *Hashtable) Children() []Node {
 	}
 	return out
 }
+
+// Extent implements Node.
+func (n *Evaluated) Extent() Extent { return n.Ext }
+
+// Kind implements Node.
+func (n *Evaluated) Kind() Kind { return KindEvaluated }
+
+// Children implements Node.
+func (n *Evaluated) Children() []Node { return nonNil(n.Node) }

@@ -82,7 +82,7 @@ func rebuild(n Node, m *substituter) Node {
 		}
 		return out
 	case *While:
-		return &While{Ext: x.Ext, Cond: m.node(x.Cond), Body: typed(m, x.Body), Label: x.Label}
+		return &While{Ext: x.Ext, Cond: m.node(x.Cond), Body: typed(m, x.Body)}
 	case *DoLoop:
 		return &DoLoop{Ext: x.Ext, Body: typed(m, x.Body), Cond: m.node(x.Cond), Until: x.Until}
 	case *For:
@@ -115,7 +115,7 @@ func rebuild(n Node, m *substituter) Node {
 	case *CatchClause:
 		return &CatchClause{Ext: x.Ext, Types: x.Types, Body: typed(m, x.Body)}
 	case *FlowStatement:
-		return &FlowStatement{Ext: x.Ext, Keyword: x.Keyword, Value: m.node(x.Value)}
+		return &FlowStatement{Ext: x.Ext, Keyword: x.Keyword, Value: m.node(x.Value), Label: x.Label}
 	case *BinaryExpression:
 		return &BinaryExpression{Ext: x.Ext, Operator: x.Operator, Left: m.node(x.Left), Right: m.node(x.Right)}
 	case *UnaryExpression:

@@ -15,9 +15,9 @@ import (
 // assignments, pipelines run in the background, commands with
 // invocation operators, parameters and redirections, member and index
 // access, unary, binary and parenthesized expressions, casts,
-// conditionals, every loop kind, switch, functions and filters,
-// try/catch/finally, arrays, hashtables, script blocks, sub-expressions,
-// here-strings and expandable strings.
+// conditionals, every loop kind, a labelled break, switch, functions
+// and filters, try/catch/finally, arrays, hashtables, script blocks,
+// sub-expressions, here-strings and expandable strings.
 const substituteScript = `param($p = 1, [int]$q)
 $a = 'x' + 'y'
 $b = @(1, 2, 3)

@@ -71,6 +71,15 @@ type astState struct {
 	// preludeDefs are the safe functions' own definition nodes, in the
 	// prelude's order: the statements Parse(prelude) yields.
 	preludeDefs []psast.Node
+	// recs holds the records of the pieces of the current top-level
+	// statement whose values were not spliced, for enclosing pieces to
+	// replay (reuse.go); recStarts are their start offsets, sorted, and
+	// recBytes the bytes their values hold. top is the root's block,
+	// after each of whose statements the records are dropped.
+	recs      map[psast.Node]*record
+	recStarts []int
+	recBytes  int
+	top       *psast.NamedBlock
 }
 
 // maxPieceLen bounds recoverable pieces, in bytes: larger pieces are
@@ -183,6 +192,8 @@ func (r *run) astPhase(pc *pipeline.PassContext, doc *pipeline.Document, depth i
 		repl:      make(map[psast.Node]replacement),
 		vars:      make(map[string]varEntry),
 		safeFuncs: make(map[string]*psast.FunctionDefinition),
+		recs:      make(map[psast.Node]*record),
+		top:       root.Body,
 	}
 	if r.Opts.FunctionTracing {
 		s.collectPureFunctions(root)
@@ -239,6 +250,9 @@ func (s *astState) visit(n psast.Node, ctx visitCtx) {
 			stCtx := inner
 			stCtx.isStatement = true
 			s.visit(st, stCtx)
+			if x == s.top {
+				s.dropRecords()
+			}
 		}
 	case *psast.StatementBlock:
 		inner := s.enterScope(ctx)
@@ -523,7 +537,7 @@ func (s *astState) tryRecover(n psast.Node, ctx visitCtx) {
 		return
 	}
 	s.r.Stats.PiecesAttempted++
-	out, err := s.evalPiece(n, s.snippetFor(text), s.bindingsForNode(n, ctx))
+	out, err := s.evalPiece(n, s.snippetFor(text), s.bindingsForNode(n, ctx), true)
 	if err != nil {
 		frontend.ClassifyEvalFailure(s.r.Stats, err)
 		return
@@ -717,7 +731,7 @@ func valueFP(v any) (string, bool) {
 // so the evaluation binds (and fingerprints) only those instead of the
 // whole visible snapshot.
 func (s *astState) evalNode(n psast.Node, ctx visitCtx) ([]any, error) {
-	return s.evalPiece(n, s.snippetFor(s.textOf(n)), s.bindingsForNode(n, ctx))
+	return s.evalPiece(n, s.snippetFor(s.textOf(n)), s.bindingsForNode(n, ctx), false)
 }
 
 // snippetFor prepends the memoized safe-function prelude to a piece.
@@ -769,8 +783,10 @@ var pieceEvalHook atomic.Pointer[func(*pieceEval)]
 // The paper hands the piece's text to Invoke. A miss here runs the
 // script that text parses to, built from the subtree the run already
 // holds (pieceScript); only where that is not shown to equal the parse
-// is the snippet parsed, through the run's parse cache.
-func (s *astState) evalPiece(n psast.Node, snippet string, binds map[string]any) ([]any, error) {
+// is the snippet parsed, through the run's parse cache. With record set
+// (tryRecover), a run on the subtree whose value is no string or number,
+// and so is not spliced, is recorded for enclosing pieces (keep).
+func (s *astState) evalPiece(n psast.Node, snippet string, binds map[string]any, record bool) ([]any, error) {
 	if err := s.r.Env.Check(); err != nil {
 		return nil, err
 	}
@@ -785,8 +801,8 @@ func (s *astState) evalPiece(n psast.Node, snippet string, binds map[string]any)
 	if ok {
 		return values, nil
 	}
-	sb := s.pieceScript(n)
-	node := sb != nil
+	tree, node := s.pieceScript(n, binds)
+	sb := tree.sb
 	if !node {
 		var err error
 		if sb, err = viewParse(s.view, snippet); err != nil {
@@ -817,40 +833,113 @@ func (s *astState) evalPiece(n psast.Node, snippet string, binds map[string]any)
 		return out, err
 	}
 	s.memoizeEval(snippet, binds, in, out)
+	if record && node && tree.mark != nil && !isStringOrNumber(psinterp.Unwrap(out)) {
+		s.keep(n, &tree, in, binds)
+	}
 	return out, nil
 }
 
 // pieceScript returns the script Parse(snippetFor(textOf(n))) yields,
 // built from n's already-parsed subtree (a DESIGN §3 substitution):
-// each replaced node is swapped for its literal node, the piece becomes
-// the one statement its text parses to, and the safe functions'
-// definitions go first, as in the prelude. Only the spine above a
-// replacement is copied. It returns nil where that equality is not
-// shown and the snippet must be parsed instead: a statement other than
-// a pipeline, a replacement that substitute refuses, or a piece whose
-// first token lexes by what precedes it (leadLexedInContext).
-func (s *astState) pieceScript(n psast.Node) *psast.ScriptBlock {
+// each replaced node is swapped for its literal node, each descendant
+// whose recorded value the reuse rules let n replay for its record
+// (reuse.go), the piece becomes the one statement its text parses to,
+// and the safe functions' definitions go first, as in the prelude. Only
+// the spine above a replacement or a record is copied. The statement's
+// top node is marked for recording. It returns nil where that equality
+// is not shown and the snippet must be parsed instead: a statement
+// other than a pipeline, a replacement that substitute refuses, or a
+// piece whose first token lexes by what precedes it
+// (leadLexedInContext).
+func (s *astState) pieceScript(n psast.Node, binds map[string]any) (t pieceTree, ok bool) {
 	if leadLexedInContext(n) {
-		return nil
+		return t, false
 	}
 	piece := n.Extent()
-	if s.replacedWithin(piece) {
-		if n = psast.Substitute(n, s.substitute(piece)); n == nil {
-			return nil
+	reuse := false
+	if s.recordedWithin(piece) {
+		writers, hazards := s.scanPiece(n, binds)
+		reuse = !writers && !hazards
+	}
+	if s.replacedWithin(piece) || reuse {
+		if n = psast.Substitute(n, s.substitute(n, piece, binds, reuse, &t.glued)); n == nil {
+			return t, false
 		}
 	}
-	switch n.(type) {
+	var stmt psast.Node
+	switch x := n.(type) {
 	case *psast.Pipeline:
+		ce, single := soleExpression(x)
+		if !single {
+			t.mark = &psast.Evaluated{Ext: x.Ext, Node: x}
+			stmt, t.place = t.mark, t.mark
+		} else if _, replayed := ce.Expression.(*psast.Evaluated); replayed {
+			// The piece is a descendant's recorded value; that record
+			// serves the enclosing pieces.
+			stmt = x
+		} else {
+			m := markedPipeline(ce.Expression)
+			m.pipe.Ext, m.pipe.Background, m.ce.Ext = x.Ext, x.Background, ce.Ext
+			t.mark = &m.mark
+			stmt, t.place = &m.pipe, &m.pipe
+		}
 	case *psast.UnaryExpression, *psast.BinaryExpression, *psast.ConvertExpression,
 		*psast.InvokeMemberExpression, *psast.SubExpression,
 		*psast.StringConstant, *psast.ConstantExpression:
-		n = &psast.Pipeline{Elements: []psast.Node{&psast.CommandExpression{Expression: n}}}
+		m := markedPipeline(n)
+		t.mark = &m.mark
+		stmt, t.place = &m.pipe, t.mark
 	default:
-		return nil
+		return t, false
 	}
 	stmts := make([]psast.Node, 0, len(s.preludeDefs)+1)
-	stmts = append(append(stmts, s.preludeDefs...), n)
-	return &psast.ScriptBlock{Body: &psast.NamedBlock{Statements: stmts}}
+	stmts = append(append(stmts, s.preludeDefs...), stmt)
+	t.sb = &psast.ScriptBlock{Body: &psast.NamedBlock{Statements: stmts}}
+	return t, true
+}
+
+// pieceTree is the script pieceScript built for a piece, with what keep
+// needs to record the piece's value.
+type pieceTree struct {
+	sb *psast.ScriptBlock
+	// mark is the Evaluated node around the statement's top node, whose
+	// value the run records; nil when there is nothing to record. place
+	// is the node an enclosing piece puts in the piece's place once mark
+	// holds its record.
+	mark  *psast.Evaluated
+	place psast.Node
+	// glued reports a number literal glued to the character before the
+	// piece's start (replacement.gluedBefore), here or in a replayed
+	// descendant that starts there.
+	glued bool
+}
+
+// markedPipe is Pipeline{CommandExpression{Evaluated{x}}} in one
+// allocation: the statement an expression parses to, its top node
+// marked for recording.
+type markedPipe struct {
+	pipe  psast.Pipeline
+	ce    psast.CommandExpression
+	mark  psast.Evaluated
+	elems [1]psast.Node
+}
+
+func markedPipeline(x psast.Node) *markedPipe {
+	m := &markedPipe{}
+	m.mark = psast.Evaluated{Ext: x.Extent(), Node: x}
+	m.ce.Expression = &m.mark
+	m.elems[0] = &m.ce
+	m.pipe.Elements = m.elems[:]
+	return m
+}
+
+// soleExpression returns the expression of a pipeline of one.
+func soleExpression(p *psast.Pipeline) (*psast.CommandExpression, bool) {
+	if len(p.Elements) != 1 {
+		return nil, false
+	}
+	ce, ok := p.Elements[0].(*psast.CommandExpression)
+	return ce, ok
 }
 
 // leadLexedInContext reports whether n's text begins with a token the
@@ -890,10 +979,13 @@ func leadLexedInContext(n psast.Node) bool {
 }
 
 // substitute is pieceScript's psast.Substitute callback for the piece
-// spanning piece. Subtrees holding no replacement are shared; a replaced
-// node becomes its literal node. It abandons the substitution, so the
-// snippet is parsed, where the literal could read differently in the
-// piece's text:
+// root, spanning piece. Subtrees holding no replacement, and no record
+// when reuse is set, are shared; a replaced node becomes its literal
+// node, and with reuse a descendant whose record is usable under binds
+// becomes that record's place. glued is set where either brings a
+// number literal glued to the piece's first character. It abandons the
+// substitution, so the snippet is parsed, where the literal could read
+// differently in the piece's text:
 //   - a replacement with no literal node (unwrapped payload code,
 //     negative, float or parenthesized renderings);
 //   - a replacement inside a script block literal, whose Source (the
@@ -901,11 +993,12 @@ func leadLexedInContext(n psast.Node) bool {
 //   - a replacement inside a command, parsed in argument mode, where a
 //     literal can merge with its neighbours into a bare word;
 //   - a number that could lex together with a neighbour inside the
-//     piece (see numberGlued).
-func (s *astState) substitute(piece psast.Extent) func(psast.Node) (psast.Node, bool) {
+//     piece (see numberGlued), also inside a record's subtree.
+func (s *astState) substitute(root psast.Node, piece psast.Extent, binds map[string]any, reuse bool, glued *bool) func(psast.Node) (psast.Node, bool) {
 	return func(c psast.Node) (psast.Node, bool) {
 		ext := c.Extent()
-		if !s.replacedWithin(ext) {
+		replaced := s.replacedWithin(ext)
+		if !replaced && !(reuse && s.recordedWithin(ext)) {
 			return c, true
 		}
 		if !piece.Contains(ext) {
@@ -915,11 +1008,23 @@ func (s *astState) substitute(piece psast.Extent) func(psast.Node) (psast.Node, 
 			if r.lit == nil || r.gluedBefore && ext.Start > piece.Start {
 				return nil, true
 			}
+			*glued = *glued || r.gluedBefore
 			return r.lit, true
+		}
+		if reuse && c != root {
+			if rec := s.recs[c]; rec != nil && s.usable(rec, binds) {
+				if rec.glued && ext.Start > piece.Start {
+					return nil, true
+				}
+				*glued = *glued || rec.glued
+				return rec.place, true
+			}
 		}
 		switch c.(type) {
 		case *psast.Command, *psast.ScriptBlockExpression:
-			return nil, true
+			if replaced {
+				return nil, true
+			}
 		}
 		return nil, false
 	}

@@ -96,6 +96,7 @@ func TestPieceNodeEvalMatchesText(t *testing.T) {
 				}
 			}
 			d.stop(t)
+			d.requireReplays(t)
 		})
 	}
 	t.Run("gauntlet-smoke", func(t *testing.T) {
@@ -104,6 +105,7 @@ func TestPieceNodeEvalMatchesText(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.stop(t)
+		d.requireReplays(t)
 	})
 }
 
@@ -124,11 +126,12 @@ func goldenInputs(t *testing.T) []string {
 	return scripts
 }
 
-// differential counts the pieces evaluated each way and checks every
+// differential counts the pieces evaluated each way, and the subtree
+// evaluations that replayed a recorded descendant, and checks every
 // subtree evaluation against the text path.
 type differential struct {
-	node, text, checked, failed atomic.Int64
-	unwatch                     func()
+	node, text, replays, checked, failed atomic.Int64
+	unwatch                              func()
 }
 
 func watchDifferential(t *testing.T) *differential {
@@ -139,6 +142,9 @@ func watchDifferential(t *testing.T) *differential {
 			return
 		}
 		d.node.Add(1)
+		if e.Interp.StepsReplayed() > 0 {
+			d.replays.Add(1)
+		}
 		if diff := textPathDiff(e); diff != "" {
 			if d.failed.Add(1) <= 10 {
 				t.Errorf("subtree and text evaluation differ on %q:\n%s", clip(e.Snippet), diff)
@@ -153,13 +159,21 @@ func watchDifferential(t *testing.T) *differential {
 func (d *differential) stop(t *testing.T) {
 	d.unwatch()
 	node, text := d.node.Load(), d.text.Load()
-	t.Logf("%d pieces ran on the parsed subtree (%d checked against the text path), %d parsed their text: fallback share %.2f%%",
-		node, d.checked.Load(), text, 100*float64(text)/float64(max(node+text, 1)))
+	t.Logf("%d pieces ran on the parsed subtree (%d checked against the text path, %d replaying a recorded descendant), %d parsed their text: fallback share %.2f%%",
+		node, d.checked.Load(), d.replays.Load(), text, 100*float64(text)/float64(max(node+text, 1)))
 	if node == 0 {
 		t.Error("no piece ran on its parsed subtree")
 	}
 	if n := d.failed.Load(); n > 0 {
 		t.Errorf("%d subtree evaluations differ from the text path", n)
+	}
+}
+
+// requireReplays fails when no watched evaluation replayed a recorded
+// descendant, so the differential covers the replays.
+func (d *differential) requireReplays(t *testing.T) {
+	if d.replays.Load() == 0 {
+		t.Error("no piece replayed a recorded descendant")
 	}
 }
 
@@ -195,30 +209,62 @@ var fuzzContexts = []string{
 	"EXPR + $n",
 	"-join (EXPR)",
 	"(f $n) + (f EXPR)",
+	// Array and byte-array values inside an enclosing piece, which
+	// replays the recorded inner piece.
+	"(($s -split '') -join EXPR) + $n",
+	"-join ($s[$n..0]) + EXPR",
+	"((1..$n | ForEach-Object { [char](65 + $_ % 26) }) -join '') + EXPR",
+	"[Text.Encoding]::UTF8.GetString([Convert]::FromBase64String('SGVsbG8=')) + EXPR",
+	"@(1..$n).Count + ($s -split EXPR).Count",
+	"((1..$n) + ($s -split '')).Count * EXPR",
+	"@(1..$n | ForEach-Object { $_ * 2 }).Count + @(1..$n | ForEach-Object { $_ * 3 }).Count + EXPR",
+	// A script block, a dynamic one and Get-Variable that would read
+	// the $_ a recorded piece leaves, and a foreach loop that sets the
+	// variable a recorded piece reads, which keep the enclosing piece
+	// from replaying it.
+	"(1..$n | ForEach-Object { $_ }) + (Invoke-Command { $_ })",
+	"@(1..$n | ForEach-Object { $_ }).Count + [scriptblock]::Create('$_').Invoke()",
+	"@(1..$n | ForEach-Object { $_ }).Count + (Get-Variable _ -ValueOnly)",
+	"@($(foreach ($n in 1..2) { 'x' })).Count + (@(Get-Variable n -ValueOnly) + EXPR)[0]",
 }
 
 // FuzzPieceNodeEval checks piece evaluation on the parsed subtree
 // against the text path on generated scripts: a traced number and
 // string, spliced into one of fuzzContexts, with a fuzzed expression in
 // some of them, next to a pure function f, deobfuscated with
-// FunctionTracing off and on (the shape's high bit). Every
-// piece that ran on its subtree must agree with the text path, as in
-// TestPieceNodeEvalMatchesText.
+// FunctionTracing off and on (the shape's high bit). A nonzero budget
+// gives each piece its low 10 bits as a step budget and 256 bytes per
+// unit of its high 6 bits, plus 256, as a memory budget, so limits trip
+// inside the descendants an enclosing piece replays. Every piece that
+// ran on its subtree, replaying or not, must agree with the text path,
+// as in TestPieceNodeEvalMatchesText.
 func FuzzPieceNodeEval(f *testing.F) {
 	for i := range fuzzContexts {
-		f.Add(int64(3), "abc", uint8(i), "$s + $n")
+		f.Add(int64(3), "abc", uint8(i), "$s + $n", uint16(0))
 	}
-	f.Add(int64(-3), "a'b", uint8(1), "-$n")
-	f.Add(int64(0), "Length", uint8(11), "$n.$s")
-	f.Add(int64(3000000000), "", uint8(0), "[char]($n % 90 + 32)")
-	f.Add(int64(7), "x.y", uint8(22), "'a'.$s")
-	f.Add(int64(2), "q", uint8(0x80|(len(fuzzContexts)-1)), "$n * 2")
-	f.Add(int64(5), "zz", uint8(0x80), "$s * $n + $s.Length")
-	f.Fuzz(func(t *testing.T, n int64, str string, shape uint8, expr string) {
+	f.Add(int64(-3), "a'b", uint8(1), "-$n", uint16(0))
+	f.Add(int64(0), "Length", uint8(11), "$n.$s", uint16(0))
+	f.Add(int64(3000000000), "", uint8(0), "[char]($n % 90 + 32)", uint16(0))
+	f.Add(int64(7), "x.y", uint8(22), "'a'.$s", uint16(0))
+	f.Add(int64(2), "q", uint8(0x80|(len(fuzzContexts)-1)), "$n * 2", uint16(0))
+	f.Add(int64(5), "zz", uint8(0x80), "$s * $n + $s.Length", uint16(0))
+	// Small budgets on the replaying contexts, 91 to 1,001 steps and
+	// 256 bytes to 2 KiB, under which two recorded descendants fit one
+	// by one but not together, so the enclosing piece evaluates the
+	// second and trips inside it.
+	for i, c := range fuzzContexts {
+		if !strings.Contains(c, "..$n") && !strings.Contains(c, "-split") {
+			continue
+		}
+		for _, budget := range []uint16{90, 250, 400, 600, 3<<10 | 1000, 7<<10 | 1000} {
+			f.Add(int64(40), "abcdefghijklmnopqrst", uint8(i), "''", budget)
+		}
+	}
+	f.Fuzz(func(t *testing.T, n int64, str string, shape uint8, expr string, budget uint16) {
 		if len(str) > 64 || len(expr) > 128 {
 			return
 		}
-		ctx := strings.ReplaceAll(fuzzContexts[int(shape)%len(fuzzContexts)], "EXPR", expr)
+		ctx := strings.ReplaceAll(fuzzContexts[int(shape&0x7f)%len(fuzzContexts)], "EXPR", expr)
 		src := "function f($x) { $x + 1 }\n$n = " + strconv.FormatInt(n, 10) + "\n$s = " + psfront.QuoteSingle(str) +
 			"\n$r = " + ctx + "\n$r\n"
 		if _, err := psparser.Parse(src); err != nil {
@@ -227,6 +273,10 @@ func FuzzPieceNodeEval(f *testing.F) {
 		d := watchDifferential(t)
 		defer d.unwatch()
 		opts := core.Options{Lang: "powershell", MaxIterations: 3, StepBudget: 50_000, FunctionTracing: shape&0x80 != 0}
+		if budget != 0 {
+			opts.StepBudget = int(budget&0x3ff) + 1
+			opts.MaxAllocBytes = int64(budget>>10)*256 + 256
+		}
 		core.New(opts).Deobfuscate(src)
 	})
 }

@@ -24,6 +24,9 @@ func (in *Interp) evalExpr(node psast.Node, sc *scope) (any, error) {
 		return nil, ErrBudget
 	}
 	in.exprDepth++
+	if in.exprDepth > in.peakDepth {
+		in.peakDepth = in.exprDepth
+	}
 	v, err := in.evalExprNode(node, sc)
 	in.exprDepth--
 	return v, err
@@ -131,6 +134,8 @@ func (in *Interp) evalExprNode(node psast.Node, sc *scope) (any, error) {
 		return Unwrap(vals), nil
 	case *psast.CommandExpression:
 		return in.evalExpr(n.Expression, sc)
+	case *psast.Evaluated:
+		return in.evaluatedExpr(n, sc)
 	}
 	return nil, fmt.Errorf("%w: expression %s", ErrUnsupported, node.Kind())
 }

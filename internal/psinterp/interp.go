@@ -137,8 +137,16 @@ type Interp struct {
 	allocBytes int64
 	// exprDepth guards AST-recursion depth in evalExpr independently of
 	// the call-nesting depth guard, so a deeply nested expression tree
-	// cannot exhaust the goroutine stack.
+	// cannot exhaust the goroutine stack. peakDepth is the deepest it
+	// has been, which a Record keeps.
 	exprDepth int
+	peakDepth int
+	// replayed counts the steps charged by replaying Records rather
+	// than executed; rec is the record of the node the run marked for
+	// recording, valid when recOK (see Record).
+	replayed int
+	rec      Record
+	recOK    bool
 	// deadline caches the context deadline for cheap amortized checks.
 	deadline    time.Time
 	hasDeadline bool
@@ -198,6 +206,10 @@ func (in *Interp) reset(opts Options) {
 	in.lastMatches = nil
 	in.allocBytes = 0
 	in.exprDepth = 0
+	in.peakDepth = 0
+	in.replayed = 0
+	in.rec = Record{}
+	in.recOK = false
 	in.deadline = time.Time{}
 	in.hasDeadline = false
 	clear(in.preloaded)
@@ -219,8 +231,12 @@ func (in *Interp) reset(opts Options) {
 func (in *Interp) Console() string { return in.console.String() }
 
 // Steps returns the evaluation steps taken so far, the count MaxSteps
-// bounds.
+// bounds. It includes the steps replayed Records charged.
 func (in *Interp) Steps() int { return in.steps }
+
+// StepsReplayed returns the part of Steps that replayed Records charged
+// without executing them.
+func (in *Interp) StepsReplayed() int { return in.replayed }
 
 // SetVar defines a variable in the global scope. Variables defined
 // this way — before evaluation, by the embedding caller — are the
@@ -422,6 +438,12 @@ func (in *Interp) evalStatement(node psast.Node, sc *scope) ([]any, error) {
 	if err := in.step(); err != nil {
 		return nil, err
 	}
+	return in.evalStatementNode(node, sc)
+}
+
+// evalStatementNode evaluates a statement whose step evalStatement has
+// charged.
+func (in *Interp) evalStatementNode(node psast.Node, sc *scope) ([]any, error) {
 	switch n := node.(type) {
 	case *psast.Pipeline:
 		return in.evalPipeline(n, sc)
@@ -460,6 +482,8 @@ func (in *Interp) evalStatement(node psast.Node, sc *scope) ([]any, error) {
 			return nil, err
 		}
 		return enumerate(v), nil
+	case *psast.Evaluated:
+		return in.evaluatedStatement(n, sc)
 	default:
 		return nil, fmt.Errorf("%w: statement %s", ErrUnsupported, node.Kind())
 	}
@@ -881,9 +905,16 @@ func (in *Interp) evalFlow(n *psast.FlowStatement, sc *scope) ([]any, error) {
 			value = Unwrap(vals)
 		}
 		return out, &flowSignal{kind: flowReturn, value: value}
-	case "break":
-		return nil, &flowSignal{kind: flowBreak}
-	case "continue":
+	case "break", "continue":
+		if n.Label != "" {
+			// A labelled break or continue leaves the loop of that label,
+			// which may enclose the innermost one; loops here stop at the
+			// innermost. Refusing it keeps such a piece from folding.
+			return nil, fmt.Errorf("%w: %s to label %q", ErrUnsupported, n.Keyword, n.Label)
+		}
+		if n.Keyword == "break" {
+			return nil, &flowSignal{kind: flowBreak}
+		}
 		return nil, &flowSignal{kind: flowContinue}
 	case "exit":
 		return nil, &flowSignal{kind: flowExit}

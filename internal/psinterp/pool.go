@@ -41,5 +41,6 @@ func Release(in *Interp) {
 	in.opts = Options{}
 	in.host = nil
 	in.impureReason = ""
+	in.rec = Record{}
 	interpPool.Put(in)
 }

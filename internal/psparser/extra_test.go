@@ -35,7 +35,7 @@ func TestParseLoopLabelAndBreak(t *testing.T) {
 		t.Fatalf("statement = %T", root.Body.Statements[0])
 	}
 	flow, ok := fe.Body.Statements[0].(*psast.FlowStatement)
-	if !ok || flow.Keyword != "break" {
+	if !ok || flow.Keyword != "break" || flow.Label != "outer" {
 		t.Fatalf("inner = %#v", fe.Body.Statements[0])
 	}
 }

@@ -285,7 +285,10 @@ func (p *parser) parseStatement() (psast.Node, error) {
 	defer p.leave()
 	t := p.cur()
 	if t.Type == pstoken.LoopLabel {
-		p.advance() // labels are recorded on the loop below
+		// The label is skipped: a loop runs the same labelled or not,
+		// and a break or continue that names a label keeps it
+		// (FlowStatement.Label).
+		p.advance()
 	}
 	t = p.cur()
 	if t.Type == pstoken.Keyword {
@@ -775,9 +778,10 @@ func (p *parser) parseFlow() (psast.Node, error) {
 	node := &psast.FlowStatement{Ext: p.tokExt(t), Keyword: keyword}
 	switch keyword {
 	case "break", "continue":
-		// Optional loop label.
-		if c := p.cur(); c.Type == pstoken.CommandArgument && c.Line == t.Line {
+		// Optional loop label, which lexes as a command name.
+		if c := p.cur(); (c.Type == pstoken.Command || c.Type == pstoken.CommandArgument) && c.Line == t.Line {
 			p.advance()
+			node.Label = c.Content
 			node.Ext.End = c.End() + p.offset
 		}
 		return node, nil
