@@ -184,52 +184,81 @@ func TestHostileCorpus(t *testing.T) {
 	}
 }
 
-// TestRecordCapHolds drives the cap on the values an ast pass records
-// for enclosing pieces to replay: one statement whose 24 array-valued
-// pieces, distinct so the eval cache answers none of them, hold about
-// 11.5 MiB together. The bytes the records hold must never exceed the
-// cap, some pieces must go unrecorded for it, and the result must be
-// that of a run that records nothing.
+// TestRecordCapHolds drives the cap on the values a run records for
+// enclosing pieces to replay. In the flat case one statement's 24
+// array-valued pieces, distinct so the eval cache answers none of them,
+// hold about 11.5 MiB together. In the nested case an Invoke-Expression
+// statement holds the records of 24 such pieces while its payload, a
+// nested layer with 24 larger ones, is unwrapped: the cap covers both
+// layers at once. In the param case the records of a root param
+// default lie outside every statement and are dropped when the pass
+// ends. The bytes the records hold, summed from what each kept record
+// adds and each drop releases, must never exceed the cap and must be
+// back at zero after the run, some of the ranges must go unrecorded
+// for the cap, and the result must be that of a run that records
+// nothing.
 func TestRecordCapHolds(t *testing.T) {
-	terms := make([]string, 24)
-	for i := range terms {
-		terms[i] = "(1.." + strconv.Itoa(30000+i) + ").Count"
+	ranges := func(from int) string {
+		terms := make([]string, 24)
+		for i := range terms {
+			terms[i] = "(1.." + strconv.Itoa(from+i) + ").Count"
+		}
+		return strings.Join(terms, " + ")
 	}
-	src := "$n = " + strings.Join(terms, " + ") + "\nWrite-Host $n"
-	var mu sync.Mutex
-	kept, peak, limit := 0, 0, 0
-	stop := psfront.WatchRecords(true, func(held, cap int) {
-		mu.Lock()
-		defer mu.Unlock()
-		kept++
-		peak, limit = max(peak, held), cap
-	})
-	res, err := New(Options{}).Deobfuscate(src)
-	stop()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop = psfront.WatchRecords(false, nil)
-	plain, err := New(Options{}).Deobfuscate(src)
-	stop()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("%d records kept, at most %d bytes held, cap %d", kept, peak, limit)
-	if peak > limit {
-		t.Errorf("the records held %d bytes, cap %d", peak, limit)
-	}
-	if kept == 0 || kept >= len(terms) {
-		t.Errorf("%d of the %d ranges were recorded; want the cap to refuse some", kept, len(terms))
-	}
-	if res.Script != plain.Script || !reflect.DeepEqual(res.Layers, plain.Layers) {
-		t.Errorf("the output differs from a run without records\n--- with ---\n%s\n--- without ---\n%s", res.Script, plain.Script)
-	}
-	if a, b := engineCounters(res.Stats), engineCounters(plain.Stats); a != b {
-		t.Errorf("counters diverge\nwith:    %+v\nwithout: %+v", a, b)
-	}
-	if !strings.Contains(res.Script, "Write-Host 720276") {
-		t.Errorf("the sum was not recovered:\n%s", res.Script)
+	for _, tc := range []struct {
+		name, src, want string
+		// ranges counts the ranges in src, 0 where they stay under the
+		// cap.
+		ranges int
+	}{
+		{"flat", "$n = " + ranges(30000) + "\nWrite-Host $n", "Write-Host 720276", 24},
+		{"nested", "Invoke-Expression ('$m = ' + (" + ranges(30000) + ") + '; $k = " + ranges(40000) + "; Write-Host $m $k')",
+			"Write-Host 720276 960276", 48},
+		{"param", "param($a = ((1..5) + (1..6)).Count)", "param(", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			kept, held, peak, limit := 0, 0, 0, 0
+			stop := psfront.WatchRecords(true, func(delta, cap int) {
+				mu.Lock()
+				defer mu.Unlock()
+				if delta > 0 {
+					kept++
+				}
+				held += delta
+				peak, limit = max(peak, held), cap
+			})
+			res, err := New(Options{}).Deobfuscate(tc.src)
+			stop()
+			if err != nil {
+				t.Fatal(err)
+			}
+			stop = psfront.WatchRecords(false, nil)
+			plain, err := New(Options{}).Deobfuscate(tc.src)
+			stop()
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d records kept, at most %d bytes held, cap %d", kept, peak, limit)
+			if peak > limit {
+				t.Errorf("the records held %d bytes, cap %d", peak, limit)
+			}
+			if held != 0 {
+				t.Errorf("%d bytes of records were never dropped", held)
+			}
+			if kept == 0 || tc.ranges > 0 && kept >= tc.ranges {
+				t.Errorf("%d of the %d ranges were recorded; want the cap to refuse some", kept, tc.ranges)
+			}
+			if res.Script != plain.Script || !reflect.DeepEqual(res.Layers, plain.Layers) {
+				t.Errorf("the output differs from a run without records\n--- with ---\n%s\n--- without ---\n%s", res.Script, plain.Script)
+			}
+			if a, b := engineCounters(res.Stats), engineCounters(plain.Stats); a != b {
+				t.Errorf("counters diverge\nwith:    %+v\nwithout: %+v", a, b)
+			}
+			if !strings.Contains(res.Script, tc.want) {
+				t.Errorf("want %q in the output:\n%s", tc.want, res.Script)
+			}
+		})
 	}
 }
 

@@ -74,12 +74,15 @@ type astState struct {
 	// recs holds the records of the pieces of the current top-level
 	// statement whose values were not spliced, for enclosing pieces to
 	// replay (reuse.go); recStarts are their start offsets, sorted, and
-	// recBytes the bytes their values hold. top is the root's block,
-	// after each of whose statements the records are dropped.
+	// recBytes the bytes their values hold, their share of
+	// run.recBytes. top is the root's block, after each of whose
+	// statements the records are dropped. scans numbers the scanPiece
+	// calls.
 	recs      map[psast.Node]*record
 	recStarts []int
 	recBytes  int
 	top       *psast.NamedBlock
+	scans     int
 }
 
 // maxPieceLen bounds recoverable pieces, in bytes: larger pieces are
@@ -200,6 +203,7 @@ func (r *run) astPhase(pc *pipeline.PassContext, doc *pipeline.Document, depth i
 		s.buildPrelude()
 	}
 	s.visit(root, visitCtx{scope: []int{0}})
+	s.dropRecords()
 	if len(s.repl) == 0 {
 		return
 	}
@@ -858,11 +862,13 @@ func (s *astState) pieceScript(n psast.Node, binds map[string]any) (t pieceTree,
 	piece := n.Extent()
 	reuse := false
 	if s.recordedWithin(piece) {
-		writers, hazards := s.scanPiece(n, binds)
-		reuse = !writers && !hazards
+		var hazards bool
+		t.writers, hazards = s.scanPiece(n, binds)
+		t.scanned = true
+		reuse = !t.writers && !hazards
 	}
 	if s.replacedWithin(piece) || reuse {
-		if n = psast.Substitute(n, s.substitute(n, piece, binds, reuse, &t.glued)); n == nil {
+		if n = psast.Substitute(n, s.substitute(n, piece, reuse, &t.glued)); n == nil {
 			return t, false
 		}
 	}
@@ -912,6 +918,9 @@ type pieceTree struct {
 	// piece's start (replacement.gluedBefore), here or in a replayed
 	// descendant that starts there.
 	glued bool
+	// scanned reports that pieceScript ran scanPiece on the piece, and
+	// writers what it found, which keep uses instead of scanning again.
+	scanned, writers bool
 }
 
 // markedPipe is Pipeline{CommandExpression{Evaluated{x}}} in one
@@ -981,11 +990,11 @@ func leadLexedInContext(n psast.Node) bool {
 // substitute is pieceScript's psast.Substitute callback for the piece
 // root, spanning piece. Subtrees holding no replacement, and no record
 // when reuse is set, are shared; a replaced node becomes its literal
-// node, and with reuse a descendant whose record is usable under binds
-// becomes that record's place. glued is set where either brings a
-// number literal glued to the piece's first character. It abandons the
-// substitution, so the snippet is parsed, where the literal could read
-// differently in the piece's text:
+// node, and with reuse a descendant whose record the piece's scan found
+// usable (record.scan) becomes that record's place. glued is set where
+// either brings a number literal glued to the piece's first character.
+// It abandons the substitution, so the snippet is parsed, where the
+// literal could read differently in the piece's text:
 //   - a replacement with no literal node (unwrapped payload code,
 //     negative, float or parenthesized renderings);
 //   - a replacement inside a script block literal, whose Source (the
@@ -994,7 +1003,7 @@ func leadLexedInContext(n psast.Node) bool {
 //     literal can merge with its neighbours into a bare word;
 //   - a number that could lex together with a neighbour inside the
 //     piece (see numberGlued), also inside a record's subtree.
-func (s *astState) substitute(root psast.Node, piece psast.Extent, binds map[string]any, reuse bool, glued *bool) func(psast.Node) (psast.Node, bool) {
+func (s *astState) substitute(root psast.Node, piece psast.Extent, reuse bool, glued *bool) func(psast.Node) (psast.Node, bool) {
 	return func(c psast.Node) (psast.Node, bool) {
 		ext := c.Extent()
 		replaced := s.replacedWithin(ext)
@@ -1012,7 +1021,7 @@ func (s *astState) substitute(root psast.Node, piece psast.Extent, binds map[str
 			return r.lit, true
 		}
 		if reuse && c != root {
-			if rec := s.recs[c]; rec != nil && s.usable(rec, binds) {
+			if rec := s.recs[c]; rec != nil && rec.scan == s.scans {
 				if rec.glued && ext.Start > piece.Start {
 					return nil, true
 				}

@@ -18,7 +18,7 @@ import (
 func newEvalState(t *testing.T, src string, view *pipeline.EvalView) *astState {
 	t.Helper()
 	opts := &frontend.Options{MaxIterations: 10, StepBudget: 500_000}
-	r := &run{&frontend.Run{
+	r := &run{Run: &frontend.Run{
 		Opts:      opts,
 		Blocklist: psnames.DefaultBlocklist(),
 		Stats:     &frontend.Stats{},

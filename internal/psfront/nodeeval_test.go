@@ -246,8 +246,15 @@ func FuzzPieceNodeEval(f *testing.F) {
 	f.Add(int64(0), "Length", uint8(11), "$n.$s", uint16(0))
 	f.Add(int64(3000000000), "", uint8(0), "[char]($n % 90 + 32)", uint16(0))
 	f.Add(int64(7), "x.y", uint8(22), "'a'.$s", uint16(0))
-	f.Add(int64(2), "q", uint8(0x80|(len(fuzzContexts)-1)), "$n * 2", uint16(0))
-	f.Add(int64(5), "zz", uint8(0x80), "$s * $n + $s.Length", uint16(0))
+	// Contexts 19 and 20, the ForEach-Object and script-block literal
+	// ones, with FunctionTracing on.
+	f.Add(int64(2), "q", uint8(0x80|19), "$n * 2", uint16(0))
+	f.Add(int64(5), "zz", uint8(0x80|20), "$s * $n + $s.Length", uint16(0))
+	// The array-valued contexts, from 27 on, with FunctionTracing on,
+	// which puts the prelude's definitions before each replaying piece.
+	for i := 27; i < len(fuzzContexts); i++ {
+		f.Add(int64(3), "abc", uint8(0x80|i), "$s + $n", uint16(0))
+	}
 	// Small budgets on the replaying contexts, 91 to 1,001 steps and
 	// 256 bytes to 2 KiB, under which two recorded descendants fit one
 	// by one but not together, so the enclosing piece evaluates the

@@ -87,7 +87,7 @@ func (PS) DefaultBlocklist() map[string]bool { return psnames.DefaultBlocklist()
 // phase implementations directly on forked Documents (see
 // deobfuscateLayer for how the trace accounts for them).
 func (PS) LayerPasses(fr *frontend.Run) []pipeline.Pass {
-	r := &run{fr}
+	r := &run{Run: fr}
 	var passes []pipeline.Pass
 	if !fr.Opts.DisableTokenPhase {
 		passes = append(passes, pipeline.Pass{Name: "token", Run: func(pc *pipeline.PassContext) {
@@ -104,7 +104,7 @@ func (PS) LayerPasses(fr *frontend.Run) []pipeline.Pass {
 
 // FinalPasses returns the once-only finishing passes (phase 3).
 func (PS) FinalPasses(fr *frontend.Run) []pipeline.Pass {
-	r := &run{fr}
+	r := &run{Run: fr}
 	var passes []pipeline.Pass
 	if !fr.Opts.DisableRename {
 		passes = append(passes, pipeline.Pass{Name: "rename", Run: func(pc *pipeline.PassContext) {
@@ -123,6 +123,10 @@ func (PS) FinalPasses(fr *frontend.Run) []pipeline.Pass {
 // the embedded Run promotes Opts, Blocklist, Stats and Env.
 type run struct {
 	*frontend.Run
+	// recBytes is the bytes the ast phase's records hold (reuse.go),
+	// summed over the layer being visited and the nested layers it is
+	// unwrapping, whose records are all held at once.
+	recBytes int
 }
 
 // The phase implementations predate the language-neutral artifact

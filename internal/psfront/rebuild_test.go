@@ -18,7 +18,7 @@ import (
 // afterwards and the pass's reverts.
 func runASTPhase(t *testing.T, src string) (string, int) {
 	t.Helper()
-	r := &run{&frontend.Run{
+	r := &run{Run: &frontend.Run{
 		Opts:      &frontend.Options{MaxIterations: 10, StepBudget: 500_000},
 		Blocklist: psnames.DefaultBlocklist(),
 		Stats:     &frontend.Stats{},

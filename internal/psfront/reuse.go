@@ -31,12 +31,15 @@ import (
 //     limits left, and otherwise evaluates the subtree
 //     (psinterp.Interp.fits).
 //  5. Records live until their top-level statement has been visited,
-//     and hold at most maxRecordBytes.
+//     and the records of a run hold at most maxRecordBytes, those of
+//     the nested layers it is unwrapping included.
 //  6. Only writer-free pieces are recorded, so a scan stops at a
 //     replayed descendant instead of walking it again.
 
-// maxRecordBytes caps the bytes (psinterp.ValueSize) the records of one
-// ast pass hold at once, the eval cache's default budget. A value that
+// maxRecordBytes caps the bytes (psinterp.ValueSize) the records of a
+// run hold at once (run.recBytes), the eval cache's default budget. A
+// nested layer is unwrapped while the records of the statement holding
+// it are kept, so its records count against the same cap. A value that
 // does not fit is not recorded.
 const maxRecordBytes = pipeline.DefaultEvalMaxBytes
 
@@ -51,6 +54,9 @@ type record struct {
 	fps []string
 	// glued is pieceTree.glued of the recorded run.
 	glued bool
+	// scan is the scanPiece call (astState.scans) that last found the
+	// record usable; substitute replays it in that call's piece only.
+	scan int
 }
 
 // keep records the value of piece n's run on tree, whose result is not
@@ -65,10 +71,14 @@ func (s *astState) keep(n psast.Node, tree *pieceTree, in *psinterp.Interp, bind
 		return
 	}
 	size := rec.Size()
-	if s.recBytes+size > maxRecordBytes {
+	if s.r.recBytes+size > maxRecordBytes {
 		return
 	}
-	if writers, _ := s.scanPiece(n, binds); writers {
+	writers := tree.writers
+	if !tree.scanned {
+		writers, _ = s.scanPiece(n, binds)
+	}
+	if writers {
 		return
 	}
 	fps := make([]string, len(rec.Reads()))
@@ -83,8 +93,9 @@ func (s *astState) keep(n psast.Node, tree *pieceTree, in *psinterp.Interp, bind
 	i, _ := slices.BinarySearch(s.recStarts, start)
 	s.recStarts = slices.Insert(s.recStarts, i, start)
 	s.recBytes += size
+	s.r.recBytes += size
 	if w != nil {
-		w.f(s.recBytes, maxRecordBytes)
+		w.f(size, maxRecordBytes)
 	}
 }
 
@@ -115,8 +126,10 @@ func (s *astState) usable(r *record, binds map[string]any) bool {
 // leave the $_ or $matches a full evaluation leaves behind, and only
 // these could read them. The walk does not enter replaced nodes, whose
 // subtrees the piece does not hold, nor replayable descendants, which
-// hold no writer (rule 6).
+// hold no writer (rule 6); it stamps those with its call's number for
+// substitute.
 func (s *astState) scanPiece(n psast.Node, binds map[string]any) (writers, hazards bool) {
+	s.scans++
 	var walk func(x psast.Node)
 	walk = func(x psast.Node) {
 		if x == nil || writers {
@@ -127,6 +140,7 @@ func (s *astState) scanPiece(n psast.Node, binds map[string]any) (writers, hazar
 				return
 			}
 			if r := s.recs[x]; r != nil && s.usable(r, binds) {
+				r.scan = s.scans
 				return
 			}
 		}
@@ -191,20 +205,25 @@ func (s *astState) recordedWithin(ext psast.Extent) bool {
 	return i < len(s.recStarts) && s.recStarts[i] < ext.End
 }
 
-// dropRecords forgets the records of the statement just visited.
+// dropRecords forgets the records of the statement just visited, or of
+// the layer at the end of its pass.
 func (s *astState) dropRecords() {
 	if len(s.recs) == 0 {
 		return
 	}
 	clear(s.recs)
 	s.recStarts = s.recStarts[:0]
+	s.r.recBytes -= s.recBytes
+	if w := recordHook.Load(); w != nil && w.f != nil {
+		w.f(-s.recBytes, maxRecordBytes)
+	}
 	s.recBytes = 0
 }
 
 // recordWatch is a WatchRecords registration.
 type recordWatch struct {
 	reuse bool
-	f     func(held, limit int)
+	f     func(delta, limit int)
 }
 
 var recordHook atomic.Pointer[recordWatch]
@@ -212,10 +231,10 @@ var recordHook atomic.Pointer[recordWatch]
 // WatchRecords is a test seam. Until stop is called, every ast pass in
 // the process records no piece value when reuse is false, so each piece
 // evaluates its whole subtree; when reuse is true it records as usual
-// and calls f, possibly from several goroutines at once, each time it
-// keeps a record, with the bytes its records then hold and the cap on
-// them.
-func WatchRecords(reuse bool, f func(held, limit int)) (stop func()) {
+// and calls f, possibly from several goroutines at once, with the bytes
+// each record it keeps adds (positive) and those each drop of records
+// releases (negative), and the cap on what a run's records hold.
+func WatchRecords(reuse bool, f func(delta, limit int)) (stop func()) {
 	recordHook.Store(&recordWatch{reuse: reuse, f: f})
 	return func() { recordHook.Store(nil) }
 }
