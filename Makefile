@@ -9,12 +9,12 @@ FUZZTIME ?= 10s
 
 PROFILEDIR ?= .profile
 
-.PHONY: all check fmt vet build test race soak equivalence goldens fuzz-smoke serve-smoke loadtest loadtest-smoke gauntlet gauntlet-smoke perfbench-selftest profile clean
+.PHONY: all check fmt vet build test race equivalence goldens fuzz-smoke serve-smoke loadtest loadtest-smoke gauntlet gauntlet-smoke perfbench-selftest profile clean
 
 all: check
 
 # check is the tier-1 gate.
-check: fmt vet build race soak equivalence serve-smoke loadtest-smoke gauntlet-smoke perfbench-selftest fuzz-smoke
+check: fmt vet build race equivalence serve-smoke loadtest-smoke gauntlet-smoke perfbench-selftest fuzz-smoke
 
 # fmt fails (and lists the offenders) when any file is not gofmt-clean.
 fmt:
@@ -34,12 +34,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# soak runs the slow hostile-input variants that are opt-in (-soak test
-# flag) so the default `go test ./...` stays fast. They still gate
-# `make check`: the full coverage is not lost, just moved here.
-soak:
-	$(GO) test ./internal/pipeline -run TestOversizeHostileTextSoak -soak -count=1 -timeout 10m
 
 # equivalence re-runs the refactor guards explicitly (they are also in
 # the plain suite): byte-identical output against the frozen goldens of

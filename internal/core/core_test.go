@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"github.com/invoke-deobfuscation/invokedeob/internal/sandbox"
 )
 
 func deob(t *testing.T, src string) string {
@@ -116,16 +118,60 @@ func TestBlocklistPreventsExecution(t *testing.T) {
 // the pieces pass the safety walk; sort is a safe command's alias,
 // which used to parse as a command after an unlabelled break.
 func TestLabelledFlowNotFolded(t *testing.T) {
-	for _, tc := range []struct{ src, wrong string }{
-		{"$i = 1; $j = 1\n$r = $(:outer foreach ($i in 1..3) { foreach ($j in 1..3) { 'x'; break outer } }) -join ','\nWrite-Host $r", "'x,x,x'"},
-		{"$i = 1; $j = 1\n$r = $(:outer foreach ($i in 1..3) { foreach ($j in 1..3) { 'x'; continue outer } }) -join ','\nWrite-Host $r", "'x,x,x,x,x,x,x,x,x'"},
-		{"$i = 1; $j = 1\n$r = $(:sort foreach ($i in 1..3) { foreach ($j in 1..3) { 'x'; break sort } }) -join ','\nWrite-Host $r", "'x,x,x'"},
-		{"$i = 1; $j = 1\n$r = $(:sort foreach ($i in 1..3) { foreach ($j in 1..3) { 'x'; continue sort } }) -join ','\nWrite-Host $r", "'x,x,x,x,x,x,x,x,x'"},
+	for _, tc := range []struct{ src, wrong, keep string }{
+		{"$i = 1; $j = 1\n$r = $(:outer foreach ($i in 1..3) { foreach ($j in 1..3) { 'x'; break outer } }) -join ','\nWrite-Host $r", "'x,x,x'", "break outer"},
+		{"$i = 1; $j = 1\n$r = $(:outer foreach ($i in 1..3) { foreach ($j in 1..3) { 'x'; continue outer } }) -join ','\nWrite-Host $r", "'x,x,x,x,x,x,x,x,x'", "continue outer"},
+		{"$i = 1; $j = 1\n$r = $(:sort foreach ($i in 1..3) { foreach ($j in 1..3) { 'x'; break sort } }) -join ','\nWrite-Host $r", "'x,x,x'", "break sort"},
+		{"$i = 1; $j = 1\n$r = $(:sort foreach ($i in 1..3) { foreach ($j in 1..3) { 'x'; continue sort } }) -join ','\nWrite-Host $r", "'x,x,x,x,x,x,x,x,x'", "continue sort"},
 	} {
 		got := deob(t, tc.src)
 		if strings.Contains(got, tc.wrong) || !strings.Contains(got, "foreach") {
 			t.Errorf("labelled loop folded:\n%s\n->\n%s", tc.src, got)
 		}
+		// The label after break or continue is not a command name, even
+		// when it is named like an alias.
+		if !strings.Contains(got, tc.keep) {
+			t.Errorf("loop label rewritten, want %q:\n%s\n->\n%s", tc.keep, tc.src, got)
+		}
+	}
+}
+
+// TestRewritesKeepSandboxConsole runs inputs whose variables the rename
+// and ast phases rewrite, each with a form they used to get wrong, and
+// requires each output to print what its input prints in the sandbox.
+// want is the input's console, so the sandbox runs the construct as
+// PowerShell does; keep is a piece of the output that shows the rewrite
+// happened where the bug was.
+func TestRewritesKeepSandboxConsole(t *testing.T) {
+	for _, tc := range []struct{ name, src, want, keep string }{
+		// Renamed variables are renamed inside expandable strings too,
+		// in the form they are written.
+		{"string", "foreach ($i in 1..2) { Write-Host \"n=$i\" }", "n=1\nn=2\n", `"n=$var0"`},
+		{"braced-and-subexpression", "foreach ($x in 'ab','cde') { Write-Host \"v=${x}! len=$($x.Length)\" }",
+			"v=ab! len=2\nv=cde! len=3\n", `"v=${var0}! len=$($var0.Length)"`},
+		{"here-string", "foreach ($x in 'ab','cde') { Write-Host @\"\nv=${x}! len=$($x.Length) $x\n\"@ }",
+			"v=ab! len=2 ab\nv=cde! len=3 cde\n", "v=${var0}! len=$($var0.Length) $var0"},
+		// ++ and -- write their operand: it is not inlined, and no later
+		// read is inlined with the value it had before.
+		{"postfix-statement", "$i = 1; $i++; Write-Host $i", "2\n", "$var0++"},
+		{"postfix-in-block", "$i = 0; 1..3 | ForEach-Object { $i++ }; Write-Host $i", "3\n", "$var0++"},
+		{"postfix-value", "$i = 1; $j = $i++ + 5; Write-Host $j $i", "6 2\n", "$var0++ + 5"},
+		{"prefix-statement", "$i = 1; ++$i; Write-Host $i", "2\n", "++$var0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := deob(t, tc.src)
+			before := sandbox.Run(tc.src, sandbox.Options{})
+			after := sandbox.Run(got, sandbox.Options{})
+			if before.Err != nil || before.Console != tc.want {
+				t.Fatalf("input console = %q (err %v), want %q", before.Console, before.Err, tc.want)
+			}
+			if after.Err != nil || after.Console != before.Console {
+				t.Errorf("output console = %q (err %v), want %q\n%s\n->\n%s", after.Console, after.Err, before.Console, tc.src, got)
+			}
+			if !strings.Contains(got, tc.keep) {
+				t.Errorf("output lacks %q:\n%s\n->\n%s", tc.keep, tc.src, got)
+			}
+		})
 	}
 }
 

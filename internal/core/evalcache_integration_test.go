@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"github.com/invoke-deobfuscation/invokedeob/internal/pipeline"
 )
 
 // The piece-level cache integration tests live with the PowerShell
@@ -50,9 +52,11 @@ func TestDeobfuscateCacheOnOffEquivalence(t *testing.T) {
 }
 
 // TestSharedEvalCacheConcurrentRuns drives many concurrent runs through
-// one shared EvalCache (the batch-driver topology) and checks every
-// worker still produces the sequential baseline output. Run under
-// -race this is the data-race guard for the shared cache.
+// one shared parse cache and one shared EvalCache (the batch-driver
+// topology) and checks every worker still produces the sequential
+// baseline output. The workers take the same scripts in the same
+// order, so identical texts miss concurrently in both caches. Run
+// under -race this is the data-race guard for the shared caches.
 func TestSharedEvalCacheConcurrentRuns(t *testing.T) {
 	// A corpus slice with duplicates so cross-worker hits actually occur.
 	base := equivalenceCorpus()[:6]
@@ -72,6 +76,7 @@ func TestSharedEvalCacheConcurrentRuns(t *testing.T) {
 		want[i] = res.Script
 	}
 
+	sharedParse := pipeline.NewCache(0, 0)
 	shared := NewEvalCache(0, 0)
 	var wg sync.WaitGroup
 	errs := make(chan error, len(srcs)*4)
@@ -80,7 +85,7 @@ func TestSharedEvalCacheConcurrentRuns(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, src := range srcs {
-				res, err := d.DeobfuscateSharedLang(context.Background(), src, "", nil, shared)
+				res, err := d.DeobfuscateSharedLang(context.Background(), src, "", sharedParse, shared)
 				if err != nil {
 					errs <- fmt.Errorf("script %d: %v", i, err)
 					continue
@@ -98,6 +103,9 @@ func TestSharedEvalCacheConcurrentRuns(t *testing.T) {
 	}
 	st := shared.Stats()
 	if st.Hits == 0 {
-		t.Errorf("duplicated corpus produced no cross-run hits: %+v", st)
+		t.Errorf("duplicated corpus produced no cross-run eval hits: %+v", st)
+	}
+	if pst := sharedParse.Stats(); pst.Hits == 0 {
+		t.Errorf("duplicated corpus produced no cross-run parse hits: %+v", pst)
 	}
 }

@@ -23,9 +23,9 @@
 // For serving workloads one cache is shared by every request. It holds
 // one mutex, one map keyed by (language, text), one LRU list and global
 // entry/byte budgets. The lock guards only bookkeeping: tokenizing and
-// parsing run outside it, and concurrent requests for the same
-// (language, text) block on one computation instead of racing
-// duplicates through the parser.
+// parsing run outside it. Concurrent first requests for one text each
+// compute it, the first result stored is kept, and every caller gets
+// that one, as the eval cache does with concurrent inserts.
 package pipeline
 
 import (
@@ -73,11 +73,12 @@ const (
 	// 200 corpus scripts, an obfuscated text's tokens take 5.6 and its
 	// AST 9.0 bytes per source byte (a clean text's 4.0 and 8.6).
 	bytesPerSourceByte = 16
-	// maxCacheableText is the largest single text worth caching; bigger
-	// texts are parsed directly. A smaller text charged more than the
-	// whole byte budget (over 1 MiB under the default) evicts every
-	// other entry and is kept alone, so a layer of the largest script
-	// the server accepts still parses once.
+	// maxCacheableText is the largest single text worth caching; a
+	// bigger text gets an entry of its own that is never linked into the
+	// map, so every request for it parses it again. A smaller text
+	// charged more than the whole byte budget (over 1 MiB under the
+	// default) evicts every other entry and is kept alone, so a layer of
+	// the largest script the server accepts still parses once.
 	maxCacheableText = 4 << 20
 )
 
@@ -107,9 +108,8 @@ type CacheStats struct {
 	// Bytes is the current total the byte budget charges: text, tokens
 	// and AST, estimated at bytesPerSourceByte per cached source byte.
 	Bytes int64
-	// CoalescedWaits counts requests that blocked on another request's
-	// in-flight computation of the same artifact instead of computing a
-	// duplicate (the singleflight payoff).
+	// CoalescedWaits is always zero: concurrent misses each compute, and
+	// none waits on another. It stays because the benchmark reads it.
 	CoalescedWaits int64
 }
 
@@ -140,37 +140,23 @@ func (s LangCacheStats) HitRate() float64 {
 	return 0
 }
 
-// Artifact-slot states. A slot is the singleflight cell for one
-// artifact (token stream or AST) of one entry.
-const (
-	slotEmpty = iota
-	slotComputing
-	slotDone
-)
-
-// artifactSlot memoizes one artifact with explicit singleflight: the
-// first requester becomes the leader and computes; concurrent
-// requesters wait on done and are counted as coalesced. A leader that
-// panics resets the slot to empty before propagating, so waiters retry
-// the computation themselves instead of inheriting a poisoned cell —
-// each caller's own envelope classifies its own failure. Slots are
+// artifactSlot memoizes one artifact (token stream or AST) of one
+// entry: done once a result, value or error, is stored. Slots are
 // guarded by the owning Cache's lock.
 type artifactSlot struct {
-	state int
-	done  chan struct{} // non-nil while state == slotComputing
-	val   any
-	err   error
+	done bool
+	val  any
+	err  error
 }
 
 // cacheEntry memoizes the artifacts of one exact (language, text)
-// pair. Each artifact is computed at most once per generation even
-// under concurrent workers; an entry evicted mid-flight stays valid
-// for the goroutines already holding it.
+// pair. An entry evicted while a request computes one of its artifacts
+// stays valid for the requests already holding it.
 type cacheEntry struct {
 	key  cacheKey
 	tok  artifactSlot
 	ast  artifactSlot
-	elem *list.Element // the entry's node in the LRU list
+	elem *list.Element // the entry's node in the LRU list; nil if unlinked
 }
 
 // Cache is a bounded, thread-safe memoization of tokenize/parse results
@@ -192,7 +178,6 @@ type Cache struct {
 	lru        *list.List // front = most recently used
 
 	hits, misses, evictions int64
-	coalescedWaits          int64
 	perLang                 map[string]*LangCacheStats
 }
 
@@ -216,14 +201,18 @@ func NewCache(maxEntries int, maxBytes int64) *Cache {
 }
 
 // entryLocked returns the entry for key, creating (and bounding) it as
-// needed, and bumps it to most-recently-used. Callers hold c.mu and
-// have already rejected oversize texts.
+// needed, and bumps it to most-recently-used. A text over
+// maxCacheableText gets a fresh entry that is never linked into the
+// map. Callers hold c.mu.
 func (c *Cache) entryLocked(key cacheKey) *cacheEntry {
 	if e := c.entries[key]; e != nil {
 		c.lru.MoveToFront(e.elem)
 		return e
 	}
 	e := &cacheEntry{key: key}
+	if len(key.text) > maxCacheableText {
+		return e
+	}
 	c.entries[key] = e
 	e.elem = c.lru.PushFront(e)
 	c.bytes += entryBytes(key.text)
@@ -254,83 +243,36 @@ func (c *Cache) recordLocked(lang string, hit bool) {
 }
 
 // artifact returns one memoized artifact of src under language l —
-// the token slot or the AST slot, as picked — computing it through the
-// singleflight protocol when absent, and records the request as one hit
-// or miss. compute receives the entry the artifact belongs to, or nil
-// for a text too large to cache. hit reports whether the value came
-// from memory.
+// the token slot or the AST slot, as picked — and records the request
+// as one hit or miss. On a miss compute runs outside the lock on the
+// text's entry, and the caller gets what keep leaves in the slot. hit
+// reports whether the value came from memory.
 func (c *Cache) artifact(l Lang, src string, pick func(*cacheEntry) *artifactSlot, compute func(*cacheEntry) (any, error)) (val any, err error, hit bool) {
 	lang := l.Name()
-	if len(src) > maxCacheableText {
-		val, err = compute(nil)
-		c.mu.Lock()
-		c.recordLocked(lang, false)
-		c.mu.Unlock()
-		return val, err, false
-	}
 	c.mu.Lock()
 	e := c.entryLocked(cacheKey{lang, src})
 	slot := pick(e)
-	val, err, hit = c.await(slot, func() (any, error) { return compute(e) })
+	hit, val, err = slot.done, slot.val, slot.err
 	c.recordLocked(lang, hit)
 	c.mu.Unlock()
+	if !hit {
+		val, err = compute(e)
+		val, err = c.keep(slot, val, err)
+	}
 	return val, err, hit
 }
 
-// await returns slot's artifact: from memory when done, computed by
-// this caller as the leader when empty, and after waiting for the
-// leader when one is computing. Callers hold c.mu, and hold it again
-// when await returns; the computation and the wait run outside it. hit
-// reports whether the value came from memory.
-func (c *Cache) await(slot *artifactSlot, compute func() (any, error)) (val any, err error, hit bool) {
-	for {
-		switch slot.state {
-		case slotDone:
-			return slot.val, slot.err, true
-		case slotEmpty:
-			val, err = c.lead(slot, compute)
-			c.mu.Lock()
-			return val, err, false
-		default: // slotComputing
-			ch := slot.done
-			c.coalescedWaits++
-			c.mu.Unlock()
-			<-ch
-			// The leader published a result (done), or aborted (empty
-			// again — this waiter retries as the new leader).
-			c.mu.Lock()
-		}
+// keep stores a computed result in slot unless another request stored
+// one first, and returns what the slot holds, so every caller gets the
+// same artifact. A compute that panics never gets here: the slot stays
+// empty and the next request computes again.
+func (c *Cache) keep(slot *artifactSlot, val any, err error) (any, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !slot.done {
+		*slot = artifactSlot{done: true, val: val, err: err}
 	}
-}
-
-// lead claims an empty slot, runs the computation outside the lock and
-// publishes the result. Callers hold c.mu; lead returns with it
-// released. If compute panics, the slot is reset to empty — never
-// marked done with a half-written value — and the panic propagates to
-// the leader alone: its own run's recover turns it into that run's
-// taxonomy error, while waiters retry rather than being poisoned by
-// someone else's envelope violation.
-func (c *Cache) lead(slot *artifactSlot, compute func() (any, error)) (val any, err error) {
-	slot.state = slotComputing
-	slot.done = make(chan struct{})
-	c.mu.Unlock()
-	completed := false
-	defer func() {
-		c.mu.Lock()
-		if completed {
-			slot.state = slotDone
-			slot.val, slot.err = val, err
-		} else {
-			slot.state = slotEmpty
-		}
-		ch := slot.done
-		slot.done = nil
-		c.mu.Unlock()
-		close(ch)
-	}()
-	val, err = compute()
-	completed = true
-	return val, err
+	return slot.val, slot.err
 }
 
 func tokSlot(e *cacheEntry) *artifactSlot { return &e.tok }
@@ -372,17 +314,15 @@ func (c *Cache) parse(l Lang, src string) (any, error, bool) {
 }
 
 // parseEntry parses src from its token artifact, taken from entry e's
-// token slot (computing it when absent, without counting a request) or,
-// for an uncached text (e == nil), lexed directly.
+// token slot, or lexed and kept there when the slot is empty, without
+// counting a request.
 func (c *Cache) parseEntry(l Lang, src string, e *cacheEntry) (any, error) {
-	var toks any
-	var err error
-	if e == nil {
+	c.mu.Lock()
+	toks, err, done := e.tok.val, e.tok.err, e.tok.done
+	c.mu.Unlock()
+	if !done {
 		toks, err = l.Tokenize(src)
-	} else {
-		c.mu.Lock()
-		toks, err, _ = c.await(&e.tok, func() (any, error) { return l.Tokenize(src) })
-		c.mu.Unlock()
+		toks, err = c.keep(&e.tok, toks, err)
 	}
 	if err != nil {
 		return nil, err
@@ -401,12 +341,11 @@ func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Hits:           c.hits,
-		Misses:         c.misses,
-		Evictions:      c.evictions,
-		Entries:        c.lru.Len(),
-		Bytes:          c.bytes,
-		CoalescedWaits: c.coalescedWaits,
+		Hits:      c.hits,
+		Misses:    c.misses,
+		Evictions: c.evictions,
+		Entries:   c.lru.Len(),
+		Bytes:     c.bytes,
 	}
 }
 

@@ -1,8 +1,8 @@
 package pipeline
 
 // Tests for the shared cache tier: language namespacing, LRU recency,
-// global entry/byte budgets, and singleflight exactly-once and
-// poison-safety.
+// global entry/byte budgets, concurrent misses keeping one artifact,
+// and poison-safety.
 
 import (
 	"fmt"
@@ -85,7 +85,7 @@ func TestCacheLRUEvictionOrder(t *testing.T) {
 }
 
 // slowLang blocks inside Parse until released, and counts entries so
-// the coalescing tests can assert exactly-once computation.
+// the concurrency tests can assert how often a text was parsed.
 type slowLang struct {
 	name    string
 	gate    chan struct{} // Parse blocks receiving from gate (nil = no block)
@@ -107,22 +107,31 @@ func (l *slowLang) Parse(src string, _ any) (any, error) {
 	return "ast:" + src, nil
 }
 
-// TestCacheHotKeyCoalescedExactlyOnce hammers one hot key from many
-// goroutines and then floods distinct keys while the hot computation is
-// still blocked, asserting the hot key is parsed exactly once per
-// generation and memory stays bounded. A generation is the set of
-// requests that joined one leader's flight: churn starts only after all
-// followers are parked on it, so evicting the hot entry mid-flight must
-// neither disturb them nor let the leader's result be lost. Run under
-// -race this is also the data-race gate for the slot protocol.
-func TestCacheHotKeyCoalescedExactlyOnce(t *testing.T) {
+// stampLang is a slowLang whose every parse returns a distinct
+// artifact, so which computation a caller got back is observable.
+type stampLang struct{ slowLang }
+
+func (l *stampLang) Parse(src string, toks any) (any, error) {
+	ast, err := l.slowLang.Parse(src, toks)
+	return &ast, err
+}
+
+// TestCacheHotKeyConcurrentMissesKeepFirst has many goroutines miss on
+// one hot key at once, all blocked inside Parse, and then floods
+// distinct keys so the hot entry is evicted while they compute. Each
+// miss computes its own artifact; the first one stored is kept, and
+// every goroutine must return that one, the artifact the slot holds.
+// Memory stays bounded throughout. Run under -race this is also the
+// data-race gate for the store.
+func TestCacheHotKeyConcurrentMissesKeepFirst(t *testing.T) {
 	const (
 		workers    = 16
 		churnKeys  = 512
 		maxEntries = 128
+		hotKey     = "the-one-hot-key"
 	)
 	c := NewCache(maxEntries, 0)
-	hot := &slowLang{name: "hot", gate: make(chan struct{})}
+	hot := &stampLang{slowLang{name: "hot", gate: make(chan struct{})}}
 	churn := newFakeLang()
 
 	var wg sync.WaitGroup
@@ -131,25 +140,24 @@ func TestCacheHotKeyCoalescedExactlyOnce(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			ast, err := c.Parse(hot, "the-one-hot-key")
+			ast, err := c.Parse(hot, hotKey)
 			if err != nil {
 				t.Errorf("hot parse: %v", err)
 			}
 			hotResults[w] = ast
 		}(w)
 	}
-	// Wait for the generation to form: one leader blocked in Parse, the
-	// other workers-1 requests parked on its flight.
+	// Wait until every request has missed and is blocked in Parse.
 	deadline := time.Now().Add(10 * time.Second)
-	for c.Stats().CoalescedWaits < workers-1 {
+	for hot.parses.Load() < workers {
 		if time.Now().After(deadline) {
 			close(hot.gate)
-			t.Fatalf("only %d of %d followers joined the hot flight", c.Stats().CoalescedWaits, workers-1)
+			t.Fatalf("only %d of %d hot requests reached Parse", hot.parses.Load(), workers)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// Churn while the hot computation is still blocked: the flood evicts
-	// the hot entry, which must not disturb the in-flight singleflight.
+	// Churn while the hot computations are still blocked: the flood
+	// evicts the hot entry, which must not disturb the requests holding it.
 	var churnWG sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		churnWG.Add(1)
@@ -163,15 +171,19 @@ func TestCacheHotKeyCoalescedExactlyOnce(t *testing.T) {
 		}(w)
 	}
 	churnWG.Wait()
-	close(hot.gate) // release the hot-key leader
+	close(hot.gate)
 	wg.Wait()
 
-	if n := hot.parses.Load(); n != 1 {
-		t.Errorf("hot key parsed %d times across %d concurrent requests, want exactly 1", n, workers)
+	if n := hot.parses.Load(); n != workers {
+		t.Errorf("hot key parsed %d times by %d concurrent misses, want %d", n, workers, workers)
 	}
-	for _, ast := range hotResults {
-		if ast != "ast:the-one-hot-key" {
-			t.Errorf("hot result = %v, want shared artifact", ast)
+	kept, ok := hotResults[0].(*any)
+	if !ok || *kept != "ast:"+hotKey {
+		t.Fatalf("hot result = %v, want a stamped artifact of %q", hotResults[0], hotKey)
+	}
+	for w, ast := range hotResults {
+		if ast != kept {
+			t.Errorf("worker %d got its own artifact, not the one the slot holds", w)
 		}
 	}
 	st := c.Stats()
@@ -179,10 +191,10 @@ func TestCacheHotKeyCoalescedExactlyOnce(t *testing.T) {
 		t.Errorf("entries = %d after churn, want <= %d", st.Entries, maxEntries)
 	}
 	if st.Evictions == 0 {
-		t.Error("churn evicted nothing; the hot entry was never evicted mid-flight")
+		t.Error("churn evicted nothing; the hot entry was never evicted mid-computation")
 	}
-	if st.CoalescedWaits != workers-1 {
-		t.Errorf("coalesced waits = %d, want %d", st.CoalescedWaits, workers-1)
+	if st.Misses < workers {
+		t.Errorf("misses = %d, want at least the %d hot misses", st.Misses, workers)
 	}
 }
 
@@ -255,9 +267,9 @@ func TestCacheBudgetsAreGlobal(t *testing.T) {
 }
 
 // TestCacheLeaderPanicDoesNotPoison injects a parser panic into the
-// singleflight leader and asserts (a) the panic propagates to the
-// leader alone and (b) the slot resets so a later request recomputes
-// instead of inheriting a poisoned artifact.
+// request that computes an artifact and asserts (a) the panic
+// propagates to that request alone and (b) the slot stays empty so a
+// later request recomputes instead of inheriting a poisoned artifact.
 func TestCacheLeaderPanicDoesNotPoison(t *testing.T) {
 	c := NewCache(0, 0)
 	l := &slowLang{name: "panicky"}

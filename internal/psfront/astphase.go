@@ -353,18 +353,40 @@ func (s *astState) visit(n psast.Node, ctx visitCtx) {
 		// strings); the whole string is recovered via its parent
 		// recoverable node instead.
 		return
-	default:
-		childCtx := ctx
-		childCtx.isStatement = false
-		childCtx.assignLHS = false
-		// A pipeline that is itself a statement passes statement-ness to
-		// unwrapping; its children are expressions.
-		for _, c := range n.Children() {
-			childCtx.argMode = argModeChild(n, c, ctx.argMode)
-			s.visit(c, childCtx)
+	case *psast.UnaryExpression:
+		if x.Operator != "++" && x.Operator != "--" {
+			s.visitChildren(n, ctx)
+			break
 		}
+		// The operand of ++ or -- is written, not read: it is handled as
+		// an assignment Algorithm 1 cannot trace. It is not inlined, and
+		// the variable's traced value is dropped, so no later read is
+		// inlined with the old value and no piece holding the write
+		// passes the safety walk.
+		lhs := ctx
+		lhs.assignLHS = true
+		lhs.isStatement = false
+		s.visit(x.Operand, lhs)
+		if v, ok := x.Operand.(*psast.VariableExpression); ok {
+			delete(s.vars, canonicalVarName(v.Name))
+		}
+	default:
+		s.visitChildren(n, ctx)
 	}
 	s.process(n, ctx)
+}
+
+// visitChildren visits n's children as expressions. A pipeline that is
+// itself a statement passes statement-ness to unwrapping, not to its
+// children.
+func (s *astState) visitChildren(n psast.Node, ctx visitCtx) {
+	childCtx := ctx
+	childCtx.isStatement = false
+	childCtx.assignLHS = false
+	for _, c := range n.Children() {
+		childCtx.argMode = argModeChild(n, c, ctx.argMode)
+		s.visit(c, childCtx)
+	}
 }
 
 // process applies Algorithm 1's per-node actions after the children are

@@ -2,6 +2,7 @@ package psfront
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/invoke-deobfuscation/invokedeob/internal/pipeline"
@@ -13,17 +14,19 @@ import (
 // with var{N}/func{N} (paper §III-C). The randomness decision is made on
 // the concatenation of all unique names, using the General American
 // English vowel ratio (32–42 %) and a minimum letter proportion (10 %).
-// The token stream and the function-definition parse both come from the
-// run's cache — when phases 1–2 reached a fixpoint, the last ast pass
-// already cached this exact text.
+// A double-quoted string or here-string is one token, so the variables
+// it expands are renamed from the parse. The token stream and the parse
+// both come from the run's cache — when phases 1–2 reached a fixpoint,
+// the last ast pass already cached this exact text.
 func (r *run) renamePhase(pc *pipeline.PassContext, doc *pipeline.Document) {
 	toks, err := docTokens(doc)
 	if err != nil {
 		return
 	}
 	src := doc.Text()
+	root, _ := docAST(doc)
 	varNames := collectVariableNames(toks)
-	funcNames := collectFunctionNames(doc)
+	funcNames := collectFunctionNames(root)
 	if len(varNames)+len(funcNames) == 0 {
 		return
 	}
@@ -45,16 +48,19 @@ func (r *run) renamePhase(pc *pipeline.PassContext, doc *pipeline.Document) {
 	for i, n := range funcNames {
 		funcMap[n] = fmt.Sprintf("func%d", i)
 	}
-	out, n := rewriteTokens(src, toks, renameToken(varMap, funcMap))
+	out, n := rewriteTokens(src, toks, renameToken(varMap, funcMap, stringVarRefs(root, varMap)))
 	r.Stats.IdentifiersRenamed += n
 	doc.SetText(pc.ValidOrRevert(doc.View(), out, src))
 }
 
 // renameToken returns the rename pass's replacement: variables named in
 // varMap become $var{N}, commands and arguments named in funcMap become
-// func{N}. Both maps are keyed by the lower-cased name.
-func renameToken(varMap, funcMap map[string]string) func(pstoken.Token, string) (string, bool) {
-	return func(tok pstoken.Token, _ string) (string, bool) {
+// func{N}. Both maps are keyed by the lower-cased name. refs are the
+// references inside strings that varMap renames, sorted by offset (see
+// stringVarRefs); a string token holding some is rewritten with each
+// renamed in its written form.
+func renameToken(varMap, funcMap map[string]string, refs []*psast.VariableExpression) func(pstoken.Token, string) (string, bool) {
+	return func(tok pstoken.Token, text string) (string, bool) {
 		switch tok.Type {
 		case pstoken.Variable:
 			if repl, ok := varMap[strings.ToLower(tok.Content)]; ok {
@@ -64,9 +70,66 @@ func renameToken(varMap, funcMap map[string]string) func(pstoken.Token, string) 
 			if repl, ok := funcMap[strings.ToLower(tok.Content)]; ok {
 				return repl, true
 			}
+		case pstoken.String:
+			return renameInString(tok, text, varMap, refs)
 		}
 		return "", false
 	}
+}
+
+// renameInString renames the refs inside string token tok, whose source
+// text is text: $x becomes $var{N} and ${x} becomes ${var{N}}.
+func renameInString(tok pstoken.Token, text string, varMap map[string]string, refs []*psast.VariableExpression) (string, bool) {
+	start := int(tok.Start)
+	i, _ := slices.BinarySearchFunc(refs, start, func(ref *psast.VariableExpression, off int) int {
+		return ref.Ext.Start - off
+	})
+	var sb strings.Builder
+	copied := 0
+	for ; i < len(refs) && refs[i].Ext.End <= tok.End(); i++ {
+		from, to := refs[i].Ext.Start-start, refs[i].Ext.End-start
+		name := varMap[strings.ToLower(refs[i].Name)]
+		sb.WriteString(text[copied:from])
+		if strings.HasPrefix(text[from:to], "${") {
+			sb.WriteString("${" + name + "}")
+		} else {
+			sb.WriteString("$" + name)
+		}
+		copied = to
+	}
+	if copied == 0 {
+		return "", false
+	}
+	sb.WriteString(text[copied:])
+	return sb.String(), true
+}
+
+// stringVarRefs returns the variable references inside expandable
+// strings and here-strings, $(…) bodies included, that varMap renames,
+// sorted by offset. The parser gives each its absolute extent.
+func stringVarRefs(root *psast.ScriptBlock, varMap map[string]string) []*psast.VariableExpression {
+	if root == nil {
+		return nil
+	}
+	var refs []*psast.VariableExpression
+	inString := 0
+	psast.Walk(root, func(n psast.Node) bool {
+		switch x := n.(type) {
+		case *psast.ExpandableString:
+			inString++
+		case *psast.VariableExpression:
+			if _, ok := varMap[strings.ToLower(x.Name)]; ok && inString > 0 {
+				refs = append(refs, x)
+			}
+		}
+		return true
+	}, func(n psast.Node) {
+		if n.Kind() == psast.KindExpandableString {
+			inString--
+		}
+	})
+	slices.SortFunc(refs, func(a, b *psast.VariableExpression) int { return a.Ext.Start - b.Ext.Start })
+	return refs
 }
 
 // collectVariableNames returns unique user variable names (lower-cased)
@@ -91,10 +154,10 @@ func collectVariableNames(toks []pstoken.Token) []string {
 }
 
 // collectFunctionNames returns user-defined function names (lower-cased)
-// in definition order, from the Document's cached AST.
-func collectFunctionNames(doc *pipeline.Document) []string {
-	root, err := docAST(doc)
-	if err != nil {
+// in definition order, from the parse root (nil when the text does not
+// parse).
+func collectFunctionNames(root *psast.ScriptBlock) []string {
+	if root == nil {
 		return nil
 	}
 	seen := make(map[string]bool)

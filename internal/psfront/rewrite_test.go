@@ -89,8 +89,9 @@ func TestRewriteTokensMatchesReverseSplice(t *testing.T) {
 		for i, n := range collectVariableNames(toks) {
 			varMap[n] = fmt.Sprintf("var%d", i)
 		}
+		root, _ := docAST(pipeline.NewDocument(src, newView()))
 		funcMap := make(map[string]string)
-		for i, n := range collectFunctionNames(pipeline.NewDocument(src, newView())) {
+		for i, n := range collectFunctionNames(root) {
 			funcMap[n] = fmt.Sprintf("func%d", i)
 		}
 		for _, pass := range []struct {
@@ -98,8 +99,8 @@ func TestRewriteTokensMatchesReverseSplice(t *testing.T) {
 			repl  func(pstoken.Token, string) (string, bool)
 			count *int
 		}{
-			{"token", normalizeToken, &normalized},
-			{"rename", renameToken(varMap, funcMap), &renamed},
+			{"token", normalizeToken(toks), &normalized},
+			{"rename", renameToken(varMap, funcMap, stringVarRefs(root, varMap)), &renamed},
 		} {
 			got, gotN := rewriteTokens(src, toks, pass.repl)
 			want, wantN := reverseSplice(src, toks, pass.repl)

@@ -21,7 +21,7 @@ func (r *run) tokenPhase(pc *pipeline.PassContext, doc *pipeline.Document) {
 		return
 	}
 	src := doc.Text()
-	out, changed := rewriteTokens(src, toks, normalizeToken)
+	out, changed := rewriteTokens(src, toks, normalizeToken(toks))
 	if changed == 0 {
 		return
 	}
@@ -59,12 +59,29 @@ func rewriteTokens(src string, toks []pstoken.Token, repl func(tok pstoken.Token
 	return sb.String(), n
 }
 
-// normalizeToken is the token phase's replacement: the canonical text
-// of a token the phase rewrites, when it differs from the source text
-// raw.
-func normalizeToken(tok pstoken.Token, raw string) (string, bool) {
-	text, ok := canonicalToken(tok, raw)
-	return text, ok && text != raw
+// normalizeToken returns the token phase's replacement over toks: the
+// canonical text of a token the phase rewrites, when it differs from
+// the source text raw. The token after a break or continue keyword is
+// a loop label and stays as written: a label named like an alias
+// (sort) lexes as a command name.
+func normalizeToken(toks []pstoken.Token) func(pstoken.Token, string) (string, bool) {
+	var labels map[int32]bool
+	for i := 1; i < len(toks); i++ {
+		if prev := toks[i-1]; prev.Type == pstoken.Keyword &&
+			(strings.EqualFold(prev.Content, "break") || strings.EqualFold(prev.Content, "continue")) {
+			if labels == nil {
+				labels = make(map[int32]bool)
+			}
+			labels[toks[i].Start] = true
+		}
+	}
+	return func(tok pstoken.Token, raw string) (string, bool) {
+		if labels[tok.Start] {
+			return "", false
+		}
+		text, ok := canonicalToken(tok, raw)
+		return text, ok && text != raw
+	}
 }
 
 // typeNameArg matches bare-word arguments that are .NET type names

@@ -264,6 +264,10 @@ func (in *Interp) evalBinaryExpr(n *psast.BinaryExpression, sc *scope) (any, err
 	return v, nil
 }
 
+// evalUnary evaluates a unary expression. ++ and -- update their
+// operand and give its old value (postfix) or its new one (prefix);
+// standing as a command expression they write nothing to the pipeline
+// (see isIncrement).
 func (in *Interp) evalUnary(n *psast.UnaryExpression, sc *scope) (any, error) {
 	if n.Operator == "++" || n.Operator == "--" {
 		v, err := in.evalExpr(n.Operand, sc)
@@ -288,7 +292,10 @@ func (in *Interp) evalUnary(n *psast.UnaryExpression, sc *scope) (any, error) {
 		if err := in.assignTo(n.Operand, updated, sc); err != nil {
 			return nil, err
 		}
-		return nil, nil
+		if n.Postfix {
+			return v, nil
+		}
+		return updated, nil
 	}
 	v, err := in.evalExpr(n.Operand, sc)
 	if err != nil {

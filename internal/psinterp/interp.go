@@ -421,7 +421,9 @@ func (in *Interp) appendStatements(out []any, stmts []psast.Node, sc *scope) ([]
 				if err != nil {
 					return out, err
 				}
-				out = appendValue(out, v)
+				if !isIncrement(ce.Expression) {
+					out = appendValue(out, v)
+				}
 				continue
 			}
 		}
@@ -478,7 +480,7 @@ func (in *Interp) evalStatementNode(node psast.Node, sc *scope) ([]any, error) {
 		return nil, nil
 	case *psast.CommandExpression:
 		v, err := in.evalExpr(n.Expression, sc)
-		if err != nil {
+		if err != nil || isIncrement(n.Expression) {
 			return nil, err
 		}
 		return enumerate(v), nil
@@ -487,6 +489,15 @@ func (in *Interp) evalStatementNode(node psast.Node, sc *scope) ([]any, error) {
 	default:
 		return nil, fmt.Errorf("%w: statement %s", ErrUnsupported, node.Kind())
 	}
+}
+
+// isIncrement reports whether e is a ++ or -- expression. Standing as a
+// command expression it updates its operand and, as in PowerShell,
+// writes nothing to the pipeline; in parentheses or on the right of an
+// assignment it gives its value.
+func isIncrement(e psast.Node) bool {
+	u, ok := e.(*psast.UnaryExpression)
+	return ok && (u.Operator == "++" || u.Operator == "--")
 }
 
 // enumerate converts an expression value to pipeline output values.
@@ -526,7 +537,7 @@ func (in *Interp) evalPipeline(p *psast.Pipeline, sc *scope) ([]any, error) {
 		case *psast.CommandExpression:
 			var v any
 			v, err = in.evalExpr(e.Expression, sc)
-			if err == nil {
+			if err == nil && !isIncrement(e.Expression) {
 				out = enumerate(v)
 				if i > 0 {
 					// An expression mid-pipeline replaces the stream.

@@ -252,6 +252,29 @@ func TestControlFlowEval(t *testing.T) {
 	}
 }
 
+// TestIncrementValue pins ++ and -- as PowerShell runs them: where the
+// value is used, postfix gives the old value and prefix the new one; a
+// statement of either outputs nothing.
+func TestIncrementValue(t *testing.T) {
+	tests := []struct{ src, want string }{
+		{"$a = 1; $c = $a++; \"$c $a\"", "1 2"},
+		{"$a = 1; $c = ++$a; \"$c $a\"", "2 2"},
+		{"$a = 5; $c = $a--; \"$c $a\"", "5 4"},
+		{"$a = 5; $c = --$a; \"$c $a\"", "4 4"},
+		{"$a = 1; ($a++) + 10", "11"},
+		{"$b = 'x','y','z'; $i = 0; $b[$i++] + $b[$i++] + $i", "xy2"},
+		{"$a = 1; $a++", ""},
+		{"$a = 1; ++$a; $a++; $a", "3"},
+		{"$a = 1; $($a++; $a)", "2"},
+		{"$a = 1; $a++ | ForEach-Object { 'ran' }; $a", "2"},
+	}
+	for _, tt := range tests {
+		if got := eval(t, tt.src); got != tt.want {
+			t.Errorf("eval(%q) = %q, want %q", tt.src, got, tt.want)
+		}
+	}
+}
+
 func TestPipelineCmdlets(t *testing.T) {
 	tests := []struct{ src, want string }{
 		{"(1..5 | where-object { $_ -gt 3 }) -join ','", "4,5"},

@@ -160,13 +160,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st.mu.Unlock()
 
 	pc := s.cache.Stats()
-	cacheCounter := func(name, help string, parse, eval float64, hasEval bool) {
-		m.header(name, help, "counter")
-		m.val(name, `cache="parse"`, parse)
-		if hasEval {
-			m.val(name, `cache="eval"`, eval)
-		}
-	}
 	var eh, em, ev float64
 	var een, eby float64
 	hasEval := s.evalCache != nil
@@ -175,11 +168,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		eh, em, ev = float64(ec.Hits), float64(ec.Misses), float64(ec.Evictions)
 		een, eby = float64(ec.Entries), float64(ec.Bytes)
 	}
-	cacheCounter("invokedeob_cache_hits_total", "Shared cache hits.", float64(pc.Hits), eh, hasEval)
-	cacheCounter("invokedeob_cache_misses_total", "Shared cache misses.", float64(pc.Misses), em, hasEval)
-	cacheCounter("invokedeob_cache_evictions_total", "Shared cache evictions.", float64(pc.Evictions), ev, hasEval)
-	cacheCounter("invokedeob_cache_coalesced_waits_total",
-		"Requests that waited on an identical in-flight parse.", float64(pc.CoalescedWaits), 0, false)
+	cacheCounter := func(name, help string, parse, eval float64) {
+		m.header(name, help, "counter")
+		m.val(name, `cache="parse"`, parse)
+		if hasEval {
+			m.val(name, `cache="eval"`, eval)
+		}
+	}
+	cacheCounter("invokedeob_cache_hits_total", "Shared cache hits.", float64(pc.Hits), eh)
+	cacheCounter("invokedeob_cache_misses_total", "Shared cache misses.", float64(pc.Misses), em)
+	cacheCounter("invokedeob_cache_evictions_total", "Shared cache evictions.", float64(pc.Evictions), ev)
 	m.header("invokedeob_cache_entries", "Shared cache entries.", "gauge")
 	m.val("invokedeob_cache_entries", `cache="parse"`, float64(pc.Entries))
 	if hasEval {

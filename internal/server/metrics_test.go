@@ -10,7 +10,7 @@ import (
 
 // TestMetricsExposition drives one script through the server and checks
 // the /metrics scrape: content type, counter families fed by the run,
-// per-pass histogram series, and the parse-only coalesced-wait series.
+// and per-pass histogram series.
 func TestMetricsExposition(t *testing.T) {
 	s := New(Config{Workers: 2})
 	ts := httptest.NewServer(s.Handler())
@@ -55,16 +55,11 @@ func TestMetricsExposition(t *testing.T) {
 		"invokedeob_pass_duration_seconds_count{",
 		`invokedeob_cache_hits_total{cache="parse"}`,
 		`invokedeob_cache_hits_total{cache="eval"}`,
-		`invokedeob_cache_coalesced_waits_total{cache="parse"}`,
 		"# TYPE invokedeob_uptime_seconds gauge",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics body missing %q", want)
 		}
-	}
-	// The eval cache never coalesces, so it exports no wait series.
-	if strings.Contains(body, `invokedeob_cache_coalesced_waits_total{cache="eval"}`) {
-		t.Error("metrics body has an eval-cache coalesced-wait series")
 	}
 
 	// Every histogram family's cumulative buckets must be monotone and

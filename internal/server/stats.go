@@ -194,10 +194,6 @@ type cacheStatsBody struct {
 	Entries   int     `json:"entries"`
 	Bytes     int64   `json:"bytes"`
 	HitRate   float64 `json:"hit_rate"`
-	// CoalescedWaits counts requests that blocked on another request's
-	// identical in-flight parse instead of duplicating it (parse cache
-	// only).
-	CoalescedWaits int64 `json:"coalesced_waits,omitempty"`
 	// ByLang attributes the cache's traffic to language frontends
 	// (entries are namespaced per frontend), so a mixed-language fleet
 	// can see each frontend's amortization payoff separately.
@@ -314,7 +310,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	body.ParseCache = cacheStatsBody{
 		Hits: pc.Hits, Misses: pc.Misses, Evictions: pc.Evictions,
 		Entries: pc.Entries, Bytes: pc.Bytes, HitRate: pc.HitRate(),
-		CoalescedWaits: pc.CoalescedWaits,
 	}
 	if byLang := s.cache.LangStats(); len(byLang) > 0 {
 		body.ParseCache.ByLang = make(map[string]langCacheStatsBody, len(byLang))
