@@ -87,16 +87,18 @@ fuzz-smoke:
 
 # serve-smoke is the end-to-end binary check for the HTTP service:
 # build deobserver, bind an ephemeral port, round-trip a script via
-# curl, check /healthz and /statsz, then SIGTERM and verify a graceful
-# drain.
+# curl, check /healthz, /statsz and /metrics, then SIGTERM and verify a
+# graceful drain.
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
 # loadtest floods a deliberately small local deobserver (1 worker,
 # quotas on, aggressive shedding) with the full hostile traffic mix via
 # cmd/loadgen and asserts that light traffic survives: success rate,
-# p99 SLO, zero light 5xx. The JSON report is written to BENCH_pr6.json
-# (override with BENCHJSON=...). loadtest-smoke is the seconds-scale
+# p99 SLO, zero light 5xx; then it holds six admission tokens with
+# never-finished request bodies and requires a heavy script to be shed.
+# The JSON report is written to BENCH_pr6.json (override with
+# BENCHJSON=...). loadtest-smoke is the seconds-scale
 # variant gating `make check`: light traffic against a default-config
 # server, full success required.
 loadtest:

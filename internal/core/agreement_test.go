@@ -86,9 +86,10 @@ func TestWarmCacheAgreement(t *testing.T) {
 }
 
 // engineCounters is s without what a cache or the clock decides: the
-// duration and the evaluation-cache counters.
+// duration and the parse- and evaluation-cache counters.
 func engineCounters(s Stats) Stats {
 	s.Duration = 0
+	s.ParseCacheHits, s.ParseCacheMisses = 0, 0
 	s.EvalCacheHits, s.EvalCacheMisses, s.EvalCacheSkips = 0, 0, 0
 	return s
 }

@@ -151,6 +151,9 @@ func TestRewritesKeepSandboxConsole(t *testing.T) {
 			"v=ab! len=2\nv=cde! len=3\n", `"v=${var0}! len=$($var0.Length)"`},
 		{"here-string", "foreach ($x in 'ab','cde') { Write-Host @\"\nv=${x}! len=$($x.Length) $x\n\"@ }",
 			"v=ab! len=2 ab\nv=cde! len=3 cde\n", "v=${var0}! len=$($var0.Length) $var0"},
+		// An escaped `$x in a here-string is text, not a reference.
+		{"here-string-escape", "foreach ($x in 'ab','cde') { Write-Host @\"\n`$x=$x`t.\n\"@ }",
+			"$x=ab\t.\n$x=cde\t.\n", "`$x=$var0`t."},
 		// ++ and -- write their operand: it is not inlined, and no later
 		// read is inlined with the value it had before.
 		{"postfix-statement", "$i = 1; $i++; Write-Host $i", "2\n", "$var0++"},

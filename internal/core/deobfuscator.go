@@ -224,6 +224,7 @@ func (d *Deobfuscator) deobfuscate(ctx context.Context, src, lang string, cache 
 	}
 	res.Script = cur
 	res.PassTrace = trace.Stats()
+	res.Stats.ParseCacheHits, res.Stats.ParseCacheMisses = doc.View().Hits, doc.View().Misses
 	if pc.Eval != nil {
 		res.Stats.EvalCacheHits = pc.Eval.Hits
 		res.Stats.EvalCacheMisses = pc.Eval.Misses

@@ -3,6 +3,7 @@ package frontend
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -230,4 +231,40 @@ func FuzzDetect(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestStatsAddSumsEveryField guards Add against a Stats field it does
+// not fold: every counter and duration of two added runs sums, and
+// TimedOut holds if either run timed out.
+func TestStatsAddSumsEveryField(t *testing.T) {
+	var one Stats
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(i + 1))
+		case reflect.Bool:
+			f.SetBool(true)
+		default:
+			t.Fatalf("Stats.%s: kind %s has no rule here", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	var sum Stats
+	sum.Add(one)
+	sum.Add(Stats{})
+	sum.Add(one)
+	got := reflect.ValueOf(sum)
+	for i := 0; i < got.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		switch f := got.Field(i); f.Kind() {
+		case reflect.Bool:
+			if !f.Bool() {
+				t.Errorf("Stats.%s = false after adding a run that set it", name)
+			}
+		default:
+			if f.Int() != 2*int64(i+1) {
+				t.Errorf("Stats.%s = %d, want %d", name, f.Int(), 2*(i+1))
+			}
+		}
+	}
 }

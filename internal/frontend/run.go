@@ -98,6 +98,12 @@ type Stats struct {
 	// envelope (deadline, cancelation or output budget) and the result
 	// holds partial progress.
 	TimedOut bool
+	// ParseCacheHits counts the run's tokenize and parse requests
+	// answered from the parse cache.
+	ParseCacheHits int64
+	// ParseCacheMisses counts the run's tokenize and parse requests that
+	// had to compute.
+	ParseCacheMisses int64
 	// EvalCacheHits counts piece evaluations answered from the
 	// evaluation cache (interpreter runs skipped entirely).
 	EvalCacheHits int64
@@ -115,6 +121,31 @@ type Stats struct {
 	SplicesApplied int
 	// SpliceFallbacks is always zero, and stays, as SplicesApplied does.
 	SpliceFallbacks int
+}
+
+// Add folds the counters of one run, o, into s, a sum over runs:
+// counts and durations add, and TimedOut holds if any run timed out.
+func (s *Stats) Add(o Stats) {
+	s.TokensNormalized += o.TokensNormalized
+	s.PiecesAttempted += o.PiecesAttempted
+	s.PiecesRecovered += o.PiecesRecovered
+	s.VariablesTraced += o.VariablesTraced
+	s.VariablesInlined += o.VariablesInlined
+	s.LayersUnwrapped += o.LayersUnwrapped
+	s.IdentifiersRenamed += o.IdentifiersRenamed
+	s.Iterations += o.Iterations
+	s.Duration += o.Duration
+	s.PiecesTimedOut += o.PiecesTimedOut
+	s.PiecesPanicked += o.PiecesPanicked
+	s.PiecesOverBudget += o.PiecesOverBudget
+	s.TimedOut = s.TimedOut || o.TimedOut
+	s.ParseCacheHits += o.ParseCacheHits
+	s.ParseCacheMisses += o.ParseCacheMisses
+	s.EvalCacheHits += o.EvalCacheHits
+	s.EvalCacheMisses += o.EvalCacheMisses
+	s.EvalCacheSkips += o.EvalCacheSkips
+	s.SplicesApplied += o.SplicesApplied
+	s.SpliceFallbacks += o.SpliceFallbacks
 }
 
 // Run carries the per-run state every pass shares: the run's options,

@@ -95,45 +95,38 @@ type cacheKey struct {
 	text string
 }
 
-// CacheStats is a point-in-time snapshot of cache effectiveness.
+// CacheStats is a point-in-time snapshot of a cache's effectiveness:
+// the parse cache's, or the eval cache's (EvalCacheStats).
 type CacheStats struct {
-	// Hits counts artifact requests answered from memory.
+	// Hits counts requests answered from memory.
 	Hits int64
-	// Misses counts artifact requests that had to tokenize or parse.
+	// Misses counts requests that had to compute: a tokenize or parse,
+	// or an evaluation whose result the eval cache kept.
 	Misses int64
+	// Skips counts evaluations the eval cache did not keep: impure or
+	// failed runs, and results it refused (oversize snippet, uncopyable
+	// values, full per-snippet chain). The parse cache never skips.
+	Skips int64
 	// Evictions counts entries dropped to stay within bounds.
 	Evictions int64
-	// Entries is the current number of cached texts.
+	// Entries is the current number of cached texts or results.
 	Entries int
-	// Bytes is the current total the byte budget charges: text, tokens
-	// and AST, estimated at bytesPerSourceByte per cached source byte.
+	// Bytes is the current total the byte budget charges. The parse
+	// cache charges text, tokens and AST, estimated at
+	// bytesPerSourceByte per cached source byte; the eval cache the
+	// estimated retained size.
 	Bytes int64
 	// CoalescedWaits is always zero: concurrent misses each compute, and
 	// none waits on another. It stays because the benchmark reads it.
 	CoalescedWaits int64
 }
 
-// HitRate returns Hits / (Hits + Misses), or 0 with no traffic. Serving
-// frontends surface this per scrape; because Stats() snapshots the
-// counters under the cache lock, the ratio is internally consistent
-// even while concurrent requests keep hitting the cache.
+// HitRate returns Hits / (Hits + Misses), or 0 with no traffic. Skips
+// are excluded: an uncacheable evaluation was never a candidate. Stats()
+// snapshots the counters under the cache lock, so the ratio is
+// internally consistent even while concurrent requests keep using the
+// cache.
 func (s CacheStats) HitRate() float64 {
-	if total := s.Hits + s.Misses; total > 0 {
-		return float64(s.Hits) / float64(total)
-	}
-	return 0
-}
-
-// LangCacheStats is the per-language slice of a cache's traffic,
-// reported by LangStats so serving frontends can attribute hit rates
-// to frontends without conflating mixed-language traffic.
-type LangCacheStats struct {
-	// Hits / Misses count this language's artifact requests only.
-	Hits, Misses int64
-}
-
-// HitRate returns Hits / (Hits + Misses), or 0 with no traffic.
-func (s LangCacheStats) HitRate() float64 {
 	if total := s.Hits + s.Misses; total > 0 {
 		return float64(s.Hits) / float64(total)
 	}
@@ -178,7 +171,6 @@ type Cache struct {
 	lru        *list.List // front = most recently used
 
 	hits, misses, evictions int64
-	perLang                 map[string]*LangCacheStats
 }
 
 // NewCache returns a Cache bounded by maxEntries texts and maxBytes of
@@ -196,7 +188,6 @@ func NewCache(maxEntries int, maxBytes int64) *Cache {
 		maxBytes:   maxBytes,
 		entries:    make(map[cacheKey]*cacheEntry),
 		lru:        list.New(),
-		perLang:    make(map[string]*LangCacheStats),
 	}
 }
 
@@ -225,35 +216,21 @@ func (c *Cache) entryLocked(key cacheKey) *cacheEntry {
 	return e
 }
 
-// recordLocked folds a hit/miss observation into the global and
-// per-language counters. Callers hold c.mu.
-func (c *Cache) recordLocked(lang string, hit bool) {
-	ls := c.perLang[lang]
-	if ls == nil {
-		ls = &LangCacheStats{}
-		c.perLang[lang] = ls
-	}
-	if hit {
-		c.hits++
-		ls.Hits++
-	} else {
-		c.misses++
-		ls.Misses++
-	}
-}
-
 // artifact returns one memoized artifact of src under language l —
 // the token slot or the AST slot, as picked — and records the request
 // as one hit or miss. On a miss compute runs outside the lock on the
 // text's entry, and the caller gets what keep leaves in the slot. hit
 // reports whether the value came from memory.
 func (c *Cache) artifact(l Lang, src string, pick func(*cacheEntry) *artifactSlot, compute func(*cacheEntry) (any, error)) (val any, err error, hit bool) {
-	lang := l.Name()
 	c.mu.Lock()
-	e := c.entryLocked(cacheKey{lang, src})
+	e := c.entryLocked(cacheKey{l.Name(), src})
 	slot := pick(e)
 	hit, val, err = slot.done, slot.val, slot.err
-	c.recordLocked(lang, hit)
+	if hit {
+		c.hits++
+	} else {
+		c.misses++
+	}
 	c.mu.Unlock()
 	if !hit {
 		val, err = compute(e)
@@ -349,22 +326,13 @@ func (c *Cache) Stats() CacheStats {
 	}
 }
 
-// LangStats snapshots the per-language hit/miss counters.
-func (c *Cache) LangStats() map[string]LangCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]LangCacheStats, len(c.perLang))
-	for lang, ls := range c.perLang {
-		out[lang] = *ls
-	}
-	return out
-}
-
 // View returns a per-run accounting view of the cache bound to one
 // language. Views forward every request to the shared Cache but keep
 // their own hit/miss counters, so per-pass trace attribution stays
-// exact even when many batch workers share one Cache. A View is not
-// safe for concurrent use; each run owns its own.
+// exact even when many batch workers share one Cache. The cache counts
+// only its totals: a run's view is where its traffic is attributed to
+// its language. A View is not safe for concurrent use; each run owns
+// its own.
 func (c *Cache) View(l Lang) *View {
 	return &View{c: c, lang: l}
 }

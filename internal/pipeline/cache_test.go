@@ -15,25 +15,21 @@ import (
 
 // TestCacheShardedLangNamespacing pins the cross-language invariant
 // under repeated traffic: identical bytes under two languages stay two
-// distinct entries, each parsed once, with per-language hit rates
-// intact. (The name predates the one-lock cache; the invariant does
-// not depend on how the cache is locked.)
+// distinct entries, each parsed once, and each language's view counts
+// only its own hits and misses. (The name predates the one-lock cache;
+// the invariant does not depend on how the cache is locked.)
 func TestCacheShardedLangNamespacing(t *testing.T) {
 	c := NewCache(0, 0)
 	ps := &fakeLang{name: "powershell"}
 	js := &fakeLang{name: "javascript"}
+	views := map[string]*View{"powershell": c.View(ps), "javascript": c.View(js)}
 	const src = "shared-bytes('x')"
-	if _, err := c.Parse(ps, src); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Parse(js, src); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Parse(ps, src); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Parse(js, src); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		for _, v := range []*View{views["powershell"], views["javascript"]} {
+			if _, err := v.Parse(src); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	if got := c.Stats().Entries; got != 2 {
 		t.Errorf("identical bytes under two langs: %d entries, want 2", got)
@@ -41,15 +37,13 @@ func TestCacheShardedLangNamespacing(t *testing.T) {
 	if ps.parses.Load() != 1 || js.parses.Load() != 1 {
 		t.Errorf("parse counts ps=%d js=%d, want 1 each", ps.parses.Load(), js.parses.Load())
 	}
-	byLang := c.LangStats()
-	for _, lang := range []string{"powershell", "javascript"} {
-		ls := byLang[lang]
-		if ls.Hits != 1 || ls.Misses != 1 {
-			t.Errorf("%s stats = %+v, want 1 hit / 1 miss", lang, ls)
+	for lang, v := range views {
+		if v.Hits != 1 || v.Misses != 1 {
+			t.Errorf("%s view = %d hits / %d misses, want 1 / 1", lang, v.Hits, v.Misses)
 		}
-		if ls.HitRate() != 0.5 {
-			t.Errorf("%s hit rate = %v, want 0.5", lang, ls.HitRate())
-		}
+	}
+	if st := c.Stats(); st.Hits != 2 || st.Misses != 2 {
+		t.Errorf("cache = %d hits / %d misses, want the views' sum 2 / 2", st.Hits, st.Misses)
 	}
 }
 
@@ -310,10 +304,9 @@ func TestEvalCacheShardedLangNamespacing(t *testing.T) {
 	if out, ok := js.Lookup(snippet, noVars); !ok || out[0] != "js-result" {
 		t.Errorf("javascript lookup = %v ok=%t", out, ok)
 	}
-	byLang := c.LangStats()
-	for _, lang := range []string{"powershell", "javascript"} {
-		if ls := byLang[lang]; ls.Hits != 1 || ls.Misses != 1 {
-			t.Errorf("%s stats = %+v, want 1 hit / 1 miss", lang, ls)
+	for lang, v := range map[string]*EvalView{"powershell": ps, "javascript": js} {
+		if v.Hits != 1 || v.Misses != 1 {
+			t.Errorf("%s view = %d hits / %d misses, want 1 / 1", lang, v.Hits, v.Misses)
 		}
 	}
 }

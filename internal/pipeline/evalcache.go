@@ -69,48 +69,9 @@ type evalEntry struct {
 	elem *list.Element
 }
 
-// EvalCacheStats is a point-in-time snapshot of eval-cache
-// effectiveness.
-type EvalCacheStats struct {
-	// Hits counts lookups answered from memory (interpreter runs saved).
-	Hits int64
-	// Misses counts evaluations whose result the cache kept.
-	Misses int64
-	// Skips counts evaluations that were not cached: impure or failed
-	// runs, and results the cache refused (oversize snippet, uncopyable
-	// values, full per-snippet chain).
-	Skips int64
-	// Evictions counts entries dropped to stay within bounds.
-	Evictions int64
-	// Entries is the current number of cached results.
-	Entries int
-	// Bytes is the current estimated retained size.
-	Bytes int64
-}
-
-// HitRate returns Hits / (Hits + Misses), or 0 with no traffic. Skips
-// are excluded: an uncacheable evaluation is not a cache miss, it was
-// never a candidate.
-func (s EvalCacheStats) HitRate() float64 {
-	if total := s.Hits + s.Misses; total > 0 {
-		return float64(s.Hits) / float64(total)
-	}
-	return 0
-}
-
-// LangEvalStats is the per-language slice of an eval cache's traffic.
-type LangEvalStats struct {
-	// Hits / Misses / Skips count this language's evaluations only.
-	Hits, Misses, Skips int64
-}
-
-// HitRate returns Hits / (Hits + Misses), or 0 with no traffic.
-func (s LangEvalStats) HitRate() float64 {
-	if total := s.Hits + s.Misses; total > 0 {
-		return float64(s.Hits) / float64(total)
-	}
-	return 0
-}
+// EvalCacheStats is the eval cache's snapshot: the same counters as
+// the parse cache's, Skips included.
+type EvalCacheStats = CacheStats
 
 // EvalCache memoizes the output values of pure, deterministic snippet
 // evaluations, keyed by language plus exact snippet text plus the
@@ -137,7 +98,6 @@ type EvalCache struct {
 	lru        *list.List // front = most recently used
 
 	hits, misses, skips, evictions int64
-	perLang                        map[string]*LangEvalStats
 }
 
 // NewEvalCache returns an EvalCache bounded by maxEntries results and
@@ -156,7 +116,6 @@ func NewEvalCache(maxEntries int, maxBytes int64) *EvalCache {
 		maxBytes:   maxBytes,
 		chains:     make(map[cacheKey][]*evalEntry),
 		lru:        list.New(),
-		perLang:    make(map[string]*LangEvalStats),
 	}
 }
 
@@ -167,10 +126,9 @@ func (c *EvalCache) lookup(ops EvalOps, snippet string, visible func(name string
 	if len(snippet) > maxCacheableSnippet {
 		return nil, false
 	}
-	lang := ops.Name()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, e := range c.chains[cacheKey{lang, snippet}] {
+	for _, e := range c.chains[cacheKey{ops.Name(), snippet}] {
 		if !bindingsMatch(e.bindings, visible) {
 			continue
 		}
@@ -182,7 +140,6 @@ func (c *EvalCache) lookup(ops EvalOps, snippet string, visible func(name string
 		}
 		c.lru.MoveToFront(e.elem)
 		c.hits++
-		c.langStatsLocked(lang).Hits++
 		return out, true
 	}
 	return nil, false
@@ -307,28 +264,14 @@ func (c *EvalCache) evictOldestLocked() {
 	c.evictions++
 }
 
-// langStatsLocked returns the per-language counter, creating it as
-// needed. Callers hold c.mu.
-func (c *EvalCache) langStatsLocked(lang string) *LangEvalStats {
-	ls := c.perLang[lang]
-	if ls == nil {
-		ls = &LangEvalStats{}
-		c.perLang[lang] = ls
-	}
-	return ls
-}
-
 // record counts one evaluation that ran the interpreter: a miss when
 // its result was cached, a skip when it was not.
-func (c *EvalCache) record(lang string, cached bool) {
+func (c *EvalCache) record(cached bool) {
 	c.mu.Lock()
-	ls := c.langStatsLocked(lang)
 	if cached {
 		c.misses++
-		ls.Misses++
 	} else {
 		c.skips++
-		ls.Skips++
 	}
 	c.mu.Unlock()
 }
@@ -347,17 +290,6 @@ func (c *EvalCache) Stats() EvalCacheStats {
 	}
 }
 
-// LangStats snapshots the per-language hit/miss/skip counters.
-func (c *EvalCache) LangStats() map[string]LangEvalStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]LangEvalStats, len(c.perLang))
-	for lang, ls := range c.perLang {
-		out[lang] = *ls
-	}
-	return out
-}
-
 // View returns a per-run accounting window onto the shared cache bound
 // to one frontend's value operations. A nil receiver yields a nil
 // view, and every EvalView method accepts a nil receiver as "caching
@@ -370,8 +302,9 @@ func (c *EvalCache) View(ops EvalOps) *EvalView {
 }
 
 // EvalView is a single-run window onto a shared EvalCache, counting
-// this run's hits/misses/skips for exact per-run trace attribution.
-// Not safe for concurrent use; each run owns its own.
+// this run's hits/misses/skips for exact per-run trace attribution; the
+// cache itself counts only its totals. Not safe for concurrent use;
+// each run owns its own.
 type EvalView struct {
 	c   *EvalCache
 	ops EvalOps
@@ -412,7 +345,7 @@ func (v *EvalView) Insert(snippet string, bindings []Binding, values []any) {
 	} else {
 		v.Skips++
 	}
-	v.c.record(v.ops.Name(), cached)
+	v.c.record(cached)
 }
 
 // Skip records an evaluation whose result must not be cached (impure,
@@ -422,5 +355,5 @@ func (v *EvalView) Skip() {
 		return
 	}
 	v.Skips++
-	v.c.record(v.ops.Name(), false)
+	v.c.record(false)
 }

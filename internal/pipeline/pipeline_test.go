@@ -133,12 +133,13 @@ func TestCacheLangNamespacing(t *testing.T) {
 	c := NewCache(0, 0)
 	ps := &fakeLang{name: "powershell"}
 	js := &fakeLang{name: "javascript"}
+	psv, jsv := c.View(ps), c.View(js)
 	const src = "shared bytes, different language"
-	a1, err := c.Parse(ps, src)
+	a1, err := psv.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := c.Parse(js, src)
+	a2, err := jsv.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,18 +154,14 @@ func TestCacheLangNamespacing(t *testing.T) {
 		t.Errorf("stats = %+v, want 0 hits / 2 misses", st)
 	}
 	// Each language hits only its own entry.
-	if _, err := c.Parse(ps, src); err != nil {
+	if _, err := psv.Parse(src); err != nil {
 		t.Fatal(err)
 	}
-	ls := c.LangStats()
-	if got := ls["powershell"]; got.Hits != 1 || got.Misses != 1 {
-		t.Errorf("powershell lang stats = %+v, want 1 hit / 1 miss", got)
+	if psv.Hits != 1 || psv.Misses != 1 {
+		t.Errorf("powershell view = %d hits / %d misses, want 1 / 1", psv.Hits, psv.Misses)
 	}
-	if got := ls["javascript"]; got.Hits != 0 || got.Misses != 1 {
-		t.Errorf("javascript lang stats = %+v, want 0 hits / 1 miss", got)
-	}
-	if got := ls["powershell"].HitRate(); got != 0.5 {
-		t.Errorf("powershell hit rate = %v, want 0.5", got)
+	if jsv.Hits != 0 || jsv.Misses != 1 {
+		t.Errorf("javascript view = %d hits / %d misses, want 0 / 1", jsv.Hits, jsv.Misses)
 	}
 	if ps.parses.Load() != 1 || js.parses.Load() != 1 {
 		t.Errorf("parse calls = ps %d / js %d, want 1 each", ps.parses.Load(), js.parses.Load())
@@ -428,17 +425,11 @@ func TestCacheStatsHitRate(t *testing.T) {
 	if got := (CacheStats{Hits: 3, Misses: 1}).HitRate(); got != 0.75 {
 		t.Errorf("parse hit rate = %v, want 0.75", got)
 	}
-	if (LangCacheStats{}).HitRate() != 0 {
-		t.Error("zero-traffic per-lang parse hit rate should be 0")
-	}
 	if (EvalCacheStats{}).HitRate() != 0 {
 		t.Error("zero-traffic eval hit rate should be 0")
 	}
 	// Skips must not dilute the eval rate.
 	if got := (EvalCacheStats{Hits: 1, Misses: 1, Skips: 100}).HitRate(); got != 0.5 {
 		t.Errorf("eval hit rate = %v, want 0.5", got)
-	}
-	if got := (LangEvalStats{Hits: 1, Misses: 1, Skips: 9}).HitRate(); got != 0.5 {
-		t.Errorf("per-lang eval hit rate = %v, want 0.5", got)
 	}
 }

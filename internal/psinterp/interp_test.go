@@ -362,6 +362,48 @@ func TestExpandableStrings(t *testing.T) {
 	}
 }
 
+// TestHereStringsMatchQuotedStrings is metamorphic: a body written as
+// "…" and as @"…"@ must evaluate to the same value, escapes, `$,
+// variables and subexpressions included; and a body without quotes
+// written as '…' and as @'…'@ likewise. Only a doubled quote differs:
+// a here-string keeps both.
+func TestHereStringsMatchQuotedStrings(t *testing.T) {
+	const vars = "$x = 'ab'; $n = 3; "
+	for _, body := range []string{
+		"plain text",
+		"tab`there, newline`nand `a`b`f`v`0`e`r",
+		"`$x stays, $x expands",
+		"``$x is a backtick and $x",
+		"quote `\" and unknown `q`z escapes",
+		"braced ${x}! and $x$x",
+		"sub $($x.Length + $n) and `$(not-a-sub)",
+		"nested $(\"in $x\") done",
+		"`$ alone, $ alone, `` alone",
+	} {
+		quoted := eval(t, vars+`"`+body+`"`)
+		here := eval(t, vars+"@\"\n"+body+"\n\"@")
+		if quoted != here {
+			t.Errorf("body %q: \"…\" = %q, @\"…\"@ = %q", body, quoted, here)
+		}
+	}
+	for _, body := range []string{"$x `t `$x $(1) ${x}", "plain"} {
+		quoted := eval(t, vars+"'"+body+"'")
+		here := eval(t, vars+"@'\n"+body+"\n'@")
+		if quoted != body || here != body {
+			t.Errorf("body %q: '…' = %q, @'…'@ = %q", body, quoted, here)
+		}
+	}
+	for src, want := range map[string]string{
+		"@\"\na\"\"b\n\"@":    `a""b`,
+		"@\"\na\"\"b $x\n\"@": `a""b ab`,
+		`"a""b $x"`:           `a"b ab`,
+	} {
+		if got := eval(t, vars+src); got != want {
+			t.Errorf("eval(%q) = %q, want %q", src, got, want)
+		}
+	}
+}
+
 func TestCompressionRoundTrip(t *testing.T) {
 	for _, algorithm := range []string{"deflate", "gzip"} {
 		data := Bytes("some payload for " + algorithm)

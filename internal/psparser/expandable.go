@@ -46,30 +46,14 @@ func (p *parser) scanExpandableParts(body string, bodyStart int, hereString bool
 		c := body[i]
 		switch c {
 		case '`':
-			if hereString {
-				// Backticks are literal inside here-strings except `$? No:
-				// here-strings do not process backtick escapes at all, but
-				// they do expand variables.
-				lit.WriteByte(c)
-				i++
-				continue
-			}
-			if i+1 < len(body) {
-				r := rune(body[i+1])
-				if esc, ok := escapeValue(r); ok {
-					lit.WriteRune(esc)
-				} else {
-					lit.WriteByte(body[i+1])
-				}
-				i += 2
-				continue
-			}
-			i++
+			i = writeEscape(&lit, body, i)
+			continue
 		case '"':
-			// Only reachable for doubled quotes "" kept in raw text.
+			// A double-quoted body holds quotes only as doubled "", which
+			// stand for one; a here-string keeps every quote.
 			lit.WriteByte('"')
 			i++
-			if i < len(body) && body[i] == '"' {
+			if !hereString && i < len(body) && body[i] == '"' {
 				i++
 			}
 		case '$':
@@ -168,6 +152,41 @@ func scanVariableName(s string, i int) int {
 
 func isIdentByte(b byte) bool {
 	return b >= 'a' && b <= 'z' || b >= 'A' && b <= 'Z' || b >= '0' && b <= '9' || b == '_'
+}
+
+// writeEscape writes the character the backtick at body[i] stands for
+// and returns the index after the escape. Double-quoted strings and
+// @"…"@ here-strings process the same escapes; a backtick ending the
+// body escapes nothing and stays.
+func writeEscape(lit *strings.Builder, body string, i int) int {
+	if i+1 >= len(body) {
+		lit.WriteByte('`')
+		return i + 1
+	}
+	if esc, ok := escapeValue(rune(body[i+1])); ok {
+		lit.WriteRune(esc)
+	} else {
+		lit.WriteByte(body[i+1])
+	}
+	return i + 2
+}
+
+// unescapeHereString is the value of a @"…"@ here-string body without
+// variables: its backtick escapes resolved, its quotes kept.
+func unescapeHereString(body string) string {
+	if strings.IndexByte(body, '`') < 0 {
+		return body
+	}
+	var lit strings.Builder
+	for i := 0; i < len(body); {
+		if body[i] == '`' {
+			i = writeEscape(&lit, body, i)
+			continue
+		}
+		lit.WriteByte(body[i])
+		i++
+	}
+	return lit.String()
 }
 
 // escapeValue resolves a backtick escape character.

@@ -1058,9 +1058,13 @@ func (p *parser) stringNode(t pstoken.Token) psast.Node {
 	expandable := (t.Kind == pstoken.DoubleQuoted || t.Kind == pstoken.DoubleHereString) &&
 		strings.ContainsRune(p.text(t), '$')
 	if !expandable {
+		value := t.Content
+		if t.Kind == pstoken.DoubleHereString {
+			value = unescapeHereString(value)
+		}
 		return &psast.StringConstant{
 			Ext:          p.tokExt(t),
-			Value:        t.Content,
+			Value:        value,
 			SingleQuoted: t.Kind == pstoken.SingleQuoted,
 			HereString:   t.Kind == pstoken.SingleHereString || t.Kind == pstoken.DoubleHereString,
 		}

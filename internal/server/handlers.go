@@ -119,7 +119,7 @@ func wantLayers(r *http.Request) bool {
 // has been written.
 func (s *Server) admitRequest(w http.ResponseWriter) (release func(), ok bool) {
 	if !s.begin() {
-		s.stats.reject(rejectDraining)
+		s.stats.count(famRejected, rejectDraining)
 		writeRetryAfter(w, http.StatusServiceUnavailable, nameDraining,
 			"server is draining; retry against a healthy replica", 1)
 		return nil, false
@@ -128,7 +128,7 @@ func (s *Server) admitRequest(w http.ResponseWriter) (release func(), ok bool) {
 	case s.admit <- struct{}{}:
 	default:
 		s.end()
-		s.stats.reject(rejectSaturated)
+		s.stats.count(famRejected, rejectSaturated)
 		writeRetryAfter(w, http.StatusTooManyRequests, nameSaturated,
 			fmt.Sprintf("worker pool and queue full (%d executing + %d queued); back off",
 				s.cfg.Workers, s.cfg.QueueDepth), 1)
@@ -159,7 +159,7 @@ func (s *Server) checkQuota(w http.ResponseWriter, r *http.Request) bool {
 	if dec.OK {
 		return true
 	}
-	s.stats.reject(rejectQuota)
+	s.stats.count(famRejected, rejectQuota)
 	writeRetryAfter(w, limits.HTTPStatus(limits.ErrQuota), "ErrQuota",
 		fmt.Sprintf("per-tenant quota exceeded (%.3g req/s, burst %.3g); bucket refills in %s",
 			s.cfg.QuotaRate, s.cfg.QuotaBurst, dec.RetryAfter.Round(time.Millisecond)),
@@ -184,14 +184,14 @@ func retryAfterSeconds(d time.Duration) int {
 func (s *Server) checkShed(w http.ResponseWriter, cost float64) bool {
 	class := s.classifyCost(cost)
 	if class == classHeavy && s.underPressure() {
-		s.stats.reject(rejectShedHeavy)
-		s.stats.observeClass("heavy_shed")
+		s.stats.count(famRejected, rejectShedHeavy)
+		s.stats.count(famClasses, "heavy_shed")
 		writeRetryAfter(w, limits.HTTPStatus(limits.ErrShed), "ErrShed",
 			fmt.Sprintf("server over %d%% of admission capacity; shedding predicted-heavy work (cost %.0f >= %.0f) so light traffic keeps flowing",
 				int(s.cfg.ShedHighWater*100), cost, s.cfg.HeavyCost), 2)
 		return false
 	}
-	s.stats.observeClass(class)
+	s.stats.count(famClasses, class)
 	return true
 }
 
@@ -207,7 +207,7 @@ func (s *Server) acquireSlot(ctx context.Context, w http.ResponseWriter) (releas
 	case <-ctx.Done():
 		err := limits.FromContext(ctx.Err())
 		status, name := classify(err)
-		s.stats.observeError(name)
+		s.stats.count(famErrors, name)
 		writeRetryAfter(w, status, name, "request deadline expired while queued for a worker", 1)
 		return nil, false
 	}
@@ -222,7 +222,7 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	if err := dec.Decode(v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			s.stats.observeError("ErrInputBudget")
+			s.stats.count(famErrors, "ErrInputBudget")
 			writeError(w, limits.HTTPStatus(limits.ErrInputBudget), "ErrInputBudget",
 				fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes), nil)
 			return false
@@ -242,7 +242,7 @@ func (s *Server) checkScript(w http.ResponseWriter, label, script string) bool {
 		return false
 	}
 	if len(script) > s.cfg.MaxScriptBytes {
-		s.stats.observeError("ErrInputBudget")
+		s.stats.count(famErrors, "ErrInputBudget")
 		writeError(w, limits.HTTPStatus(limits.ErrInputBudget), "ErrInputBudget",
 			fmt.Sprintf("%s: script of %d bytes exceeds the %d-byte limit",
 				label, len(script), s.cfg.MaxScriptBytes), nil)
@@ -280,8 +280,7 @@ func (s *Server) handleDeobfuscate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	s.stats.request(endpointDeobfuscate)
-	defer s.stats.requestDone()
+	s.stats.count(famRequests, endpointDeobfuscate)
 	var req scriptRequest
 	if !s.decodeBody(w, r, &req) {
 		return
@@ -307,17 +306,17 @@ func (s *Server) handleDeobfuscate(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.runSingle(ctx, req.Lang, req.Script)
 	releaseSlot()
-	s.stats.observeLang(langLabel(res, req.Lang))
+	s.stats.count(famRuns, langLabel(res, req.Lang))
 	if res != nil {
 		s.stats.observeRun(res)
 	}
 	if err != nil {
 		status, name := classify(err)
-		s.stats.observeError(name)
+		s.stats.count(famErrors, name)
 		writeError(w, status, name, err.Error(), toResultBody(req.Name, res, wantLayers(r)))
 		return
 	}
-	s.stats.complete(endpointDeobfuscate)
+	s.stats.count(famCompleted, endpointDeobfuscate)
 	writeJSON(w, http.StatusOK, toResultBody(req.Name, res, wantLayers(r)))
 }
 
@@ -337,8 +336,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	s.stats.request(endpointBatch)
-	defer s.stats.requestDone()
+	s.stats.count(famRequests, endpointBatch)
 	var req batchRequest
 	if !s.decodeBody(w, r, &req) {
 		return
@@ -348,7 +346,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Scripts) > s.cfg.MaxBatchScripts {
-		s.stats.observeError("ErrInputBudget")
+		s.stats.count(famErrors, "ErrInputBudget")
 		writeError(w, limits.HTTPStatus(limits.ErrInputBudget), "ErrInputBudget",
 			fmt.Sprintf("batch of %d scripts exceeds the %d-script limit",
 				len(req.Scripts), s.cfg.MaxBatchScripts), nil)
@@ -386,7 +384,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	resp := batchResponse{Results: make([]batchItemBody, len(results))}
 	for i, br := range results {
 		item := batchItemBody{Name: br.Name, Index: br.Index}
-		s.stats.observeLang(langLabel(br.Result, req.Scripts[br.Index].Lang))
+		s.stats.count(famRuns, langLabel(br.Result, req.Scripts[br.Index].Lang))
 		if br.Result != nil {
 			s.stats.observeRun(br.Result)
 			item.Lang = br.Result.Lang
@@ -396,11 +394,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		if br.Err != nil {
 			status, name := classify(br.Err)
-			s.stats.observeError(name)
+			s.stats.count(famErrors, name)
 			item.Error = &errorInfo{Name: name, Message: br.Err.Error(), Status: status}
 		}
 		resp.Results[i] = item
 	}
-	s.stats.complete(endpointBatch)
+	s.stats.count(famCompleted, endpointBatch)
 	writeJSON(w, http.StatusOK, resp)
 }

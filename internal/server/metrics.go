@@ -3,10 +3,10 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // metricsContentType is the Prometheus text exposition format version
@@ -23,7 +23,8 @@ var latencyBuckets = []float64{
 
 // latencyHist is a fixed-bucket cumulative histogram in the Prometheus
 // shape (counts[i] covers observations ≤ latencyBuckets[i]; the +Inf
-// bucket is the total count). Guarded by serverStats.mu.
+// bucket is the total count). The server's histograms are guarded by
+// serverStats.mu; a snapshot holds clones.
 type latencyHist struct {
 	counts []int64
 	sum    float64
@@ -42,6 +43,10 @@ func (h *latencyHist) observe(seconds float64) {
 	}
 	h.sum += seconds
 	h.total++
+}
+
+func (h *latencyHist) clone() latencyHist {
+	return latencyHist{counts: slices.Clone(h.counts), sum: h.sum, total: h.total}
 }
 
 // escapeLabelValue escapes a Prometheus label value: backslash, double
@@ -84,29 +89,24 @@ func (m *metricsWriter) labeledCounts(name, help, label string, counts map[strin
 }
 
 // handleMetrics renders the serving and engine counters in the
-// Prometheus text exposition format: the same aggregates /statsz
-// reports as JSON, plus per-pass latency histograms, shaped for
-// scraping instead of inspection.
+// Prometheus text exposition format: the snapshot /statsz reports as
+// JSON, plus per-pass latency histograms, shaped for scraping instead
+// of inspection.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	st := s.stats
+	snap := s.snapshot()
+	b := &snap.body
 	m := &metricsWriter{}
 
-	st.mu.Lock()
-	uptime := time.Since(st.start).Seconds()
 	m.header("invokedeob_uptime_seconds", "Seconds since the server started.", "gauge")
-	m.val("invokedeob_uptime_seconds", "", uptime)
+	m.val("invokedeob_uptime_seconds", "", b.UptimeSeconds)
 	m.header("invokedeob_in_flight_requests", "Requests currently being served.", "gauge")
-	m.val("invokedeob_in_flight_requests", "", float64(st.inFlight))
+	m.val("invokedeob_in_flight_requests", "", float64(b.InFlight))
 
-	m.labeledCounts("invokedeob_requests_total", "Requests received, by endpoint.", "endpoint", st.requests)
-	m.labeledCounts("invokedeob_completed_total", "Requests completed, by endpoint.", "endpoint", st.completed)
-	m.labeledCounts("invokedeob_rejected_total", "Requests rejected before engine work, by reason.", "reason", st.rejected)
-	m.labeledCounts("invokedeob_errors_total", "Engine runs ending in a classified error, by class.", "class", st.errors)
-	m.labeledCounts("invokedeob_responses_total", "Responses sent, by HTTP status code.", "code", st.statuses)
-	m.labeledCounts("invokedeob_request_classes_total", "Admitted work by predicted cost class.", "class", st.classes)
-	m.labeledCounts("invokedeob_runs_total", "Engine runs, by resolved language frontend.", "lang", st.langs)
+	for _, f := range families {
+		m.labeledCounts(f.name, f.help, f.label, *f.statsz(b))
+	}
 
-	a := st.agg
+	a := b.Stats
 	engine := []struct {
 		name, help string
 		v          float64
@@ -131,20 +131,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		m.val(e.name, "", e.v)
 	}
 
-	passes := st.passes.Stats()
 	m.header("invokedeob_pass_runs_total", "Pass executions, by pass.", "counter")
-	for _, p := range passes {
+	for _, p := range b.PassTrace {
 		m.val("invokedeob_pass_runs_total", `pass="`+escapeLabelValue(p.Pass)+`"`, float64(p.Runs))
 	}
 	m.header("invokedeob_pass_reverts_total", "Pass outputs reverted by validation, by pass.", "counter")
-	for _, p := range passes {
+	for _, p := range b.PassTrace {
 		m.val("invokedeob_pass_reverts_total", `pass="`+escapeLabelValue(p.Pass)+`"`, float64(p.Reverts))
 	}
 
 	m.header("invokedeob_pass_duration_seconds",
 		"Per-run cumulative time spent in each pass.", "histogram")
-	for _, p := range passes {
-		h, ok := st.passLat[p.Pass]
+	for _, p := range b.PassTrace {
+		h, ok := snap.passLat[p.Pass]
 		if !ok {
 			continue
 		}
@@ -157,37 +156,26 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		m.val("invokedeob_pass_duration_seconds_sum", lbl, h.sum)
 		m.val("invokedeob_pass_duration_seconds_count", lbl, float64(h.total))
 	}
-	st.mu.Unlock()
 
-	pc := s.cache.Stats()
-	var eh, em, ev float64
-	var een, eby float64
-	hasEval := s.evalCache != nil
-	if hasEval {
-		ec := s.evalCache.Stats()
-		eh, em, ev = float64(ec.Hits), float64(ec.Misses), float64(ec.Evictions)
-		een, eby = float64(ec.Entries), float64(ec.Bytes)
-	}
-	cacheCounter := func(name, help string, parse, eval float64) {
-		m.header(name, help, "counter")
-		m.val(name, `cache="parse"`, parse)
-		if hasEval {
-			m.val(name, `cache="eval"`, eval)
+	// Each cache series has a parse line, and an eval line when the
+	// server runs an eval cache.
+	caches := func(name, help, typ string, v func(c *cacheStatsBody) float64) {
+		m.header(name, help, typ)
+		m.val(name, `cache="parse"`, v(&b.ParseCache))
+		if b.EvalCache != nil {
+			m.val(name, `cache="eval"`, v(b.EvalCache))
 		}
 	}
-	cacheCounter("invokedeob_cache_hits_total", "Shared cache hits.", float64(pc.Hits), eh)
-	cacheCounter("invokedeob_cache_misses_total", "Shared cache misses.", float64(pc.Misses), em)
-	cacheCounter("invokedeob_cache_evictions_total", "Shared cache evictions.", float64(pc.Evictions), ev)
-	m.header("invokedeob_cache_entries", "Shared cache entries.", "gauge")
-	m.val("invokedeob_cache_entries", `cache="parse"`, float64(pc.Entries))
-	if hasEval {
-		m.val("invokedeob_cache_entries", `cache="eval"`, een)
-	}
-	m.header("invokedeob_cache_bytes", "Shared cache resident bytes.", "gauge")
-	m.val("invokedeob_cache_bytes", `cache="parse"`, float64(pc.Bytes))
-	if hasEval {
-		m.val("invokedeob_cache_bytes", `cache="eval"`, eby)
-	}
+	caches("invokedeob_cache_hits_total", "Shared cache hits.", "counter",
+		func(c *cacheStatsBody) float64 { return float64(c.Hits) })
+	caches("invokedeob_cache_misses_total", "Shared cache misses.", "counter",
+		func(c *cacheStatsBody) float64 { return float64(c.Misses) })
+	caches("invokedeob_cache_evictions_total", "Shared cache evictions.", "counter",
+		func(c *cacheStatsBody) float64 { return float64(c.Evictions) })
+	caches("invokedeob_cache_entries", "Shared cache entries.", "gauge",
+		func(c *cacheStatsBody) float64 { return float64(c.Entries) })
+	caches("invokedeob_cache_bytes", "Shared cache resident bytes.", "gauge",
+		func(c *cacheStatsBody) float64 { return float64(c.Bytes) })
 
 	w.Header().Set("Content-Type", metricsContentType)
 	w.WriteHeader(http.StatusOK)

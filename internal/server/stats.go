@@ -21,32 +21,54 @@ const (
 	rejectShedHeavy = "shed-heavy"
 )
 
-// serverStats aggregates per-request engine outcomes across the
-// server's lifetime. One mutex is plenty: the critical sections are a
-// few integer adds, dwarfed by the engine work between them.
+// family is one labelled counter family. The table below names each
+// family once: the /statsz field that reports it, and the name, help
+// text and label /metrics renders it with.
+type family struct {
+	statsz            func(*statszBody) *map[string]int64
+	name, help, label string
+}
+
+// The labelled counter families, in /metrics order.
+var (
+	famRequests = &family{func(b *statszBody) *map[string]int64 { return &b.Requests },
+		"invokedeob_requests_total", "Requests received, by endpoint.", "endpoint"}
+	famCompleted = &family{func(b *statszBody) *map[string]int64 { return &b.Completed },
+		"invokedeob_completed_total", "Requests completed, by endpoint.", "endpoint"}
+	famRejected = &family{func(b *statszBody) *map[string]int64 { return &b.Rejected },
+		"invokedeob_rejected_total", "Requests rejected before engine work, by reason.", "reason"}
+	famErrors = &family{func(b *statszBody) *map[string]int64 { return &b.Errors },
+		"invokedeob_errors_total", "Engine runs ending in a classified error, by class.", "class"}
+	famStatuses = &family{func(b *statszBody) *map[string]int64 { return &b.StatusCounts },
+		"invokedeob_responses_total", "Responses sent, by HTTP status code.", "code"}
+	famClasses = &family{func(b *statszBody) *map[string]int64 { return &b.Classes },
+		"invokedeob_request_classes_total", "Admitted work by predicted cost class.", "class"}
+	famRuns = &family{func(b *statszBody) *map[string]int64 { return &b.Langs },
+		"invokedeob_runs_total", "Engine runs, by resolved language frontend.", "lang"}
+
+	families = []*family{famRequests, famCompleted, famRejected, famErrors, famStatuses, famClasses, famRuns}
+)
+
+// familyLabel keys one counter: a family and one of its label values.
+type familyLabel struct {
+	f     *family
+	label string
+}
+
+// serverStats aggregates per-request outcomes across the server's
+// lifetime. One mutex is plenty: the critical sections are a few
+// integer adds, dwarfed by the engine work between them.
 type serverStats struct {
-	mu        sync.Mutex
-	start     time.Time
-	requests  map[string]int64
-	completed map[string]int64
-	rejected  map[string]int64
-	errors    map[string]int64
-	// statuses counts every response by HTTP status code (keyed by its
-	// decimal string for direct JSON use), fed by the countStatuses
-	// middleware: the scrape surface for shed/429/503/504 rates.
-	statuses map[string]int64
-	// classes counts cost classifications of admitted work ("light",
-	// "heavy") plus "heavy_shed" for heavy requests refused under
-	// pressure, so operators can see the degradation order acting.
-	classes map[string]int64
-	// langs counts engine runs by resolved language frontend (batch
-	// items included), so mixed-language traffic is attributable.
-	langs    map[string]int64
-	inFlight int64
+	mu    sync.Mutex
+	start time.Time
+	// counts holds every labelled family's counters.
+	counts map[familyLabel]int64
 	// agg sums every run's Stats (batch items included), so statsz
 	// exposes fleet-level pieces/layers/cache counters, not just the
-	// last request's.
-	agg core.Stats
+	// last request's. byLang sums them per resolved language: the
+	// caches' by_lang slices are read from it.
+	agg    core.Stats
+	byLang map[string]core.Stats
 	// passes folds every run's PassTrace by pass name, in first-seen
 	// order, with BytesIn/BytesOut zeroed (per-run sizes do not sum).
 	passes *pipeline.Trace
@@ -58,53 +80,18 @@ type serverStats struct {
 
 func newServerStats() *serverStats {
 	return &serverStats{
-		start:     time.Now(),
-		requests:  make(map[string]int64),
-		completed: make(map[string]int64),
-		rejected:  make(map[string]int64),
-		errors:    make(map[string]int64),
-		statuses:  make(map[string]int64),
-		classes:   make(map[string]int64),
-		langs:     make(map[string]int64),
-		passes:    pipeline.NewTrace(),
-		passLat:   make(map[string]*latencyHist),
+		start:   time.Now(),
+		counts:  make(map[familyLabel]int64),
+		byLang:  make(map[string]core.Stats),
+		passes:  pipeline.NewTrace(),
+		passLat: make(map[string]*latencyHist),
 	}
 }
 
-func (st *serverStats) request(endpoint string) {
+// count adds one to family f's counter for label.
+func (st *serverStats) count(f *family, label string) {
 	st.mu.Lock()
-	st.requests[endpoint]++
-	st.inFlight++
-	st.mu.Unlock()
-}
-
-func (st *serverStats) complete(endpoint string) {
-	st.mu.Lock()
-	st.completed[endpoint]++
-	st.mu.Unlock()
-}
-
-func (st *serverStats) reject(reason string) {
-	st.mu.Lock()
-	st.rejected[reason]++
-	st.mu.Unlock()
-}
-
-func (st *serverStats) observeError(name string) {
-	st.mu.Lock()
-	st.errors[name]++
-	st.mu.Unlock()
-}
-
-func (st *serverStats) observeClass(class string) {
-	st.mu.Lock()
-	st.classes[class]++
-	st.mu.Unlock()
-}
-
-func (st *serverStats) observeLang(lang string) {
-	st.mu.Lock()
-	st.langs[lang]++
+	st.counts[familyLabel{f, label}]++
 	st.mu.Unlock()
 }
 
@@ -138,41 +125,18 @@ func (st *serverStats) countStatuses(next http.Handler) http.Handler {
 		if sw.status == 0 {
 			sw.status = http.StatusOK
 		}
-		st.mu.Lock()
-		st.statuses[strconv.Itoa(sw.status)]++
-		st.mu.Unlock()
+		st.count(famStatuses, strconv.Itoa(sw.status))
 	})
-}
-
-// requestDone decrements the in-flight gauge; deferred by handlers
-// alongside admission release.
-func (st *serverStats) requestDone() {
-	st.mu.Lock()
-	st.inFlight--
-	st.mu.Unlock()
 }
 
 // observeRun folds one run's Stats and PassTrace into the aggregates.
 func (st *serverStats) observeRun(res *core.Result) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	a, s := &st.agg, res.Stats
-	a.TokensNormalized += s.TokensNormalized
-	a.PiecesAttempted += s.PiecesAttempted
-	a.PiecesRecovered += s.PiecesRecovered
-	a.VariablesTraced += s.VariablesTraced
-	a.VariablesInlined += s.VariablesInlined
-	a.LayersUnwrapped += s.LayersUnwrapped
-	a.IdentifiersRenamed += s.IdentifiersRenamed
-	a.Iterations += s.Iterations
-	a.Duration += s.Duration
-	a.PiecesTimedOut += s.PiecesTimedOut
-	a.PiecesPanicked += s.PiecesPanicked
-	a.PiecesOverBudget += s.PiecesOverBudget
-	a.TimedOut = a.TimedOut || s.TimedOut
-	a.EvalCacheHits += s.EvalCacheHits
-	a.EvalCacheMisses += s.EvalCacheMisses
-	a.EvalCacheSkips += s.EvalCacheSkips
+	st.agg.Add(res.Stats)
+	sum := st.byLang[res.Lang]
+	sum.Add(res.Stats)
+	st.byLang[res.Lang] = sum
 	for _, p := range res.PassTrace {
 		h, ok := st.passLat[p.Pass]
 		if !ok {
@@ -196,7 +160,10 @@ type cacheStatsBody struct {
 	HitRate   float64 `json:"hit_rate"`
 	// ByLang attributes the cache's traffic to language frontends
 	// (entries are namespaced per frontend), so a mixed-language fleet
-	// can see each frontend's amortization payoff separately.
+	// can see each frontend's amortization payoff separately. It sums
+	// the cache counters of the runs that returned a result, so a
+	// request refused for invalid syntax counts in the totals only. A
+	// language with no traffic in this cache has no slice.
 	ByLang map[string]langCacheStatsBody `json:"by_lang,omitempty"`
 }
 
@@ -210,15 +177,17 @@ type langCacheStatsBody struct {
 
 // statszBody is the GET /statsz response.
 type statszBody struct {
-	UptimeSeconds float64          `json:"uptime_seconds"`
-	Draining      bool             `json:"draining"`
-	InFlight      int64            `json:"in_flight"`
-	Workers       int              `json:"workers"`
-	QueueDepth    int              `json:"queue_depth"`
-	Requests      map[string]int64 `json:"requests"`
-	Completed     map[string]int64 `json:"completed"`
-	Rejected      map[string]int64 `json:"rejected"`
-	Errors        map[string]int64 `json:"errors"`
+	UptimeSeconds float64 `json:"uptime_seconds"`
+	Draining      bool    `json:"draining"`
+	// InFlight is the admission window's occupancy: requests admitted
+	// and not yet finished, executing or queued.
+	InFlight   int64            `json:"in_flight"`
+	Workers    int              `json:"workers"`
+	QueueDepth int              `json:"queue_depth"`
+	Requests   map[string]int64 `json:"requests"`
+	Completed  map[string]int64 `json:"completed"`
+	Rejected   map[string]int64 `json:"rejected"`
+	Errors     map[string]int64 `json:"errors"`
 	// StatusCounts counts every response by HTTP status code — the
 	// scrape surface the load harness uses for shed/429/503/504 rates.
 	StatusCounts map[string]int64 `json:"status_counts"`
@@ -265,10 +234,7 @@ type healthzBody struct {
 // so load balancers stop routing here during shutdown.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	draining := s.Draining()
-	s.stats.mu.Lock()
-	inFlight := s.stats.inFlight
-	s.stats.mu.Unlock()
-	body := healthzBody{Status: "ok", Draining: draining, InFlight: inFlight}
+	body := healthzBody{Status: "ok", Draining: draining, InFlight: int64(len(s.admit))}
 	status := http.StatusOK
 	if draining {
 		body.Status = "draining"
@@ -277,72 +243,82 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, body)
 }
 
-// handleStatsz reports the aggregated serving counters as JSON.
-func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
+// snapshot is one read of every serving counter. /statsz renders body
+// as JSON; /metrics renders body and passLat in the Prometheus text
+// format.
+type snapshot struct {
+	body    statszBody
+	passLat map[string]latencyHist
+}
+
+// snapshot reads the serving counters under the stats lock once, then
+// the quota limiter and both caches.
+func (s *Server) snapshot() snapshot {
 	st := s.stats
+	b := statszBody{
+		Draining:   s.Draining(),
+		InFlight:   int64(len(s.admit)),
+		Workers:    s.cfg.Workers,
+		QueueDepth: s.cfg.QueueDepth,
+	}
+	for _, f := range families {
+		*f.statsz(&b) = make(map[string]int64)
+	}
 	st.mu.Lock()
-	body := statszBody{
-		UptimeSeconds: time.Since(st.start).Seconds(),
-		Draining:      s.Draining(),
-		InFlight:      st.inFlight,
-		Workers:       s.cfg.Workers,
-		QueueDepth:    s.cfg.QueueDepth,
-		Requests:      copyCounts(st.requests),
-		Completed:     copyCounts(st.completed),
-		Rejected:      copyCounts(st.rejected),
-		Errors:        copyCounts(st.errors),
-		StatusCounts:  copyCounts(st.statuses),
-		Classes:       copyCounts(st.classes),
-		Langs:         copyCounts(st.langs),
-		Stats:         st.agg,
-		PassTrace:     st.passes.Stats(),
+	b.UptimeSeconds = time.Since(st.start).Seconds()
+	for k, n := range st.counts {
+		(*k.f.statsz(&b))[k.label] = n
+	}
+	b.Stats = st.agg
+	b.PassTrace = st.passes.Stats()
+	passLat := make(map[string]latencyHist, len(st.passLat))
+	for name, h := range st.passLat {
+		passLat[name] = h.clone()
+	}
+	parseByLang := make(map[string]pipeline.CacheStats, len(st.byLang))
+	evalByLang := make(map[string]pipeline.CacheStats, len(st.byLang))
+	for lang, sum := range st.byLang {
+		parseByLang[lang] = pipeline.CacheStats{Hits: sum.ParseCacheHits, Misses: sum.ParseCacheMisses}
+		evalByLang[lang] = pipeline.CacheStats{Hits: sum.EvalCacheHits, Misses: sum.EvalCacheMisses, Skips: sum.EvalCacheSkips}
 	}
 	st.mu.Unlock()
 	if s.quota != nil {
 		q := s.quota.Stats()
-		body.Quota = &quotaStatsBody{
+		b.Quota = &quotaStatsBody{
 			RatePerSec: q.Rate, Burst: q.Burst,
 			Buckets: q.Buckets, MaxBuckets: q.MaxBuckets,
 			Allowed: q.Allowed, Rejected: q.Rejected, Evictions: q.Evictions,
 		}
 	}
-	pc := s.cache.Stats()
-	body.ParseCache = cacheStatsBody{
-		Hits: pc.Hits, Misses: pc.Misses, Evictions: pc.Evictions,
-		Entries: pc.Entries, Bytes: pc.Bytes, HitRate: pc.HitRate(),
-	}
-	if byLang := s.cache.LangStats(); len(byLang) > 0 {
-		body.ParseCache.ByLang = make(map[string]langCacheStatsBody, len(byLang))
-		for lang, ls := range byLang {
-			body.ParseCache.ByLang[lang] = langCacheStatsBody{
-				Hits: ls.Hits, Misses: ls.Misses, HitRate: ls.HitRate(),
-			}
-		}
-	}
+	b.ParseCache = cacheBody(s.cache.Stats(), parseByLang)
 	if s.evalCache != nil {
-		ec := s.evalCache.Stats()
-		body.EvalCache = &cacheStatsBody{
-			Hits: ec.Hits, Misses: ec.Misses, Skips: ec.Skips,
-			Evictions: ec.Evictions, Entries: ec.Entries, Bytes: ec.Bytes,
-			HitRate: ec.HitRate(),
-		}
-		if byLang := s.evalCache.LangStats(); len(byLang) > 0 {
-			body.EvalCache.ByLang = make(map[string]langCacheStatsBody, len(byLang))
-			for lang, ls := range byLang {
-				body.EvalCache.ByLang[lang] = langCacheStatsBody{
-					Hits: ls.Hits, Misses: ls.Misses, Skips: ls.Skips,
-					HitRate: ls.HitRate(),
-				}
-			}
-		}
+		ec := cacheBody(s.evalCache.Stats(), evalByLang)
+		b.EvalCache = &ec
 	}
-	writeJSON(w, http.StatusOK, body)
+	return snapshot{body: b, passLat: passLat}
 }
 
-func copyCounts(m map[string]int64) map[string]int64 {
-	out := make(map[string]int64, len(m))
-	for k, v := range m {
-		out[k] = v
+// cacheBody is the wire shape of a cache snapshot, with a slice for
+// each language that has traffic in byLang.
+func cacheBody(cs pipeline.CacheStats, byLang map[string]pipeline.CacheStats) cacheStatsBody {
+	body := cacheStatsBody{
+		Hits: cs.Hits, Misses: cs.Misses, Skips: cs.Skips,
+		Evictions: cs.Evictions, Entries: cs.Entries, Bytes: cs.Bytes,
+		HitRate: cs.HitRate(),
 	}
-	return out
+	for lang, ls := range byLang {
+		if ls.Hits+ls.Misses+ls.Skips == 0 {
+			continue
+		}
+		if body.ByLang == nil {
+			body.ByLang = make(map[string]langCacheStatsBody)
+		}
+		body.ByLang[lang] = langCacheStatsBody{Hits: ls.Hits, Misses: ls.Misses, Skips: ls.Skips, HitRate: ls.HitRate()}
+	}
+	return body
+}
+
+// handleStatsz reports the serving counters as JSON.
+func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.snapshot().body)
 }

@@ -11,14 +11,19 @@
 #       mid-body disconnects, slow-loris, quota key floods — and the
 #       run fails unless light traffic survives: success rate above the
 #       floor, p99 under the SLO, zero light 5xx. The JSON report lands
-#       in $BENCHJSON (default BENCH_pr6.json).
+#       in $BENCHJSON (default BENCH_pr6.json). The report must show
+#       quota 429s; heavy shedding is then probed deterministically: six
+#       requests whose bodies never arrive hold admission tokens, and one
+#       heavy script must be shed (503 ErrShed with Retry-After, one more
+#       rejected["shed-heavy"] in /statsz).
 #
 #   sh scripts/loadtest.sh smoke    seconds-scale CI gate (make
 #       loadtest-smoke): light+dup traffic only against a default-config
 #       server; asserts full success and a loose p99. Proves the harness
 #       and the serving path end to end without a long soak.
 #
-# Requires only the go toolchain; run from the repository root.
+# Requires the go toolchain, curl and mkfifo; run from the repository
+# root.
 set -eu
 
 GO="${GO:-go}"
@@ -26,8 +31,10 @@ MODE="${1:-full}"
 BENCHJSON="${BENCHJSON:-BENCH_pr6.json}"
 WORKDIR="$(mktemp -d)"
 SERVER_PID=""
+HOLDS=""
 
 cleanup() {
+    [ -z "$HOLDS" ] || kill $HOLDS 2>/dev/null || true
     if [ -n "$SERVER_PID" ] && kill -0 "$SERVER_PID" 2>/dev/null; then
         kill -9 "$SERVER_PID" 2>/dev/null || true
     fi
@@ -94,11 +101,51 @@ else
         -assert-light-success 0.7 -assert-light-p99 2s -assert-max-light-5xx 0 \
         || fail "flood SLO assertions failed (report: $BENCHJSON)"
 
-    # The flood must also have exercised the defenses: the report has
-    # to show quota 429s and heavy sheds, or the run proved nothing.
+    # The flood must also have exercised the quota defense: the report
+    # has to show quota 429s, or the run proved nothing.
     grep -q '"quota"' "$BENCHJSON" || fail "report missing quota rejections"
-    grep -q '"shed-heavy"' "$BENCHJSON" || fail "report missing heavy sheds"
-    echo "loadtest: defenses exercised (quota rejections + heavy sheds present in $BENCHJSON)"
+    echo "loadtest: quota rejections present in $BENCHJSON"
+
+    # Heavy shedding, probed on a held window rather than left to the
+    # flood's timing. The window holds 13 tokens (1 worker + queue 12)
+    # and sheds heavy work at ceil(0.5 x 13) = 7. Six requests whose
+    # bodies never arrive hold six (the server takes a token before it
+    # reads a body); a heavy script holding the seventh must be shed.
+    field() { curl -sS "http://$ADDR/statsz" | grep -o "\"$1\":[0-9]*" | head -n1 | cut -d: -f2; }
+    wait_in_flight() {
+        i=0
+        while [ "$(field in_flight)" != "$1" ]; do
+            [ $i -lt 100 ] || fail "in_flight never read $1 (last $(field in_flight))"
+            sleep 0.1
+            i=$((i + 1))
+        done
+    }
+    wait_in_flight 0
+    mkfifo "$WORKDIR/hold"
+    for i in 1 2 3 4 5 6; do
+        curl -sS -o /dev/null -X POST -T - -H 'Content-Type: application/json' \
+            -H "X-Api-Key: hold-$i" "http://$ADDR/v1/deobfuscate" <"$WORKDIR/hold" &
+        HOLDS="$HOLDS $!"
+    done
+    exec 3>"$WORKDIR/hold" # the held bodies' writer: open, silent
+    wait_in_flight 6
+    SHED_BEFORE="$(field shed-heavy)"
+    awk 'BEGIN { printf "{\"script\":\"Write-Host "; for (i = 0; i < 40000; i++) printf "x"; print "\"}" }' \
+        >"$WORKDIR/heavy.json"
+    CODE="$(curl -sS -o "$WORKDIR/shed.json" -D "$WORKDIR/shed.hdr" -w '%{http_code}' \
+        -H 'Content-Type: application/json' -H 'Expect:' -H 'X-Api-Key: heavy-probe' \
+        --data-binary @"$WORKDIR/heavy.json" "http://$ADDR/v1/deobfuscate")" \
+        || fail "heavy probe request failed"
+    [ "$CODE" = "503" ] || fail "heavy probe on a held window returned $CODE: $(cat "$WORKDIR/shed.json")"
+    grep -q '"name":"ErrShed"' "$WORKDIR/shed.json" || fail "heavy probe body: $(cat "$WORKDIR/shed.json")"
+    grep -qi '^Retry-After:' "$WORKDIR/shed.hdr" || fail "shed response without Retry-After"
+    SHED_AFTER="$(field shed-heavy)"
+    [ "$SHED_AFTER" = "$((${SHED_BEFORE:-0} + 1))" ] \
+        || fail "rejected[shed-heavy] went from ${SHED_BEFORE:-0} to ${SHED_AFTER:-0}, want one more"
+    exec 3>&- # end the held bodies; their requests answer 400 and release
+    wait $HOLDS
+    HOLDS=""
+    echo "loadtest: heavy request shed on a held window (503 ErrShed + Retry-After)"
 fi
 
 # Graceful shutdown still works after the flood.

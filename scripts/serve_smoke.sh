@@ -2,9 +2,9 @@
 # serve_smoke.sh: end-to-end smoke test of the deobserver binary.
 #
 # Builds deobserver, starts it on an ephemeral port, round-trips one
-# obfuscated script through POST /v1/deobfuscate, checks /healthz, then
-# sends SIGTERM and verifies a graceful exit (drain + "deobserver
-# stopped" on stdout, exit code 0).
+# obfuscated script through POST /v1/deobfuscate, checks /healthz,
+# /statsz and /metrics, then sends SIGTERM and verifies a graceful exit
+# (drain + "deobserver stopped" on stdout, exit code 0).
 #
 # Exits non-zero (with a message on stderr) on any failure. Requires
 # curl and a go toolchain; run from the repository root (make
@@ -68,9 +68,15 @@ grep -q 'Write-Host' "$WORKDIR/resp.json" \
     || fail "recovered script missing deobfuscated command: $(cat "$WORKDIR/resp.json")"
 echo "serve-smoke: deobfuscate round-trip ok"
 
-# Stats surfaced the run.
+# Stats surfaced the run, as JSON and in the Prometheus text format.
 curl -sS "$BASE/statsz" >"$WORKDIR/stats.json" || fail "statsz request failed"
 grep -q '"parse_cache"' "$WORKDIR/stats.json" || fail "statsz missing parse_cache"
+curl -sS "$BASE/metrics" >"$WORKDIR/metrics.txt" || fail "metrics request failed"
+grep -qxF 'invokedeob_requests_total{endpoint="deobfuscate"} 1' "$WORKDIR/metrics.txt" \
+    || fail "metrics missing one deobfuscate request: $(grep requests_total "$WORKDIR/metrics.txt")"
+grep -q '^invokedeob_cache_hits_total{cache="parse"} [0-9]' "$WORKDIR/metrics.txt" \
+    || fail "metrics missing the parse-cache hits line"
+echo "serve-smoke: statsz and metrics ok"
 
 # Graceful shutdown: SIGTERM must drain and exit 0.
 kill -TERM "$SERVER_PID"
